@@ -1,0 +1,133 @@
+"""Exception hierarchy shared by all modules."""
+
+
+class NonKissingError(Exception):
+    """Base class for all package errors."""
+
+
+class ParseError(NonKissingError):
+    """Malformed input (bad JSON shape, unknown fields, bad ids)."""
+
+
+# quiver validation
+
+class QuiverError(NonKissingError):
+    pass
+
+
+class DegreeViolation(QuiverError):
+    """A vertex has more than two incoming or outgoing arrows."""
+
+
+class NonComposableRelation(QuiverError):
+    """A relation pairs arrows that do not compose."""
+
+
+class GentleBranchViolation(QuiverError):
+    """An arrow has two relation partners, or two relation-free partners, on one side."""
+
+
+class NotComplete(QuiverError):
+    """A quiver expected to be complete has a vertex of total degree not 1 or 4."""
+
+
+# walks
+
+class WalkError(NonKissingError):
+    pass
+
+
+class NotReduced(WalkError):
+    """A word contains a factor x x^-1 or x^-1 x."""
+
+
+class RelationHit(WalkError):
+    """A word contains a forbidden length-two factor (or its inverse)."""
+
+
+class NotMaximal(WalkError):
+    """A finite end of a word could still be extended."""
+
+
+class IncompleteUniverse(NonKissingError):
+    """An operation needed the complete walk set but enumeration was truncated."""
+
+
+# countercurrent order
+
+class OrderError(NonKissingError):
+    pass
+
+
+class SameMarkedWalk(OrderError):
+    pass
+
+
+class KissingPair(OrderError):
+    """The countercurrent order is undefined on kissing walks."""
+
+
+# facets and flips
+
+class FacetError(NonKissingError):
+    pass
+
+
+class NotBending(FacetError):
+    pass
+
+
+class NotMember(FacetError):
+    pass
+
+
+class NotMaximalFacet(FacetError):
+    pass
+
+
+# fan / polytope
+
+class GeometryError(NonKissingError):
+    pass
+
+
+class NotClosed(GeometryError):
+    """Fan or polytope construction requires a closed flip graph."""
+
+
+class VHMismatch(GeometryError):
+    """Vertex and halfspace descriptions of the polytope disagree."""
+
+
+# surface
+
+class SurfaceError(NonKissingError):
+    pass
+
+
+class NotCellular(SurfaceError):
+    pass
+
+
+class NotDual(SurfaceError):
+    """A dissection face does not contain exactly one dual marked point."""
+
+
+class MissingDualPoint(NotDual):
+    pass
+
+
+class MultipleDualPoints(NotDual):
+    pass
+
+
+class NotReducedCrossing(SurfaceError):
+    """A crossing sequence immediately re-crosses the same edge backwards."""
+
+
+class DifferentSurface(SurfaceError):
+    pass
+
+
+class InconsistentEuler(SurfaceError):
+    """Euler characteristic cross-check failed; the construction is buggy."""

@@ -1,0 +1,453 @@
+"""Locally gentle bound quivers: validation, blossoming, pruning, Koszul duality.
+
+A bound quiver is a finite quiver together with a set of length-two
+relations.  All values are immutable; every operation is a pure function.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from functools import cached_property
+
+from .errors import (
+    DegreeViolation,
+    GentleBranchViolation,
+    NonComposableRelation,
+    NotComplete,
+    ParseError,
+)
+
+_FORBIDDEN_ID_CHARS = set('()|"')
+
+
+def _check_id(kind: str, ident: object) -> str:
+    if not isinstance(ident, str) or not ident:
+        raise ParseError(f"{kind} id must be a nonempty string, got {ident!r}")
+    if any(ch.isspace() or ch in _FORBIDDEN_ID_CHARS for ch in ident):
+        raise ParseError(f"{kind} id {ident!r} contains whitespace or a reserved character")
+    return ident
+
+
+@dataclass(frozen=True)
+class BoundQuiver:
+    """A finite quiver with length-two relations.
+
+    vertices: sorted vertex ids (also the coordinate order for integer vectors).
+    arrows: mapping-like tuple of (id, src, tgt), sorted by id.
+    relations: frozenset of composable pairs (a, b) meaning the path a then b
+    lies in the ideal.
+    """
+
+    vertices: tuple[str, ...]
+    arrows: tuple[tuple[str, str, str], ...]
+    relations: frozenset[tuple[str, str]]
+
+    @cached_property
+    def arrow_ids(self) -> tuple[str, ...]:
+        return tuple(a for a, _, _ in self.arrows)
+
+    @cached_property
+    def src(self) -> dict[str, str]:
+        return {a: s for a, s, _ in self.arrows}
+
+    @cached_property
+    def tgt(self) -> dict[str, str]:
+        return {a: t for a, _, t in self.arrows}
+
+    @cached_property
+    def arrows_out(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a, s, _ in self.arrows:
+            out[s].append(a)
+        return {v: tuple(lst) for v, lst in out.items()}
+
+    @cached_property
+    def arrows_in(self) -> dict[str, tuple[str, ...]]:
+        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a, _, t in self.arrows:
+            inc[t].append(a)
+        return {v: tuple(lst) for v, lst in inc.items()}
+
+    def degree(self, v: str) -> int:
+        return len(self.arrows_in[v]) + len(self.arrows_out[v])
+
+    def to_dict(self) -> dict:
+        return {
+            "vertices": list(self.vertices),
+            "arrows": [{"id": a, "src": s, "tgt": t} for a, s, t in self.arrows],
+            "relations": sorted([a, b] for a, b in self.relations),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@dataclass(frozen=True)
+class BlossomQuiver:
+    """A complete quiver together with the base it blossomed from.
+
+    quiver is itself a valid BoundQuiver in which every vertex has total
+    degree 1 (a blossom leaf) or 4.
+    """
+
+    quiver: BoundQuiver
+    base: BoundQuiver
+    blossom_vertices: frozenset[str]
+    blossom_arrows: frozenset[str]
+
+    @cached_property
+    def leaf_arrow(self) -> dict[str, str]:
+        """The unique arrow at each blossom leaf."""
+        out = {}
+        for v in self.blossom_vertices:
+            arrows = self.quiver.arrows_in[v] + self.quiver.arrows_out[v]
+            assert len(arrows) == 1
+            out[v] = arrows[0]
+        return out
+
+    def is_blossom_vertex(self, v: str) -> bool:
+        return v in self.blossom_vertices
+
+    def is_blossom_arrow(self, a: str) -> bool:
+        return a in self.blossom_arrows
+
+
+def quiver_from_dict(data: object) -> BoundQuiver:
+    """Parse the JSON quiver format (strict: unknown fields rejected)."""
+    if not isinstance(data, dict):
+        raise ParseError("quiver document must be a JSON object")
+    extra = set(data) - {"vertices", "arrows", "relations"}
+    if extra:
+        raise ParseError(f"unknown fields in quiver document: {sorted(extra)}")
+    try:
+        raw_vertices = data["vertices"]
+        raw_arrows = data["arrows"]
+        raw_relations = data.get("relations", [])
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc}") from exc
+    vertices = []
+    seen = set()
+    for v in raw_vertices:
+        _check_id("vertex", v)
+        if v in seen:
+            raise ParseError(f"duplicate vertex id {v!r}")
+        seen.add(v)
+        vertices.append(v)
+    arrows = []
+    aseen = set()
+    for item in raw_arrows:
+        if not isinstance(item, dict) or set(item) != {"id", "src", "tgt"}:
+            raise ParseError(f"arrow entries must be objects with id/src/tgt, got {item!r}")
+        a = _check_id("arrow", item["id"])
+        if a in aseen:
+            raise ParseError(f"duplicate arrow id {a!r}")
+        aseen.add(a)
+        if item["src"] not in seen or item["tgt"] not in seen:
+            raise ParseError(f"arrow {a!r} references unknown vertex")
+        arrows.append((a, item["src"], item["tgt"]))
+    relations = set()
+    for pair in raw_relations:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ParseError(f"relation entries must be pairs, got {pair!r}")
+        a, b = pair
+        if a not in aseen or b not in aseen:
+            raise ParseError(f"relation {pair!r} references unknown arrow")
+        relations.add((a, b))
+    return BoundQuiver(
+        vertices=tuple(sorted(vertices)),
+        arrows=tuple(sorted(arrows)),
+        relations=frozenset(relations),
+    )
+
+
+def quiver_from_json(text: str) -> BoundQuiver:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    return quiver_from_dict(data)
+
+
+def validate_locally_gentle(q: BoundQuiver) -> BoundQuiver:
+    """Check the three locally-gentle conditions, returning q unchanged.
+
+    Raises DegreeViolation, NonComposableRelation or GentleBranchViolation
+    naming the offending vertex or arrow.
+    """
+    for v in q.vertices:
+        if len(q.arrows_in[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_in[v])} incoming arrows")
+        if len(q.arrows_out[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_out[v])} outgoing arrows")
+    for a, b in q.relations:
+        if q.tgt[a] != q.src[b]:
+            raise NonComposableRelation(f"relation ({a!r},{b!r}) is not a composable pair")
+    for b in q.arrow_ids:
+        preds = [a for a in q.arrows_in[q.src[b]]]
+        rel = [a for a in preds if (a, b) in q.relations]
+        free = [a for a in preds if (a, b) not in q.relations]
+        if len(rel) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation predecessors {rel}")
+        if len(free) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation-free predecessors {free}")
+        succs = [c for c in q.arrows_out[q.tgt[b]]]
+        rel = [c for c in succs if (b, c) in q.relations]
+        free = [c for c in succs if (b, c) not in q.relations]
+        if len(rel) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation successors {rel}")
+        if len(free) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation-free successors {free}")
+    return q
+
+
+def make_quiver(vertices, arrows, relations=()) -> BoundQuiver:
+    """Convenience constructor; validates."""
+    q = BoundQuiver(
+        vertices=tuple(sorted(vertices)),
+        arrows=tuple(sorted(tuple(a) for a in arrows)),
+        relations=frozenset(tuple(r) for r in relations),
+    )
+    for a, b in q.relations:
+        if a not in q.src or b not in q.src:
+            raise ParseError(f"relation ({a!r},{b!r}) references unknown arrow")
+    return validate_locally_gentle(q)
+
+
+def _fresh_id(base: str, used: set[str]) -> str:
+    ident = base
+    while ident in used:
+        ident += "'"
+    used.add(ident)
+    return ident
+
+
+def blossom(q: BoundQuiver) -> BlossomQuiver:
+    """Complete q by adding blossom vertices and arrows, extending the ideal.
+
+    At each original vertex the two incoming and two outgoing arrow slots are
+    paired into a relation matching whose complement is relation-free.
+    Existing arrows keep their given pairs; free slots pair in arrow-id order.
+    Ids are generated deterministically so the result is reproducible.
+    """
+    validate_locally_gentle(q)
+    used_v = set(q.vertices)
+    used_a = set(q.arrow_ids)
+    vertices = list(q.vertices)
+    arrows = list(q.arrows)
+    relations = set(q.relations)
+    new_vertices: list[str] = []
+    new_arrows: list[str] = []
+    ins: dict[str, list[str]] = {v: sorted(q.arrows_in[v]) for v in q.vertices}
+    outs: dict[str, list[str]] = {v: sorted(q.arrows_out[v]) for v in q.vertices}
+    for v in q.vertices:
+        k = 1
+        while len(ins[v]) < 2:
+            bv = _fresh_id(f"{v}+in{k}", used_v)
+            ba = _fresh_id(f"{v}+in{k}", used_a)
+            vertices.append(bv)
+            arrows.append((ba, bv, v))
+            new_vertices.append(bv)
+            new_arrows.append(ba)
+            ins[v].append(ba)
+            k += 1
+        k = 1
+        while len(outs[v]) < 2:
+            bv = _fresh_id(f"{v}+out{k}", used_v)
+            ba = _fresh_id(f"{v}+out{k}", used_a)
+            vertices.append(bv)
+            arrows.append((ba, v, bv))
+            new_vertices.append(bv)
+            new_arrows.append(ba)
+            outs[v].append(ba)
+            k += 1
+    for v in q.vertices:
+        i0, i1 = ins[v]
+        o0, o1 = outs[v]
+        parallel = {(i0, o0), (i1, o1)}
+        crossed = {(i0, o1), (i1, o0)}
+        choice = None
+        for m in (parallel, crossed):
+            ok = True
+            for (a, b) in ((i0, o0), (i0, o1), (i1, o0), (i1, o1)):
+                if a in q.src and b in q.src and q.tgt.get(a) == v and q.src.get(b) == v:
+                    if ((a, b) in q.relations) != ((a, b) in m):
+                        ok = False
+                        break
+            if ok:
+                choice = m
+                break
+        assert choice is not None, f"no consistent relation completion at vertex {v!r}"
+        relations |= choice
+    bq = BoundQuiver(
+        vertices=tuple(sorted(vertices)),
+        arrows=tuple(sorted(arrows)),
+        relations=frozenset(relations),
+    )
+    validate_locally_gentle(bq)
+    out = BlossomQuiver(
+        quiver=bq,
+        base=q,
+        blossom_vertices=frozenset(new_vertices),
+        blossom_arrows=frozenset(new_arrows),
+    )
+    n0, n1 = len(q.vertices), len(q.arrows)
+    assert len(bq.vertices) == 5 * n0 - 2 * n1
+    assert len(bq.arrows) == 4 * n0 - n1
+    return out
+
+
+def prune(bq: BoundQuiver) -> BoundQuiver:
+    """Delete all leaves of a complete quiver (inverse of blossoming)."""
+    for v in bq.vertices:
+        if bq.degree(v) not in (1, 4):
+            raise NotComplete(f"vertex {v!r} has total degree {bq.degree(v)}")
+    leaves = {v for v in bq.vertices if bq.degree(v) == 1}
+    dead_arrows = {a for a, s, t in bq.arrows if s in leaves or t in leaves}
+    return BoundQuiver(
+        vertices=tuple(v for v in bq.vertices if v not in leaves),
+        arrows=tuple(x for x in bq.arrows if x[0] not in dead_arrows),
+        relations=frozenset(
+            (a, b) for a, b in bq.relations if a not in dead_arrows and b not in dead_arrows
+        ),
+    )
+
+
+def koszul_dual(q: BoundQuiver) -> BoundQuiver:
+    """Reverse all arrows and complement the relations over composable pairs."""
+    validate_locally_gentle(q)
+    arrows = tuple(sorted((a, t, s) for a, s, t in q.arrows))
+    relations = set()
+    for a in q.arrow_ids:
+        for b in q.arrows_out[q.tgt[a]]:
+            if (a, b) not in q.relations:
+                relations.add((b, a))
+    dual = BoundQuiver(
+        vertices=q.vertices,
+        arrows=arrows,
+        relations=frozenset(relations),
+    )
+    return validate_locally_gentle(dual)
+
+
+# ---------------------------------------------------------------------------
+# canonical labeling and isomorphism
+
+
+def canonical_key(q: BoundQuiver) -> tuple:
+    """Canonical form of q under relabeling of vertices and arrows.
+
+    Deterministic BFS encodings are generated from every possible root (with
+    backtracking over tie-broken arrow orders) and the lexicographically
+    smallest one is returned, per connected component.
+    """
+    comps = _components(q)
+    keys = sorted(_component_key(q, comp) for comp in comps)
+    return tuple(keys)
+
+
+def is_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:
+    return canonical_key(q1) == canonical_key(q2)
+
+
+def _components(q: BoundQuiver) -> list[list[str]]:
+    seen: set[str] = set()
+    comps = []
+    for v0 in q.vertices:
+        if v0 in seen:
+            continue
+        comp = []
+        stack = [v0]
+        seen.add(v0)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for a in q.arrows_out[v]:
+                w = q.tgt[a]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+            for a in q.arrows_in[v]:
+                w = q.src[a]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _component_key(q: BoundQuiver, comp: list[str]) -> tuple:
+    """Minimal BFS encoding over all roots and tie-break branches.
+
+    Per processed vertex the encoding records the sorted (direction, label)
+    multiset of its arrow ends; labels of fresh neighbors are branched over
+    all orders.  Arrows are then named (src label, tgt label, k) with the
+    sub-index k of parallel pairs branched to minimize the relation table.
+    """
+    import itertools
+
+    best: tuple | None = None
+    n = len(comp)
+    for root in comp:
+        stack = [({root: 0}, [root], 0, ())]
+        while stack:
+            vlabel, order, qi, prefix = stack.pop()
+            if best is not None and prefix > best[: len(prefix)]:
+                continue
+            if qi == len(order):
+                if len(order) < n:
+                    continue
+                enc = prefix + _arrow_encoding(q, vlabel)
+                if best is None or enc < best:
+                    best = enc
+                continue
+            v = order[qi]
+            ends = [(0, q.tgt[a]) for a in q.arrows_out[v]]
+            ends += [(1, q.src[a]) for a in q.arrows_in[v]]
+            fresh = sorted({w for _, w in ends} - set(vlabel))
+            for perm in itertools.permutations(fresh):
+                nv = dict(vlabel)
+                norder = list(order)
+                for w in perm:
+                    nv[w] = len(norder)
+                    norder.append(w)
+                rec = tuple(sorted((d, nv[w]) for d, w in ends))
+                stack.append((nv, norder, qi + 1, prefix + (rec,)))
+    assert best is not None
+    return best
+
+
+def _arrow_encoding(q: BoundQuiver, vlabel: dict[str, int]) -> tuple:
+    """Canonical arrow and relation tables given fixed vertex labels."""
+    import itertools
+
+    groups: dict[tuple[int, int], list[str]] = {}
+    for a in q.arrow_ids:
+        if q.src[a] not in vlabel:
+            continue
+        groups.setdefault((vlabel[q.src[a]], vlabel[q.tgt[a]]), []).append(a)
+    arrow_table = tuple(sorted((st, len(axs)) for st, axs in groups.items()))
+    doubles = sorted(st for st, axs in groups.items() if len(axs) == 2)
+    base = {}
+    for st, axs in groups.items():
+        if len(axs) == 1:
+            base[axs[0]] = st + (0,)
+    best_rels = None
+    for swap_mask in itertools.product((False, True), repeat=len(doubles)):
+        name = dict(base)
+        for st, swap in zip(doubles, swap_mask):
+            a0, a1 = sorted(groups[st])
+            if swap:
+                a0, a1 = a1, a0
+            name[a0] = st + (0,)
+            name[a1] = st + (1,)
+        rels = tuple(
+            sorted(
+                (name[a], name[b])
+                for a, b in q.relations
+                if a in name and b in name
+            )
+        )
+        if best_rels is None or rels < best_rels:
+            best_rels = rels
+    return (arrow_table, best_rels)

@@ -1,0 +1,737 @@
+"""The marked surface of a locally gentle bound quiver.
+
+One lozenge (quad) per arrow of the blossoming quiver, glued along relation
+and non-relation pairs.  The surface is stored purely combinatorially as a
+half-edge map: each quad has four directed sides
+
+    rs: s -> f    rt: f -> t    gt: t -> v    gs: v -> s
+
+read counterclockwise, where s and t are the black endpoints of the arrow
+(middle points of dissection edges), v the green marked point and f the red
+one.  Green sides form the dissection, red sides its dual; an unglued side
+lies on the surface boundary.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import (
+    DifferentSurface,
+    NonKissingError,
+    InconsistentEuler,
+    MissingDualPoint,
+    MultipleDualPoints,
+    NotCellular,
+    NotReducedCrossing,
+    ParseError,
+)
+from .quiver import BlossomQuiver, BoundQuiver, blossom
+from .walks import (
+    Letter,
+    Walk,
+    canonicalize,
+    kn_pair,
+    letter_src,
+    letter_tgt,
+    pair_ok,
+    pair_reason,
+    rev_word,
+)
+
+KINDS = ("rs", "rt", "gt", "gs")
+_NEXT = {"rs": "rt", "rt": "gt", "gt": "gs", "gs": "rs"}
+_PREV = {v: k for k, v in _NEXT.items()}
+_START_CORNER = {"rs": "s", "rt": "f", "gt": "t", "gs": "v"}
+
+
+def next_face(h):
+    return (h[0], _NEXT[h[1]])
+
+
+def prev_face(h):
+    return (h[0], _PREV[h[1]])
+
+
+def start_corner(h):
+    return (h[0], _START_CORNER[h[1]])
+
+
+def end_corner(h):
+    return start_corner(next_face(h))
+
+
+class SurfaceModel:
+    """Half-edge quad complex carrying the two dual dissections."""
+
+    def __init__(self, quads, twin, base: BoundQuiver | None = None,
+                 black_names: dict | None = None):
+        self.quads = tuple(quads)
+        self.twin = dict(twin)
+        self.base = base
+        self.halfedges = tuple((q, k) for q in self.quads for k in KINDS)
+        for h in self.halfedges:
+            self.twin.setdefault(h, None)
+            t = self.twin[h]
+            if t is not None and self.twin.get(t) != h:
+                raise NotCellular(f"twin of {h} is not involutive")
+        self._classify(black_names or {})
+
+    # -- construction helpers ------------------------------------------------
+
+    def _classify(self, black_names: dict) -> None:
+        parent: dict = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+
+        for h in self.halfedges:
+            find(start_corner(h))
+        for h in self.halfedges:
+            t = self.twin[h]
+            if t is not None:
+                union(start_corner(h), end_corner(t))
+                union(end_corner(h), start_corner(t))
+        classes: dict = {}
+        for h in self.halfedges:
+            for c in (start_corner(h), end_corner(h)):
+                classes.setdefault(find(c), set()).add(c)
+        self.corner_class = {c: find(c) for cs in classes.values() for c in cs}
+        self.class_corners = classes
+        self.class_type: dict = {}
+        for root, corners in classes.items():
+            kinds = {c[1] for c in corners}
+            if kinds <= {"s", "t"}:
+                self.class_type[root] = "black"
+            elif kinds == {"v"}:
+                self.class_type[root] = "green"
+            elif kinds == {"f"}:
+                self.class_type[root] = "red"
+            else:
+                raise NotCellular(f"vertex class mixes corner kinds {kinds}")
+        boundary = set()
+        for h in self.halfedges:
+            if self.twin[h] is None:
+                boundary.add(self.corner_class[start_corner(h)])
+                boundary.add(self.corner_class[end_corner(h)])
+        self.boundary_classes = boundary
+        # black classes split into middle points (degree 4) and blossom points
+        self.black_kind: dict = {}
+        names = {}
+        fresh = 0
+        for root, corners in classes.items():
+            if self.class_type[root] != "black":
+                continue
+            if len(corners) == 4:
+                self.black_kind[root] = "middle"
+            elif len(corners) == 1:
+                self.black_kind[root] = "blossom"
+            else:
+                raise NotCellular(
+                    f"black point with {len(corners)} corners; dissections not dual"
+                )
+            if root in black_names:
+                names[root] = black_names[root]
+            else:
+                names[root] = f"x{fresh}"
+                fresh += 1
+        self.black_name = names
+
+    # -- basic queries --------------------------------------------------------
+
+    def vertex_class(self, corner):
+        return self.corner_class[corner]
+
+    def rotate(self, h):
+        """Next half-edge counterclockwise around the start vertex of h."""
+        return self.twin[prev_face(h)]
+
+    def green_classes(self):
+        return sorted(
+            r for r, t in self.class_type.items() if t == "green"
+        )
+
+    def red_classes(self):
+        return sorted(r for r, t in self.class_type.items() if t == "red")
+
+    def middle_classes(self):
+        return sorted(r for r, k in self.black_kind.items() if k == "middle")
+
+    def blossom_classes(self):
+        return sorted(r for r, k in self.black_kind.items() if k == "blossom")
+
+    def is_puncture(self, root) -> bool:
+        return root not in self.boundary_classes
+
+    def boundary_cycles(self):
+        """Boundary components as cycles of boundary half-edges."""
+        boundary = [h for h in self.halfedges if self.twin[h] is None]
+        nxt = {}
+        for h in boundary:
+            cur = next_face(h)
+            while self.twin[cur] is not None:
+                cur = next_face(self.twin[cur])
+            nxt[h] = cur
+        cycles = []
+        seen = set()
+        for h in sorted(boundary):
+            if h in seen:
+                continue
+            cyc = []
+            cur = h
+            while cur not in seen:
+                seen.add(cur)
+                cyc.append(cur)
+                cur = nxt[cur]
+            cycles.append(cyc)
+        return cycles
+
+    def euler_characteristic(self) -> int:
+        n_v = len(self.class_corners)
+        sides = set()
+        for h in self.halfedges:
+            t = self.twin[h]
+            sides.add(h if t is None or h <= t else t)
+        n_e = len(sides)
+        n_f = len(self.quads)
+        return n_v - n_e + n_f
+
+    # -- canonical form --------------------------------------------------------
+
+    def canonical_key(self):
+        comps = self._components()
+        keys = []
+        for comp in comps:
+            best = None
+            for h0 in comp:
+                enc = self._encode_from(h0, comp)
+                if best is None or enc < best:
+                    best = enc
+            keys.append(best)
+        return tuple(sorted(keys))
+
+    def _components(self):
+        seen = set()
+        comps = []
+        for h in self.halfedges:
+            if h in seen:
+                continue
+            comp = []
+            stack = [h]
+            seen.add(h)
+            while stack:
+                cur = stack.pop()
+                comp.append(cur)
+                for nb in (next_face(cur), self.twin[cur]):
+                    if nb is not None and nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
+            comps.append(sorted(comp))
+        return comps
+
+    def _encode_from(self, h0, comp):
+        ids = {h0: 0}
+        order = [h0]
+        i = 0
+        while i < len(order):
+            h = order[i]
+            for nb in (next_face(h), self.twin[h]):
+                if nb is not None and nb not in ids:
+                    ids[nb] = len(order)
+                    order.append(nb)
+            i += 1
+        enc = []
+        for h in order:
+            t = self.twin[h]
+            root = self.corner_class[start_corner(h)]
+            typ = self.class_type[root]
+            if typ == "black":
+                typ = "B" if self.black_kind[root] == "middle" else "L"
+            else:
+                typ = "V" if typ == "green" else "F"
+            enc.append((ids[next_face(h)], -1 if t is None else ids[t], typ))
+        return tuple(enc)
+
+
+def canonical_map_key(s: SurfaceModel):
+    return s.canonical_key()
+
+
+def surfaces_isomorphic(s1: SurfaceModel, s2: SurfaceModel) -> bool:
+    return s1.canonical_key() == s2.canonical_key()
+
+
+# ---------------------------------------------------------------------------
+# quiver -> surface
+
+
+def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
+    """Glue one lozenge per blossoming arrow along relation and non-relation pairs."""
+    bq = blossom(q)
+    twin: dict = {}
+    for a in bq.quiver.arrow_ids:
+        v = bq.quiver.tgt[a]
+        for b in bq.quiver.arrows_out[v]:
+            if (a, b) in bq.quiver.relations:
+                twin[(a, "rt")] = (b, "rs")
+                twin[(b, "rs")] = (a, "rt")
+            else:
+                twin[(a, "gt")] = (b, "gs")
+                twin[(b, "gs")] = (a, "gt")
+    model = SurfaceModel(bq.quiver.arrow_ids, twin, base=q)
+    names = {}
+    # name black classes by the quiver vertex they come from
+    for root, corners in model.class_corners.items():
+        if model.class_type[root] != "black":
+            continue
+        verts = {
+            bq.quiver.src[a] if kind == "s" else bq.quiver.tgt[a]
+            for a, kind in corners
+        }
+        assert len(verts) == 1, "black class mixes quiver vertices"
+        names[root] = verts.pop()
+    model.black_name = names
+    return model
+
+
+# ---------------------------------------------------------------------------
+# invariants
+
+
+def _matching_components(q: BoundQuiver) -> int:
+    """Components of the superposed straight and relation chain matchings.
+
+    Both matchings live on the blossom leaves of one blossoming: straight
+    walks chain arrows by relation-free continuation, the dual's straight
+    walks appear as maximal relation chains of the same blossoming.
+    """
+    from .walks import straight_next
+
+    bq = blossom(q)
+    edges = []
+    # matching 1: endpoints of maximal relation-free paths
+    for a, src, _ in bq.quiver.arrows:
+        if src in bq.blossom_vertices:
+            cur = a
+            while True:
+                nxt = straight_next(bq, cur)
+                assert nxt is not None, "a leaf-started path must end at a leaf"
+                cur = nxt
+                if bq.quiver.tgt[cur] in bq.blossom_vertices:
+                    break
+            edges.append((src, bq.quiver.tgt[cur]))
+    # matching 2: endpoints of maximal relation chains
+    rel_next = {x: y for x, y in bq.quiver.relations}
+    for a, src, _ in bq.quiver.arrows:
+        if src in bq.blossom_vertices:
+            cur = a
+            while True:
+                nxt = rel_next.get(cur)
+                assert nxt is not None, "a leaf-started chain must end at a leaf"
+                cur = nxt
+                if bq.quiver.tgt[cur] in bq.blossom_vertices:
+                    break
+            edges.append((src, bq.quiver.tgt[cur]))
+    adj: dict = {}
+    for x, y in edges:
+        adj.setdefault(x, set()).add(y)
+        adj.setdefault(y, set()).add(x)
+    seen: set = set()
+    comps = 0
+    for v in sorted(adj):
+        if v in seen:
+            continue
+        comps += 1
+        stack = [v]
+        seen.add(v)
+        while stack:
+            cur = stack.pop()
+            for nb in adj[cur]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return comps
+
+
+def surface_invariants(s: SurfaceModel) -> dict:
+    """Boundary count, punctures, genus, Euler characteristic, cross-checked."""
+    b_cycles = len(s.boundary_cycles())
+    p = sum(1 for r in s.green_classes() if s.is_puncture(r))
+    p_dual = sum(1 for r in s.red_classes() if s.is_puncture(r))
+    n0 = len(s.middle_classes())
+    n1 = sum(
+        1
+        for q in s.quads
+        if s.black_kind[s.corner_class[(q, "s")]] == "middle"
+        and s.black_kind[s.corner_class[(q, "t")]] == "middle"
+    )
+    genus2 = n1 - n0 - b_cycles - p - p_dual + 2
+    if genus2 % 2 != 0:
+        raise InconsistentEuler("genus formula gives a non-integer")
+    genus = genus2 // 2
+    chi = s.euler_characteristic()
+    if chi != 2 - 2 * genus - b_cycles:
+        raise InconsistentEuler(
+            f"half-edge Euler characteristic {chi} != {2 - 2 * genus - b_cycles}"
+        )
+    if s.base is not None:
+        b_match = _matching_components(s.base)
+        if b_match != b_cycles:
+            raise InconsistentEuler(
+                f"matching graph gives {b_match} boundary components, map gives {b_cycles}"
+            )
+    return {
+        "b": b_cycles,
+        "p": p,
+        "p_dual": p_dual,
+        "punctures": p + p_dual,
+        "genus": genus,
+        "euler": chi,
+    }
+
+
+# ---------------------------------------------------------------------------
+# surface -> quiver
+
+
+def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
+    """Read a bound quiver off the chosen dissection of the surface.
+
+    Vertices are the interior dissection edges (middle black points), arrows
+    the quads whose two black corners are both interior, relations the
+    relation-side gluings between such quads.  which = 'primary' reads the
+    green dissection, 'dual' the red one (giving the Koszul dual).
+    """
+    if which not in ("primary", "dual"):
+        raise ParseError("which must be 'primary' or 'dual'")
+    middle = set(s.middle_classes())
+    vertices = sorted(s.black_name[r] for r in middle)
+    arrows = []
+    interior = []
+    for q in s.quads:
+        cs = s.corner_class[(q, "s")]
+        ct = s.corner_class[(q, "t")]
+        if cs in middle and ct in middle:
+            interior.append(q)
+            if which == "primary":
+                arrows.append((q, s.black_name[cs], s.black_name[ct]))
+            else:
+                arrows.append((q, s.black_name[ct], s.black_name[cs]))
+    interior_set = set(interior)
+    relations = set()
+    glue_kind = ("rt", "rs") if which == "primary" else ("gt", "gs")
+    for q in interior:
+        t = s.twin[(q, glue_kind[0])]
+        if t is not None and t[0] in interior_set:
+            assert t[1] == glue_kind[1]
+            if which == "primary":
+                relations.add((q, t[0]))
+            else:
+                relations.add((t[0], q))
+    out = BoundQuiver(
+        vertices=tuple(vertices),
+        arrows=tuple(sorted(arrows)),
+        relations=frozenset(relations),
+    )
+    from .quiver import validate_locally_gentle
+
+    return validate_locally_gentle(out)
+
+
+def swap_dissections(s: SurfaceModel) -> SurfaceModel:
+    """Exchange the green and red dissections (same surface, dual quiver)."""
+    kind_map = {"gt": "rs", "gs": "rt", "rs": "gt", "rt": "gs"}
+    twin = {}
+    for (q, k), t in s.twin.items():
+        if t is None:
+            twin[(q, kind_map[k])] = None
+        else:
+            twin[(q, kind_map[k])] = (t[0], kind_map[t[1]])
+    model = SurfaceModel(s.quads, twin, base=None)
+    # new s-corners were old t-corners and vice versa; carry the names over
+    names = {}
+    for root, corners in model.class_corners.items():
+        if model.class_type[root] != "black":
+            continue
+        q0, k0 = sorted(corners)[0]
+        old_root = s.corner_class[(q0, "t" if k0 == "s" else "s")]
+        names[root] = s.black_name[old_root]
+    model.black_name = names
+    return model
+
+
+# ---------------------------------------------------------------------------
+# dual dissection reconstruction
+
+
+@dataclass(frozen=True)
+class GreenView:
+    """The surface with only the green dissection retained.
+
+    Each face is the star of one red point: a cyclic (closed=True) or linear
+    sequence of corner units (gs_slot, gt_slot); slots pair across faces
+    through `pairs` exactly when the green side is interior.  marks counts
+    the red points assigned to the face.
+    """
+
+    faces: tuple[tuple[tuple[str, str], ...], ...]
+    closed: tuple[bool, ...]
+    marks: tuple[int, ...]
+    pairs: frozenset[frozenset[str]]
+
+
+def strip_dual(s: SurfaceModel) -> GreenView:
+    faces = []
+    closed = []
+    marks = []
+    for root in s.red_classes():
+        # orbit of the red rotation: quads around the red point
+        corners = sorted(s.class_corners[root])
+        start_he = (corners[0][0], "rt")
+        # walk backwards to a chain head if the face is not closed
+        seq = [start_he]
+        seen = {start_he}
+        cur = start_he
+        while True:
+            t = s.twin[(cur[0], "rs")]
+            if t is None:
+                break
+            prev = (t[0], "rt")
+            if prev in seen:
+                break
+            seq.insert(0, prev)
+            seen.add(prev)
+            cur = prev
+        head = seq[0]
+        is_closed = s.twin[(head[0], "rs")] is not None
+        cur = seq[-1]
+        while True:
+            t = s.twin[(cur[0], "rt")]
+            if t is None:
+                break
+            nxt = (t[0], "rt")
+            if nxt in seen:
+                break
+            seq.append(nxt)
+            seen.add(nxt)
+            cur = nxt
+        units = tuple(
+            (f"{q}:gs", f"{q}:gt") for q, _ in seq
+        )
+        faces.append(units)
+        closed.append(is_closed)
+        marks.append(1)
+    pairs = set()
+    for h, t in s.twin.items():
+        if t is None or h[1] not in ("gs", "gt"):
+            continue
+        pairs.add(frozenset((f"{h[0]}:{h[1]}", f"{t[0]}:{t[1]}")))
+    return GreenView(tuple(faces), tuple(closed), tuple(marks), frozenset(pairs))
+
+
+def dual_dissection(view: GreenView) -> SurfaceModel:
+    """Rebuild the red dissection by joining each face's red point to its sides."""
+    for i, m in enumerate(view.marks):
+        if m == 0:
+            raise MissingDualPoint(f"face {i} contains no dual marked point")
+        if m > 1:
+            raise MultipleDualPoints(f"face {i} contains {m} dual marked points")
+    twin: dict = {}
+    quads = []
+    slot_he: dict[str, tuple] = {}
+    for fi, units in enumerate(view.faces):
+        face_quads = []
+        for ui, (slot_gs, slot_gt) in enumerate(units):
+            quad = f"f{fi}u{ui}"
+            quads.append(quad)
+            face_quads.append(quad)
+            slot_he[slot_gs] = (quad, "gs")
+            slot_he[slot_gt] = (quad, "gt")
+        # red gluings within the face: rt of unit i with rs of unit i+1
+        n = len(face_quads)
+        rng = range(n) if view.closed[fi] else range(n - 1)
+        for i in rng:
+            a = face_quads[i]
+            b = face_quads[(i + 1) % n]
+            twin[(a, "rt")] = (b, "rs")
+            twin[(b, "rs")] = (a, "rt")
+    for pair in view.pairs:
+        x, y = sorted(pair)
+        hx, hy = slot_he[x], slot_he[y]
+        if {hx[1], hy[1]} != {"gs", "gt"}:
+            raise NotCellular(f"green pairing {pair} does not match side kinds")
+        twin[hx] = hy
+        twin[hy] = hx
+    return SurfaceModel(quads, twin, base=None)
+
+
+# ---------------------------------------------------------------------------
+# curves of walks
+
+
+@dataclass(frozen=True)
+class CrossingSequence:
+    """Combinatorial curve: dissection-edge crossings with the angles between.
+
+    Ends are ('B', blossom leaf) markers on the boundary or
+    ('P', cycle, sign) spiral markers at punctures.
+    """
+
+    quiver_key: tuple
+    left: tuple
+    crossings: tuple[str, ...]
+    angles: tuple[Letter, ...]
+    right: tuple
+
+
+def _quiver_key(q: BoundQuiver) -> tuple:
+    return (q.vertices, q.arrows, tuple(sorted(q.relations)))
+
+
+def _cycle_key(unit) -> tuple[tuple[str, ...], int]:
+    sign = unit[0][1]
+    arrows = tuple(a for a, _ in unit)
+    if sign < 0:
+        arrows = tuple(reversed(arrows))
+    k = len(arrows)
+    best = min(arrows[j:] + arrows[:j] for j in range(k))
+    return best, sign
+
+
+def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
+    core = list(w.body)
+    if not w.ltail:
+        first = core.pop(0)
+        assert bq.is_blossom_arrow(first[0])
+        left = ("B", letter_src(bq, first))
+    else:
+        cyc, sign = _cycle_key(w.ltail)
+        left = ("P", cyc, sign)
+    if not w.rtail:
+        last = core.pop()
+        assert bq.is_blossom_arrow(last[0])
+        right = ("B", letter_tgt(bq, last))
+    else:
+        cyc, sign = _cycle_key(w.rtail)
+        right = ("P", cyc, sign)
+    if core:
+        crossings = [letter_src(bq, core[0])]
+        crossings += [letter_tgt(bq, x) for x in core]
+    elif w.ltail:
+        crossings = [letter_tgt(bq, w.ltail[-1])]
+    else:
+        crossings = [letter_tgt(bq, w.body[0])]
+    return CrossingSequence(
+        quiver_key=_quiver_key(bq.base),
+        left=left,
+        crossings=tuple(crossings),
+        angles=tuple(core),
+        right=right,
+    )
+
+
+def _spiral_phases(sign: int, cyc) -> list:
+    base = tuple((a, 1) for a in cyc)
+    unit0 = base if sign > 0 else rev_word(base)
+    k = len(unit0)
+    return [unit0[j:] + unit0[:j] for j in range(k)]
+
+
+def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
+    """Invert curve_of_walk.  The tail phase at a spiral end is the unique
+    rotation of the cycle whose junction with the rest of the word is a
+    legal string factor."""
+    if c.quiver_key != _quiver_key(bq.base):
+        raise DifferentSurface("crossing sequence belongs to a different surface")
+    for x, y in zip(c.angles, c.angles[1:]):
+        if pair_reason(bq, x, y) == "unreduced":
+            raise NotReducedCrossing(
+                f"curve re-crosses {x[0]!r} immediately backwards"
+            )
+    letters = list(c.angles)
+    if c.left[0] == "B":
+        leaf = c.left[1]
+        arrow = bq.leaf_arrow[leaf]
+        letter = (arrow, 1) if bq.quiver.src[arrow] == leaf else (arrow, -1)
+        letters.insert(0, letter)
+    if c.right[0] == "B":
+        leaf = c.right[1]
+        arrow = bq.leaf_arrow[leaf]
+        letter = (arrow, 1) if bq.quiver.tgt[arrow] == leaf else (arrow, -1)
+        letters.append(letter)
+    left_opts = (
+        _spiral_phases(c.left[2], c.left[1]) if c.left[0] == "P" else [()]
+    )
+    right_opts = (
+        _spiral_phases(c.right[2], c.right[1]) if c.right[0] == "P" else [()]
+    )
+    if letters:
+        left_opts = [
+            u for u in left_opts if not u or pair_ok(bq, u[-1], letters[0])
+        ]
+        right_opts = [
+            u for u in right_opts if not u or pair_ok(bq, letters[-1], u[0])
+        ]
+    results = set()
+    for lt in left_opts:
+        for rt in right_opts:
+            if not letters and lt and rt and not pair_ok(bq, lt[-1], rt[0]):
+                continue
+            try:
+                results.add(canonicalize(bq, lt, tuple(letters), rt))
+            except NonKissingError:
+                continue
+    assert len(results) == 1, (
+        f"crossing sequence determines {len(results)} walks, expected 1"
+    )
+    return results.pop()
+
+
+def surface_dump(s: SurfaceModel) -> dict:
+    """Half-edge tables with stable ordering: involution, rotations, classes."""
+
+    def he_name(h):
+        return f"{h[0]}:{h[1]}" if h is not None else None
+
+    class_label = {}
+    counters = {"green": 0, "red": 0, "middle": 0, "blossom": 0}
+    prefixes = {"green": "V", "red": "V*", "middle": "M", "blossom": "B"}
+    for root in sorted(s.class_corners, key=lambda r: sorted(s.class_corners[r])):
+        typ = s.class_type[root]
+        kind = typ if typ != "black" else s.black_kind[root]
+        if kind == "middle":
+            class_label[root] = f"M:{s.black_name[root]}"
+            continue
+        class_label[root] = f"{prefixes[kind]}{counters[kind]}"
+        counters[kind] += 1
+    halfedges = sorted(s.halfedges)
+    return {
+        "halfedges": [he_name(h) for h in halfedges],
+        "twin": {he_name(h): he_name(s.twin[h]) for h in halfedges},
+        "face_next": {he_name(h): he_name(next_face(h)) for h in halfedges},
+        "vertex_rotation": {he_name(h): he_name(s.rotate(h)) for h in halfedges},
+        "start_class": {
+            he_name(h): class_label[s.corner_class[start_corner(h)]]
+            for h in halfedges
+        },
+        "punctures": sorted(
+            class_label[r]
+            for r in s.class_corners
+            if s.class_type[r] in ("green", "red") and s.is_puncture(r)
+        ),
+    }
+
+
+def crossing_count(bq: BlossomQuiver, c1: CrossingSequence, c2: CrossingSequence) -> int:
+    """Crossing number of two curves: the kissing number of their walks."""
+    if c1.quiver_key != c2.quiver_key:
+        raise DifferentSurface("curves live on different surfaces")
+    return kn_pair(bq, walk_of_curve(bq, c1), walk_of_curve(bq, c2))
