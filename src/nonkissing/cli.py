@@ -40,8 +40,10 @@ from .quiver import (
     validate_locally_gentle,
 )
 from .surface import (
+    crossing_count,
     curve_of_walk,
     dual_dissection,
+    quiver_from_surface,
     strip_dual,
     surface_dump,
     surface_from_quiver,
@@ -253,10 +255,8 @@ def cmd_surface(args) -> int:
 def cmd_roundtrip(args) -> int:
     q = _load_quiver(args)
     s = surface_from_quiver(q)
-    ok1 = is_isomorphic(quiver_from_surface_checked(s), q)
-    ok2 = is_isomorphic(
-        quiver_from_surface_checked(s, "dual"), koszul_dual(q)
-    )
+    ok1 = is_isomorphic(quiver_from_surface(s), q)
+    ok2 = is_isomorphic(quiver_from_surface(s, "dual"), koszul_dual(q))
     ok3 = surfaces_isomorphic(swap_dissections(s), surface_from_quiver(koszul_dual(q)))
     ok4 = surfaces_isomorphic(dual_dissection(strip_dual(s)), s)
     _emit(
@@ -269,12 +269,6 @@ def cmd_roundtrip(args) -> int:
         args,
     )
     return 0 if (ok1 and ok2 and ok3 and ok4) else 2
-
-
-def quiver_from_surface_checked(s, which: str = "primary"):
-    from .surface import quiver_from_surface
-
-    return quiver_from_surface(s, which)
 
 
 def _selfcheck() -> dict:
@@ -299,8 +293,6 @@ def _selfcheck() -> dict:
                 note(name, ["koszul dual is not an involution"])
             s = surface_from_quiver(q)
             surface_invariants(s)
-            from .surface import quiver_from_surface
-
             if not is_isomorphic(quiver_from_surface(s), q):
                 note(name, ["surface roundtrip failed"])
         except NonKissingError as exc:
@@ -323,8 +315,6 @@ def _selfcheck() -> dict:
         for w1 in walks:
             for w2 in walks:
                 c1, c2 = curve_of_walk(bq, w1), curve_of_walk(bq, w2)
-                from .surface import crossing_count
-
                 if crossing_count(bq, c1, c2) != kn_pair(bq, w1, w2):
                     note(name, ["crossing count differs from kissing number"])
     for name in ("a2", "loop"):
@@ -373,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="quiver JSON path or family:NAME:ARG")
         p.add_argument("--max-facets", type=int, default=10000)
         p.add_argument("--body-bound", type=int, default=64)
-        p.add_argument("--unroll", type=int, default=0, help="extra tail periods")
         p.add_argument("--format", choices=("json", "dot"), default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
@@ -383,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_facets < 1 or args.body_bound < 1 or args.unroll < 0:
+    if args.max_facets < 1 or args.body_bound < 1:
         print("error: bounds must be positive", file=sys.stderr)
         return 1
     try:

@@ -335,119 +335,19 @@ def koszul_dual(q: BoundQuiver) -> BoundQuiver:
 
 
 def canonical_key(q: BoundQuiver) -> tuple:
-    """Canonical form of q under relabeling of vertices and arrows.
+    """Canonical form of the locally gentle quiver q under relabeling.
 
-    Deterministic BFS encodings are generated from every possible root (with
-    backtracking over tie-broken arrow orders) and the lexicographically
-    smallest one is returned, per connected component.
+    Isomorphism classes of locally gentle bound quivers are in bijection with
+    homeomorphism classes of marked surfaces carrying a pair of dual
+    dissections, and `quiver_from_surface` reads q back off its surface.  So
+    two quivers are isomorphic exactly when their typed half-edge maps are,
+    and the key is the canonical form of the surface of q.
     """
-    comps = _components(q)
-    keys = sorted(_component_key(q, comp) for comp in comps)
-    return tuple(keys)
+    # function-local: surface imports this module
+    from .surface import surface_from_quiver
+
+    return surface_from_quiver(q).canonical_key()
 
 
 def is_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:
     return canonical_key(q1) == canonical_key(q2)
-
-
-def _components(q: BoundQuiver) -> list[list[str]]:
-    seen: set[str] = set()
-    comps = []
-    for v0 in q.vertices:
-        if v0 in seen:
-            continue
-        comp = []
-        stack = [v0]
-        seen.add(v0)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for a in q.arrows_out[v]:
-                w = q.tgt[a]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-            for a in q.arrows_in[v]:
-                w = q.src[a]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_key(q: BoundQuiver, comp: list[str]) -> tuple:
-    """Minimal BFS encoding over all roots and tie-break branches.
-
-    Per processed vertex the encoding records the sorted (direction, label)
-    multiset of its arrow ends; labels of fresh neighbors are branched over
-    all orders.  Arrows are then named (src label, tgt label, k) with the
-    sub-index k of parallel pairs branched to minimize the relation table.
-    """
-    import itertools
-
-    best: tuple | None = None
-    n = len(comp)
-    for root in comp:
-        stack = [({root: 0}, [root], 0, ())]
-        while stack:
-            vlabel, order, qi, prefix = stack.pop()
-            if best is not None and prefix > best[: len(prefix)]:
-                continue
-            if qi == len(order):
-                if len(order) < n:
-                    continue
-                enc = prefix + _arrow_encoding(q, vlabel)
-                if best is None or enc < best:
-                    best = enc
-                continue
-            v = order[qi]
-            ends = [(0, q.tgt[a]) for a in q.arrows_out[v]]
-            ends += [(1, q.src[a]) for a in q.arrows_in[v]]
-            fresh = sorted({w for _, w in ends} - set(vlabel))
-            for perm in itertools.permutations(fresh):
-                nv = dict(vlabel)
-                norder = list(order)
-                for w in perm:
-                    nv[w] = len(norder)
-                    norder.append(w)
-                rec = tuple(sorted((d, nv[w]) for d, w in ends))
-                stack.append((nv, norder, qi + 1, prefix + (rec,)))
-    assert best is not None
-    return best
-
-
-def _arrow_encoding(q: BoundQuiver, vlabel: dict[str, int]) -> tuple:
-    """Canonical arrow and relation tables given fixed vertex labels."""
-    import itertools
-
-    groups: dict[tuple[int, int], list[str]] = {}
-    for a in q.arrow_ids:
-        if q.src[a] not in vlabel:
-            continue
-        groups.setdefault((vlabel[q.src[a]], vlabel[q.tgt[a]]), []).append(a)
-    arrow_table = tuple(sorted((st, len(axs)) for st, axs in groups.items()))
-    doubles = sorted(st for st, axs in groups.items() if len(axs) == 2)
-    base = {}
-    for st, axs in groups.items():
-        if len(axs) == 1:
-            base[axs[0]] = st + (0,)
-    best_rels = None
-    for swap_mask in itertools.product((False, True), repeat=len(doubles)):
-        name = dict(base)
-        for st, swap in zip(doubles, swap_mask):
-            a0, a1 = sorted(groups[st])
-            if swap:
-                a0, a1 = a1, a0
-            name[a0] = st + (0,)
-            name[a1] = st + (1,)
-        rels = tuple(
-            sorted(
-                (name[a], name[b])
-                for a, b in q.relations
-                if a in name and b in name
-            )
-        )
-        if best_rels is None or rels < best_rels:
-            best_rels = rels
-    return (arrow_table, best_rels)

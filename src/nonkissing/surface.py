@@ -207,11 +207,23 @@ class SurfaceModel:
     # -- canonical form --------------------------------------------------------
 
     def canonical_key(self):
+        """Canonical form of the typed half-edge map under relabeling of quads.
+
+        Per connected component, the key is the smallest breadth-first
+        encoding over all roots of kind `rs`; the component keys are sorted.
+        Restricting the roots to `rs` keeps the key invariant: the kind of a
+        half-edge follows from the types of the corners around its quad
+        (black, red, black, green in face order), so every isomorphism maps
+        `rs` half-edges to `rs` half-edges, and every component is made of
+        whole quads, so it has an `rs` root.
+        """
         comps = self._components()
         keys = []
         for comp in comps:
             best = None
             for h0 in comp:
+                if h0[1] != "rs":
+                    continue
                 enc = self._encode_from(h0, comp)
                 if best is None or enc < best:
                     best = enc
@@ -259,10 +271,6 @@ class SurfaceModel:
                 typ = "V" if typ == "green" else "F"
             enc.append((ids[next_face(h)], -1 if t is None else ids[t], typ))
         return tuple(enc)
-
-
-def canonical_map_key(s: SurfaceModel):
-    return s.canonical_key()
 
 
 def surfaces_isomorphic(s1: SurfaceModel, s2: SurfaceModel) -> bool:

@@ -480,8 +480,6 @@ class Window:
     walk: Walk
     letters: tuple[Letter, ...]
     zone: tuple[tuple[str, int], ...]
-    lperiods: int
-    rperiods: int
 
     @property
     def n(self) -> int:
@@ -504,7 +502,7 @@ def make_window(w: Walk, lperiods: int, rperiods: int) -> Window:
             for x in w.rtail:
                 letters.append(x)
                 zone.append(("R", d))
-    return Window(w, tuple(letters), tuple(zone), lperiods, rperiods)
+    return Window(w, tuple(letters), tuple(zone))
 
 
 def _occurrence_bounds(win: Window) -> tuple[int, int]:

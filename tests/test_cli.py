@@ -149,5 +149,11 @@ def test_bad_bounds_exit_1():
     assert main(["facets", "family:apath:2", "--max-facets", "0"]) == 1
 
 
+def test_unknown_flag_is_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "family:apath:2", "--unroll", "1"])
+    assert exc.value.code == 2
+
+
 def test_family_spec_errors():
     assert main(["validate", "family:nosuch:3"]) == 1

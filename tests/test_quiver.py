@@ -15,12 +15,14 @@ from nonkissing.families import (
     a_path,
     corpus,
     double_cycle,
+    double_path,
     loop_quiver,
     random_locally_gentle,
     reversed_path,
 )
 from nonkissing.quiver import (
     blossom,
+    canonical_key,
     is_isomorphic,
     koszul_dual,
     make_quiver,
@@ -163,13 +165,34 @@ def test_isomorphism_sees_relations():
     assert not is_isomorphic(l1, l2)
 
 
+def _relabeled(q, rng):
+    """q with vertex and arrow ids replaced by a random permutation of fresh ids."""
+    vnames = [f"x{i}" for i in range(len(q.vertices))]
+    anames = [f"e{i}" for i in range(len(q.arrows))]
+    rng.shuffle(vnames)
+    rng.shuffle(anames)
+    vmap = dict(zip(q.vertices, vnames))
+    amap = dict(zip(q.arrow_ids, anames))
+    return make_quiver(
+        vnames,
+        [(amap[a], vmap[s], vmap[t]) for a, s, t in q.arrows],
+        [(amap[a], amap[b]) for a, b in q.relations],
+    )
+
+
 def test_isomorphism_agrees_with_vf2_oracle():
     rng = random.Random(7)
-    quivers = [random_locally_gentle(rng, 5) for _ in range(12)]
+    randoms = [random_locally_gentle(rng, 5) for _ in range(12)]
+    quivers = randoms + [koszul_dual(q) for q in randoms]
     quivers += [a_path(3), loop_quiver(), reversed_path(2), double_cycle(2)]
+    for n in (4, 8, 12, 16):
+        for q in (double_cycle(n), double_path(n)):
+            quivers += [q, _relabeled(q, rng)]
+    # is_isomorphic compares canonical keys; compute each key once
+    keys = [canonical_key(q) for q in quivers]
     for i, qa in enumerate(quivers):
-        for qb in quivers[i:]:
-            assert is_isomorphic(qa, qb) == vf2_isomorphic(qa, qb)
+        for j in range(i, len(quivers)):
+            assert (keys[i] == keys[j]) == vf2_isomorphic(qa, quivers[j])
 
 
 def test_random_generator_produces_valid_quivers():
