@@ -85,6 +85,10 @@ class NotMaximalFacet(FacetError):
     pass
 
 
+class FlipCheckFailed(FacetError):
+    """A flip result does not kiss the flipped walk, or kisses a facet member."""
+
+
 # fan / polytope
 
 class GeometryError(NonKissingError):

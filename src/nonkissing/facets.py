@@ -10,15 +10,18 @@ the body dominates the deeper periodic copies in the countercurrent order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import networkx as nx
 
 from .errors import (
+    FlipCheckFailed,
     IncompleteUniverse,
     KissingPair,
     NotBending,
+    NotClosed,
     NotMaximalFacet,
     NotMember,
     SameMarkedWalk,
@@ -337,17 +340,20 @@ def _orient_matching(mw: MarkedWalk, expected, side: int):
     return None
 
 
-def flip(bq: BlossomQuiver, facet: Facet, w: Walk, check: bool = True):
+def flip(
+    bq: BlossomQuiver, facet: Facet, w: Walk, check: bool = True,
+    data: dict[str, MarkedWalk] | None = None,
+):
     """Exchange the bending walk w, returning (new facet, new walk, direction).
 
     direction is 'increasing' when the distinguished substring of w lies on
-    top of w, 'decreasing' otherwise.
+    top of w, 'decreasing' otherwise.  data is the facet's distinguished
+    data, computed here when not given.
     """
     if w not in facet.walks:
         raise NotMember(f"walk {w.serialize()!r} not in facet")
     if not is_bending(w):
         raise NotBending("only bending walks can be flipped")
-    data = distinguished_data(bq, facet)
     ds = distinguished_substring(bq, facet, w, data)
     g1, g2 = ds.left, ds.right
     l1 = walk_letter(w, g1)
@@ -383,9 +389,11 @@ def flip(bq: BlossomQuiver, facet: Facet, w: Walk, check: bool = True):
     new = canonicalize(bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
     assert new != w, "flip produced the same walk"
     if check:
-        assert kissing(bq, w, new), "flip result must kiss the flipped walk"
+        if not kissing(bq, w, new):
+            raise FlipCheckFailed("flip result must kiss the flipped walk")
         for other in rest:
-            assert not kissing(bq, new, other), "flip result kisses a facet member"
+            if kissing(bq, new, other):
+                raise FlipCheckFailed("flip result kisses a facet member")
     direction = "increasing" if ds.on_top else "decreasing"
     return facet.replace(w, new), new, direction
 
@@ -439,8 +447,9 @@ def enumerate_facets(
     head = 0
     while head < len(facets):
         facet = facets[head]
+        data = distinguished_data(bq, facet)
         for w in facet.bending:
-            new_facet, new_walk, direction = flip(bq, facet, w, check=check_flips)
+            new_facet, new_walk, direction = flip(bq, facet, w, check_flips, data)
             j = index.get(new_facet.key)
             if j is None:
                 if len(facets) >= max_facets:
@@ -508,33 +517,30 @@ def verify_purity(g: FlipGraph) -> list[str]:
 
 
 def verify_thinness(g: FlipGraph) -> list[str]:
-    from .errors import NotClosed
-
     if not g.closed:
         raise NotClosed("thinness check needs a closed flip graph")
     bq = blossom(g.quiver)
+    data = [distinguished_data(bq, f) for f in g.facets]
+    # holders of a ridge: the facets that are the ridge plus one bending walk
+    holders = Counter(frozenset(f.bending) - {w} for f in g.facets for w in f.bending)
     report = []
     for i, f in enumerate(g.facets):
         for w in f.bending:
-            f2, w2, d = flip(bq, f, w, check=False)
+            f2, w2, d = flip(bq, f, w, check=False, data=data[i])
             j = g.index.get(f2.key)
             if j is None:
                 report.append(f"facet {i}: flip at {w.serialize()} leaves the graph")
                 continue
-            f3, w3, d3 = flip(bq, f2, w2, check=False)
+            f3, w3, d3 = flip(bq, f2, w2, check=False, data=data[j])
             if f3.key != f.key or w3 != w:
                 report.append(f"facet {i}: flip at {w.serialize()} is not an involution")
             if {d, d3} != {"increasing", "decreasing"}:
                 report.append(f"facet {i}: flip directions do not reverse")
             # codimension-1 face in exactly two facets
-            ridge = frozenset(f.bending) - {w}
-            holders = [
-                k for k, other in enumerate(g.facets)
-                if ridge <= set(other.bending)
-            ]
-            if len(holders) != 2:
+            k = holders[frozenset(f.bending) - {w}]
+            if k != 2:
                 report.append(
-                    f"facet {i}: ridge without {w.serialize()} lies in {len(holders)} facets"
+                    f"facet {i}: ridge without {w.serialize()} lies in {k} facets"
                 )
     return report
 

@@ -15,14 +15,12 @@ from .facets import (
     FlipGraph,
     distinguished_data,
     distinguished_substring,
-    enumerate_facets,
 )
 from .quiver import BlossomQuiver, BoundQuiver, blossom
 from .walks import (
     Walk,
     corner_profile,
     deep_walk,
-    enumerate_walks,
     is_bending,
     kiss_count,
     total_kissing_number,
@@ -394,12 +392,3 @@ def build_associahedron(
         report=(),
     )
 
-
-def polytope_for(q: BoundQuiver, body_bound: int = 64):
-    """Convenience wrapper: flip graph, universe, fan and polytope."""
-    bq = blossom(q)
-    g = enumerate_facets(q)
-    universe, complete = enumerate_walks(bq, body_bound)
-    fan = build_fan(g)
-    poly = build_associahedron(q, g, universe, complete)
-    return g, universe, fan, poly

@@ -147,9 +147,6 @@ class SurfaceModel:
 
     # -- basic queries --------------------------------------------------------
 
-    def vertex_class(self, corner):
-        return self.corner_class[corner]
-
     def rotate(self, h):
         """Next half-edge counterclockwise around the start vertex of h."""
         return self.twin[prev_face(h)]
@@ -164,9 +161,6 @@ class SurfaceModel:
 
     def middle_classes(self):
         return sorted(r for r, k in self.black_kind.items() if k == "middle")
-
-    def blossom_classes(self):
-        return sorted(r for r, k in self.black_kind.items() if k == "blossom")
 
     def is_puncture(self, root) -> bool:
         return root not in self.boundary_classes

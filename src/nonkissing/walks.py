@@ -107,10 +107,6 @@ class Walk:
     def is_infinite_straight(self) -> bool:
         return bool(self.ltail) and not self.body and self.ltail == self.rtail
 
-    @cached_property
-    def is_finite(self) -> bool:
-        return not self.ltail and not self.rtail
-
     def serialize(self) -> str:
         parts = []
         if self.ltail:
@@ -466,7 +462,7 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# windows, occurrences, kissing
+# windows and kissing
 
 
 @dataclass(frozen=True)
@@ -503,51 +499,6 @@ def make_window(w: Walk, lperiods: int, rperiods: int) -> Window:
                 letters.append(x)
                 zone.append(("R", d))
     return Window(w, tuple(letters), tuple(zone))
-
-
-def _occurrence_bounds(win: Window) -> tuple[int, int]:
-    """Legal (a, b) range: 1 <= a <= b <= n-1 in 1-based letter indexing.
-
-    This both excludes extreme letters of finite ends from substring content
-    and guarantees boundary letters exist inside the window.
-    """
-    return 1, win.n - 1
-
-
-class Occurrences:
-    """Top/bottom substring occurrences of a walk inside a window."""
-
-    def __init__(self, bq: BlossomQuiver, win: Window):
-        self.bq = bq
-        self.win = win
-        self.vertices = [letter_tgt(bq, x) for x in win.letters]
-
-    def vertex_after(self, a: int) -> str:
-        return self.vertices[a - 1]
-
-    def word_key(self, a: int, b: int) -> tuple:
-        word = self.win.letters[a:b]
-        if not word:
-            return ("@", self.vertex_after(a))
-        return min(word, rev_word(word))
-
-    def boundary_signs(self, a: int, b: int) -> tuple[int, int]:
-        return self.win.letters[a - 1][1], self.win.letters[b][1]
-
-    def collect(self, kind: str) -> dict[tuple, list[tuple[int, int]]]:
-        """kind is 'top' (-,+ boundary) or 'bottom' (+,-)."""
-        want = (-1, 1) if kind == "top" else (1, -1)
-        lo, hi = _occurrence_bounds(self.win)
-        out: dict[tuple, list[tuple[int, int]]] = {}
-        n = self.win.n
-        for a in range(lo, hi + 1):
-            if self.win.letters[a - 1][1] != want[0]:
-                continue
-            for b in range(a, hi + 1):
-                if self.win.letters[b][1] != want[1]:
-                    continue
-                out.setdefault(self.word_key(a, b), []).append((a, b))
-        return out
 
 
 def _tail_periods_for_pair(w1: Walk, w2: Walk, extra: int = 0) -> tuple[int, int, int, int]:
@@ -621,30 +572,66 @@ def _is_pumpable(win1: Window, win2: Window, o1, o2) -> bool:
     return False
 
 
+def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...]):
+    """Maximal common runs of x1 and x2 with boundary signs (-,+) and (+,-).
+
+    Yields (i, j, k): x1[i:i+k] == x2[j:j+k], k >= 1, with x1[i-1], x1[i+k]
+    of signs -1, +1 and x2[j-1], x2[j+k] of signs +1, -1.  The left boundary
+    letters differ in sign, so each start pair begins a maximal run; each
+    run is extended once, so the scan costs O(len(x1) * len(x2)).
+    """
+    n1, n2 = len(x1), len(x2)
+    starts: dict[Letter, list[int]] = {}
+    for j in range(1, n2 - 1):
+        if x2[j - 1][1] > 0:
+            starts.setdefault(x2[j], []).append(j)
+    for i in range(1, n1 - 1):
+        if x1[i - 1][1] > 0:
+            continue
+        for j in starts.get(x1[i], ()):
+            k = 1
+            while i + k < n1 and j + k < n2 and x1[i + k] == x2[j + k]:
+                k += 1
+            if i + k < n1 and j + k < n2 and x1[i + k][1] > 0 and x2[j + k][1] < 0:
+                yield i, j, k
+
+
+def _corner_vertices(bq: BlossomQuiver, x: tuple[Letter, ...], before: int) -> dict:
+    """Multiplicity of each vertex between letters of signs (before, -before)."""
+    out: dict[str, int] = {}
+    for p, q in zip(x, x[1:]):
+        if p[1] == before and q[1] == -before:
+            v = letter_tgt(bq, p)
+            out[v] = out.get(v, 0) + 1
+    return out
+
+
 def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk, unroll_extra: int = 0) -> int:
     """kn(w1, w2): kisses of w1 on w2, pump-periodic families counted once.
 
     A kiss is a common finite substring occurring on top of w1 and at the
-    bottom of w2, counted per position pair.  Pairs absorbable into parallel
-    tail periods of both walks are pruned so the count is finite and stable
-    under window growth.
+    bottom of w2, counted per position pair.  Its boundary letters have
+    opposite signs in the two walks, so a nonempty kiss is a maximal common
+    run of the unrolled windows, read forward or against the reversed second
+    window; the empty kiss is a peak of w1 and a deep of w2 at one vertex.
+    Pairs absorbable into parallel tail periods of both walks are pruned so
+    the count is finite and stable under window growth.
     """
+    if w1.is_straight or w2.is_straight:
+        return 0  # a top or bottom occurrence needs a change of sign
     p1l, p1r, p2l, p2r = _tail_periods_for_pair(w1, w2, unroll_extra)
     win1 = make_window(w1, p1l, p1r)
     win2 = make_window(w2, p2l, p2r)
-    occ1 = Occurrences(bq, win1)
-    occ2 = Occurrences(bq, win2)
-    tops = occ1.collect("top")
-    bottoms = occ2.collect("bottom")
-    count = 0
-    for key, t_list in tops.items():
-        b_list = bottoms.get(key)
-        if not b_list:
-            continue
-        for o1 in t_list:
-            for o2 in b_list:
-                if not _is_pumpable(win1, win2, o1, o2):
-                    count += 1
+    n2 = win2.n
+    peaks = _corner_vertices(bq, win1.letters, -1)
+    deeps = _corner_vertices(bq, win2.letters, 1)
+    count = sum(m * deeps.get(v, 0) for v, m in peaks.items())
+    for i, j, k in _run_hits(win1.letters, win2.letters):
+        if not _is_pumpable(win1, win2, (i, i + k), (j, j + k)):
+            count += 1
+    for i, j, k in _run_hits(win1.letters, rev_word(win2.letters)):
+        if not _is_pumpable(win1, win2, (i, i + k), (n2 - j - k, n2 - j)):
+            count += 1
     return count
 
 

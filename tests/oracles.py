@@ -1,8 +1,18 @@
-"""Independent oracles the tests check production code against.
+"""Oracles the tests check production code against.
 
-These deliberately re-derive results from first principles (raw word growth,
-raw window scans, a generic graph-isomorphism backend) so they share no code
-path with the implementations they certify.
+They re-derive results by slower, plainer means: raw word growth, a raw scan
+of all factor windows, and a generic graph-isomorphism backend.  What they
+still take from production, exactly:
+
+* the word oracle (`brute_force_finite_walks`) uses the letter-pair
+  legality rule `pair_ok`;
+* the window-scan kissing oracles (`raw_window_kiss_count`,
+  `window_scan_kiss_count`) use the window size (`_tail_periods_for_pair`)
+  and the unrolling (`make_window`), and `window_scan_kiss_count` also the
+  pumping rule (`_is_pumpable`).  The occurrence scan (`Occurrences`) and
+  its word keys are their own: every (a, b) factor of each window is listed
+  and matched by its word up to reversal, an O(n^3) scan that shares nothing
+  with the maximal-run scan of `kiss_count`.
 """
 
 from __future__ import annotations
@@ -11,12 +21,16 @@ import networkx as nx
 
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.walks import (
-    Occurrences,
+    Window,
     make_window,
     pair_ok,
-    rev_word,
+    _is_pumpable,
     _tail_periods_for_pair,
 )
+
+
+def rev_word(word):
+    return tuple((a, -s) for a, s in reversed(word))
 
 
 def _letters(bq: BlossomQuiver):
@@ -66,20 +80,69 @@ def brute_force_finite_walks(bq: BlossomQuiver, max_len: int = 24) -> set:
     return maximal
 
 
-def raw_window_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
-    """Plain scan of all finite factor alignments inside the unrolled window."""
+def _occurrence_bounds(win: Window) -> tuple[int, int]:
+    """Legal (a, b) range: 1 <= a <= b <= n-1 in 1-based letter indexing.
+
+    This both excludes extreme letters of finite ends from substring content
+    and guarantees boundary letters exist inside the window.
+    """
+    return 1, win.n - 1
+
+
+class Occurrences:
+    """Top/bottom substring occurrences of a walk inside a window."""
+
+    def __init__(self, bq: BlossomQuiver, win: Window):
+        self.win = win
+        q = bq.quiver
+        self.vertices = [q.tgt[a] if s > 0 else q.src[a] for a, s in win.letters]
+
+    def word_key(self, a: int, b: int) -> tuple:
+        word = self.win.letters[a:b]
+        if not word:
+            return ("@", self.vertices[a - 1])
+        return min(word, rev_word(word))
+
+    def collect(self, kind: str) -> dict[tuple, list[tuple[int, int]]]:
+        """kind is 'top' (-,+ boundary) or 'bottom' (+,-)."""
+        want = (-1, 1) if kind == "top" else (1, -1)
+        lo, hi = _occurrence_bounds(self.win)
+        out: dict[tuple, list[tuple[int, int]]] = {}
+        for a in range(lo, hi + 1):
+            if self.win.letters[a - 1][1] != want[0]:
+                continue
+            for b in range(a, hi + 1):
+                if self.win.letters[b][1] != want[1]:
+                    continue
+                out.setdefault(self.word_key(a, b), []).append((a, b))
+        return out
+
+
+def matched_occurrences(bq: BlossomQuiver, w1, w2, extra: int = 0):
+    """Windows of w1, w2 and every (top of w1, bottom of w2) pair of one word."""
     p1l, p1r, p2l, p2r = _tail_periods_for_pair(w1, w2, extra)
     win1 = make_window(w1, p1l, p1r)
     win2 = make_window(w2, p2l, p2r)
-    occ1 = Occurrences(bq, win1)
-    occ2 = Occurrences(bq, win2)
-    tops = occ1.collect("top")
-    bottoms = occ2.collect("bottom")
-    return sum(
-        len(t_list) * len(bottoms[key])
+    tops = Occurrences(bq, win1).collect("top")
+    bottoms = Occurrences(bq, win2).collect("bottom")
+    pairs = [
+        (o1, o2)
         for key, t_list in tops.items()
-        if key in bottoms
-    )
+        for o1 in t_list
+        for o2 in bottoms.get(key, ())
+    ]
+    return win1, win2, pairs
+
+
+def raw_window_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
+    """Plain scan of all finite factor alignments inside the unrolled window."""
+    return len(matched_occurrences(bq, w1, w2, extra)[2])
+
+
+def window_scan_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
+    """The raw window scan with the pumping rule of `kiss_count` applied."""
+    win1, win2, pairs = matched_occurrences(bq, w1, w2, extra)
+    return sum(not _is_pumpable(win1, win2, o1, o2) for o1, o2 in pairs)
 
 
 def vf2_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from nonkissing.errors import KissingPair, NotBending, SameMarkedWalk
+from nonkissing import facets as facets_module
+from nonkissing.errors import FlipCheckFailed, KissingPair, NotBending, SameMarkedWalk
 from nonkissing.facets import (
     MarkedWalk,
     brute_force_facets,
@@ -155,6 +156,26 @@ def test_flip_rejects_straight_walks():
     facet = peak_facet(bq)
     with pytest.raises(NotBending):
         flip(bq, facet, facet.straights[0])
+
+
+@pytest.mark.parametrize("wrong", [False, True])
+def test_flip_check_raises_when_kissing_disagrees(monkeypatch, wrong):
+    # False: the result seems not to kiss the flipped walk; True: it seems to
+    # kiss every facet member.  Either way the check raises, also under -O.
+    bq = blossom(a_path(2))
+    facet = peak_facet(bq)
+    monkeypatch.setattr(facets_module, "kissing", lambda bq, w1, w2: wrong)
+    with pytest.raises(FlipCheckFailed):
+        flip(bq, facet, facet.bending[0])
+    flip(bq, facet, facet.bending[0], check=False)
+
+
+def test_flip_with_precomputed_data_matches(graphs):
+    for name, (bq, g) in graphs.items():
+        for facet in g.facets:
+            data = distinguished_data(bq, facet)
+            for w in facet.bending:
+                assert flip(bq, facet, w, data=data) == flip(bq, facet, w), name
 
 
 def test_pentagon_structure(graphs):

@@ -1,6 +1,7 @@
 """Walk canonicalization, enumeration and the kissing machinery."""
 
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from nonkissing.families import (
     corpus,
     cycle_quiver,
     loop_quiver,
+    parse_family,
+    random_locally_gentle,
     reversed_path,
 )
 from nonkissing.quiver import blossom, make_quiver
@@ -32,7 +35,12 @@ from nonkissing.walks import (
     total_kissing_number,
 )
 
-from oracles import brute_force_finite_walks, raw_window_kiss_count
+from oracles import (
+    brute_force_finite_walks,
+    matched_occurrences,
+    raw_window_kiss_count,
+    window_scan_kiss_count,
+)
 
 COMPLETE_INSTANCES = {
     # frozen walk counts, computed by the brute-force word oracle below and
@@ -171,6 +179,62 @@ def test_kiss_count_on_tail_pairs_bounded_and_boolean_consistent(universes):
             assert (prod > 0) == (raw > 0)
 
 
+def test_kiss_count_equals_window_scan_oracle(universes):
+    # every ordered pair of the complete universes, tail pairs included
+    for name, (bq, walks) in universes.items():
+        for w1, w2 in itertools.product(walks, repeat=2):
+            assert kiss_count(bq, w1, w2) == window_scan_kiss_count(bq, w1, w2), (
+                name,
+                w1.serialize(),
+                w2.serialize(),
+            )
+
+
+def test_kiss_count_equals_window_scan_oracle_on_long_walks():
+    # walks with body <= 8 of infinite-type families and of random quivers;
+    # the oracle costs milliseconds per pair, so large sets are sampled
+    rng = random.Random(7)
+    quivers = [parse_family("family:doublecycle:2"), parse_family("family:doublepath:3")]
+    quivers += [random_locally_gentle(random.Random(seed), 6) for seed in range(3)]
+    for q in quivers:
+        bq = blossom(q)
+        walks, _ = enumerate_walks(bq, body_bound=8)
+        pairs = list(itertools.product(walks, repeat=2))
+        if len(pairs) > 120:
+            pairs = rng.sample(pairs, 120)
+        for w1, w2 in pairs:
+            assert kiss_count(bq, w1, w2) == window_scan_kiss_count(bq, w1, w2), (
+                w1.serialize(),
+                w2.serialize(),
+            )
+
+
+def _kiss_words(bq, w1, w2):
+    """(top word of w1, bottom word of w2) of every oracle-matched pair."""
+    win1, win2, pairs = matched_occurrences(bq, w1, w2)
+    return [
+        (win1.letters[a1:b1], win2.letters[a2:b2]) for (a1, b1), (a2, b2) in pairs
+    ]
+
+
+def test_kiss_of_empty_common_factor():
+    # the peak and the deep at v2 of A2 kiss only in the empty word at v2
+    bq = blossom(a_path(2))
+    pw, dw = peak_walk(bq, "v2"), deep_walk(bq, "v2")
+    assert _kiss_words(bq, pw, dw) == [((), ())]
+    assert kiss_count(bq, pw, dw) == 1
+
+
+def test_kiss_found_only_by_the_reversed_alignment():
+    bq = blossom(cycle_quiver(2))
+    w1 = parse_walk(bq, "v1+in1+ a2- a1- v1+out1+")
+    w2 = parse_walk(bq, "( a2+ a1+ ) | v2+in1-")
+    words = _kiss_words(bq, w1, w2)
+    assert words
+    assert all(t != b and t == rev_word(b) for t, b in words)
+    assert kiss_count(bq, w1, w2) == 1 == window_scan_kiss_count(bq, w1, w2)
+
+
 def test_kiss_count_stable_under_unroll_growth(universes):
     for bq, walks in universes.values():
         for w1, w2 in itertools.product(walks, repeat=2):
@@ -180,9 +244,11 @@ def test_kiss_count_stable_under_unroll_growth(universes):
 
 
 def test_opposite_spirals_of_loop_kiss_once(universes):
+    # a pumpable tail pair: a dozen raw window pairs, one kiss
     bq, walks = universes["loop"]
     pw, dw = peak_walk(bq, "v1"), deep_walk(bq, "v1")
-    assert kiss_count(bq, pw, dw) == 1
+    assert raw_window_kiss_count(bq, pw, dw) > 1
+    assert kiss_count(bq, pw, dw) == 1 == window_scan_kiss_count(bq, pw, dw)
     assert kiss_count(bq, dw, pw) == 0
 
 
