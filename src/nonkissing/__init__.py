@@ -17,6 +17,7 @@ from .walks import (
     Walk,
     canonicalize,
     deep_walk,
+    deep_walks,
     enumerate_walks,
     kiss_count,
     kissing,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import families
 from .errors import NonKissingError, ParseError, QuiverError
@@ -51,7 +50,7 @@ from .surface import (
     surface_invariants,
     swap_dissections,
 )
-from .walks import enumerate_walks, kn_pair
+from .walks import deep_walks, enumerate_walks, kn_pair
 
 
 def _emit(doc, args) -> None:
@@ -78,11 +77,6 @@ def _load_quiver(args) -> BoundQuiver:
             raise ParseError(f"cannot read {spec!r}: {exc}") from exc
         q = quiver_from_json(text)
     return validate_locally_gentle(q)
-
-
-def _frac(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def cmd_validate(args) -> int:
@@ -188,16 +182,18 @@ def cmd_vectors(args) -> int:
     q = _load_quiver(args)
     bq = blossom(q)
     g = enumerate_facets(q, max_facets=args.max_facets)
+    deeps = deep_walks(bq)
     out = []
     for f in g.facets:
-        walks, gs, cs = facet_matrices(bq, f)
+        matrices = facet_matrices(bq, f)
+        walks, gs, cs = matrices
         out.append(
             {
                 "walks": [w.serialize() for w in walks],
                 "g": [list(v) for v in gs],
                 "c": [list(v) for v in cs],
-                "d": [list(d_vector(bq, w)) for w in walks],
-                "dual_basis_violations": dual_basis_check(bq, f),
+                "d": [list(d_vector(bq, w, deeps)) for w in walks],
+                "dual_basis_violations": dual_basis_check(bq, f, matrices),
             }
         )
     _emit({"closed": g.closed, "coordinates": list(q.vertices), "facets": out}, args)
@@ -228,7 +224,7 @@ def cmd_polytope(args) -> int:
     _emit(
         {
             "coordinates": list(q.vertices),
-            "vertices": [[_frac(x) for x in v] for v in poly.vertices],
+            "vertices": [[f"{x}/1" for x in v] for v in poly.vertices],
             "halfspaces": [
                 {"normal": list(n), "offset": b} for n, b in poly.halfspaces
             ],

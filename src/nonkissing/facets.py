@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import networkx as nx
 
@@ -60,18 +61,23 @@ def walk_letter(w: Walk, g: int) -> Letter | None:
     return w.ltail[p - 1 - ((-1 - g) % p)]
 
 
+def _marked_letters(w: Walk):
+    """(position, letter) of the canonical marked occurrences, ascending.
+
+    Marked are the body and the first period of each tail.
+    """
+    if w.is_infinite_straight:
+        return enumerate(w.rtail)
+    return chain(
+        enumerate(w.ltail, -len(w.ltail)),
+        enumerate(w.body),
+        enumerate(w.rtail, len(w.body)),
+    )
+
+
 def mark_positions(w: Walk, arrow: str) -> list[int]:
     """Canonical marked occurrences of an arrow: body plus first tail periods."""
-    b = len(w.body)
-    out = [g for g in range(b) if w.body[g][0] == arrow]
-    if w.is_infinite_straight:
-        return [g for g in range(len(w.rtail)) if w.rtail[g][0] == arrow]
-    if w.ltail:
-        p = len(w.ltail)
-        out.extend(g for g in range(-p, 0) if w.ltail[p + g][0] == arrow)
-    if w.rtail:
-        out.extend(b + j for j in range(len(w.rtail)) if w.rtail[j][0] == arrow)
-    return sorted(out)
+    return [g for g, (a, _) in _marked_letters(w) if a == arrow]
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,14 @@ def countercurrent_less(
     return verdicts[0]
 
 
+def _countercurrent_max(bq: BlossomQuiver, marks: list[MarkedWalk], arrow: str) -> MarkedWalk:
+    best = marks[0]
+    for cand in marks[1:]:
+        if countercurrent_less(bq, best, cand, arrow):
+            best = cand
+    return best
+
+
 def distinguished_walk(
     bq: BlossomQuiver, walks, arrow: str
 ) -> MarkedWalk | None:
@@ -151,13 +165,7 @@ def distinguished_walk(
     marks = [
         MarkedWalk(w, g) for w in walks for g in mark_positions(w, arrow)
     ]
-    if not marks:
-        return None
-    best = marks[0]
-    for cand in marks[1:]:
-        if countercurrent_less(bq, best, cand, arrow):
-            best = cand
-    return best
+    return _countercurrent_max(bq, marks, arrow) if marks else None
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +203,15 @@ def make_facet(bending, straights) -> Facet:
 
 def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, MarkedWalk]:
     """The distinguished marked walk at every arrow of the blossoming quiver."""
-    out = {}
-    for a in bq.quiver.arrow_ids:
-        mw = distinguished_walk(bq, facet.walks, a)
-        if mw is not None:
-            out[a] = mw
-    return out
+    marks: dict[str, list[MarkedWalk]] = {}
+    for w in facet.walks:
+        for g, (a, _) in _marked_letters(w):
+            marks.setdefault(a, []).append(MarkedWalk(w, g))
+    return {
+        a: _countercurrent_max(bq, marks[a], a)
+        for a in bq.quiver.arrow_ids
+        if a in marks
+    }
 
 
 def distinguished_arrows(

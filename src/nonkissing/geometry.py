@@ -1,15 +1,21 @@
 """g-, c- and d-vectors, the g-vector fan and the associahedron.
 
-All arithmetic is exact: integer vectors and Fraction solves, no floats.
+All arithmetic is exact: integer vectors and fraction-free (Bareiss)
+elimination, no fractions and no floats.
 Coordinates are indexed by the sorted original vertices of the base quiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import NotBending, NotClosed, NotMember, VHMismatch
+from .errors import (
+    IncompleteUniverse,
+    NotBending,
+    NotClosed,
+    NotMember,
+    VHMismatch,
+)
 from .facets import (
     Facet,
     FlipGraph,
@@ -20,7 +26,7 @@ from .quiver import BlossomQuiver, BoundQuiver, blossom
 from .walks import (
     Walk,
     corner_profile,
-    deep_walk,
+    deep_walks,
     is_bending,
     kiss_count,
     total_kissing_number,
@@ -81,10 +87,12 @@ def c_vector(
     return vec if ds.on_top else vec_scale(-1, vec)
 
 
-def d_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
-    """Minus a basis vector on deep walks, else kiss counts against deep walks."""
+def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
+    """Minus a basis vector on deep walks, else kiss counts against deep walks.
+
+    deeps is `deep_walks(bq)`.
+    """
     q = bq.base
-    deeps = {v: deep_walk(bq, v) for v in q.vertices}
     for v, dw in deeps.items():
         if w == dw:
             return basis_vector(q, v, -1)
@@ -100,9 +108,12 @@ def facet_matrices(bq: BlossomQuiver, facet: Facet):
     return walks, gs, cs
 
 
-def dual_basis_check(bq: BlossomQuiver, facet: Facet) -> list[str]:
-    """Pairings of g- and c-vectors over a facet must form the identity."""
-    walks, gs, cs = facet_matrices(bq, facet)
+def dual_basis_check(bq: BlossomQuiver, facet: Facet, matrices=None) -> list[str]:
+    """Pairings of g- and c-vectors over a facet must form the identity.
+
+    matrices is the facet's `facet_matrices`, computed here when not given.
+    """
+    walks, gs, cs = matrices if matrices is not None else facet_matrices(bq, facet)
     report = []
     for i, wi in enumerate(walks):
         for j, wj in enumerate(walks):
@@ -118,6 +129,7 @@ def dual_basis_check(bq: BlossomQuiver, facet: Facet) -> list[str]:
 def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph) -> list[str]:
     """g per coordinate across each facet; c and d per vector."""
     report = []
+    deeps = deep_walks(bq)
     for i, facet in enumerate(g.facets):
         walks, gs, cs = facet_matrices(bq, facet)
         for k in range(len(bq.base.vertices)):
@@ -128,91 +140,67 @@ def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph) -> list[str]:
             if any(x > 0 for x in c) and any(x < 0 for x in c):
                 report.append(f"facet {i}: c({w.serialize()}) mixes signs")
         for w in walks:
-            d = d_vector(bq, w)
+            d = d_vector(bq, w, deeps)
             if any(x > 0 for x in d) and any(x < 0 for x in d):
                 report.append(f"facet {i}: d({w.serialize()}) mixes signs")
     return report
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fractions
+# exact integer linear algebra
 
 
-def _rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _bareiss(rows) -> tuple[int, int]:
+    """Rank, and determinant of a square matrix (0 otherwise), of integer rows.
 
-
-def _det(rows) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
+    Fraction-free Gaussian elimination (Bareiss): after each pivot every
+    entry below it is a minor of the input, so the divisions are exact and
+    all intermediate values stay integers.
+    """
+    m = [list(row) for row in rows]
     n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        pv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _wall_normal(shared, witness) -> tuple[Fraction, ...] | None:
-    """A functional vanishing on the shared rays and positive on the witness."""
-    d = len(witness)
-    # solve shared . lambda = 0; nullspace should be 1-dimensional
-    m = [[Fraction(x) for x in row] for row in shared]
-    # gaussian elimination to row echelon
-    pivots = []
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+    cols = len(m[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
+    for col in range(cols):
+        pivot = next((r for r in range(rank, n) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, n):
+            row = m[r]
+            f = row[col]
+            m[r] = [0] * (col + 1) + [
+                (p * row[c] - f * top[c]) // prev for c in range(col + 1, cols)
+            ]
+        prev = p
         rank += 1
-    if rank != d - 1:
+        if rank == n:
+            break
+    return rank, (sign * prev if rank == n == cols else 0)
+
+
+def _wall_normal(shared, witness) -> IntVector | None:
+    """A functional vanishing on the d-1 shared rays and positive on the witness.
+
+    Its entries are the signed (d-1)-minors of the shared rays, so <lam, x> is
+    the determinant of the shared rays stacked on x; lam is zero exactly when
+    the shared rays are dependent.  None for a degenerate wall.
+    """
+    d = len(witness)
+    if len(shared) != d - 1:
         return None
-    free = next(c for c in range(d) if c not in pivots)
-    lam = [Fraction(0)] * d
-    lam[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        lam[col] = -m[r][free]
+    lam = tuple(
+        (-1) ** (d - 1 + k) * _bareiss([r[:k] + r[k + 1 :] for r in shared])[1]
+        for k in range(d)
+    )
     val = vec_dot(lam, witness)
     if val == 0:
         return None
-    if val < 0:
-        lam = [-x for x in lam]
-    return tuple(lam)
+    return lam if val > 0 else vec_scale(-1, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +235,10 @@ def build_fan(g: FlipGraph) -> Fan:
     d = len(g.quiver.vertices)
     report: list[str] = []
     cones = []
-    ray_sets = []
     for i, facet in enumerate(g.facets):
         rays = tuple(sorted(g_vector(bq, w) for w in facet.bending))
         cones.append(FanCone(i, rays))
-        ray_sets.append(set(rays))
-        if len(rays) != d or (d > 0 and _det(rays) == 0):
+        if len(rays) != d or (d > 0 and _bareiss(rays)[1] == 0):
             report.append(f"cone {i} is not simplicial")
     walls: dict[tuple, list[tuple[int, IntVector]]] = {}
     for cone in cones:
@@ -292,10 +278,9 @@ def build_fan(g: FlipGraph) -> Fan:
 
 @dataclass(frozen=True)
 class Polytope:
-    vertices: tuple[tuple[Fraction, ...], ...]  # one per facet, same order
+    vertices: tuple[IntVector, ...]  # one per facet, same order
     halfspaces: tuple[tuple[IntVector, int], ...]  # (normal, offset) per universe walk
     defining: tuple[tuple[IntVector, int], ...]
-    report: tuple[str, ...]
 
 
 def build_associahedron(
@@ -305,19 +290,25 @@ def build_associahedron(
 
     Vertices: sum over the facet of total-kissing-number times c-vector.
     Halfspaces: <g(w), x> <= KN(w) over the whole walk universe.
+
+    The edges are certified locally, as for any simple d-polytope: every
+    vertex lies on exactly d facet-defining halfspaces with independent
+    normals (so it has exactly d edges, the rays of its simplicial cone) and
+    has d flip neighbours, and the defining halfspaces tight at both ends of
+    each flip edge have normals of rank d - 1 (so each flip edge runs along
+    one of those rays).  Then the edges are the flips.
     """
     if not g.closed:
         raise NotClosed("polytope construction needs a closed flip graph")
-    from .errors import IncompleteUniverse
-
     if not complete:
         raise IncompleteUniverse("polytope construction needs the complete walk set")
     bq = blossom(q)
     d = len(q.vertices)
-    kn_total = {w: total_kissing_number(bq, w, universe, complete) for w in universe}
+    normals = [g_vector(bq, w) for w in universe]
+    bounds = [total_kissing_number(bq, w, universe, complete) for w in universe]
+    kn_total = dict(zip(universe, bounds))
     report: list[str] = []
     vertices = []
-    facet_walks = []
     for facet in g.facets:
         data = distinguished_data(bq, facet)
         p = zero_vector(q)
@@ -326,14 +317,18 @@ def build_associahedron(
                 report.append(f"facet walk {w.serialize()} missing from the universe")
                 continue
             p = vec_add(p, vec_scale(kn_total[w], c_vector(bq, facet, w, data)))
-        vertices.append(tuple(Fraction(x) for x in p))
-        facet_walks.append(set(facet.walks))
-    halfspaces = tuple((g_vector(bq, w), kn_total[w]) for w in universe)
-    # V against H
-    for i, (vert, members) in enumerate(zip(vertices, facet_walks)):
-        for w in universe:
-            val = vec_dot(g_vector(bq, w), vert)
-            bound = kn_total[w]
+        vertices.append(p)
+    halfspaces = tuple(zip(normals, bounds))
+    # V against H, recording the halfspaces each vertex meets with equality
+    tight: list[set[int]] = []
+    for i, (vert, facet) in enumerate(zip(vertices, g.facets)):
+        members = set(facet.walks)
+        tight.append(set())
+        for k, w in enumerate(universe):
+            val = vec_dot(normals[k], vert)
+            bound = bounds[k]
+            if val == bound:
+                tight[i].add(k)
             if w in members:
                 if val != bound:
                     report.append(
@@ -346,49 +341,41 @@ def build_associahedron(
                 )
     if len(set(vertices)) != len(vertices):
         report.append("facet vertices are not pairwise distinct")
-    # adjacency must match the flip graph
-    flip_adj = {frozenset((e.source, e.target)) for e in g.edges}
-    normals = [g_vector(bq, w) for w in universe]
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            mid = tuple(
-                (a + b) / 2 for a, b in zip(vertices[i], vertices[j])
-            )
-            tight = [
-                normals[k]
-                for k, w in enumerate(universe)
-                if vec_dot(normals[k], mid) == kn_total[w]
-            ]
-            rank = _rank(tight) if tight else 0
-            is_edge = rank == d - 1
-            if is_edge != (frozenset((i, j)) in flip_adj):
-                report.append(
-                    f"vertex adjacency of facets {i},{j} disagrees with the flip graph"
-                )
-    # facet-defining halfspaces
-    defining = []
-    seen = set()
-    for (normal, bound) in halfspaces:
-        if all(x == 0 for x in normal):
+    # facet-defining halfspaces: their tight vertices span a hyperplane
+    defining = set()
+    for normal, bound in set(halfspaces):
+        if not any(normal):
             continue
-        if (normal, bound) in seen:
-            continue
-        seen.add((normal, bound))
         tight_pts = [v for v in vertices if vec_dot(normal, v) == bound]
         if not tight_pts:
             continue
         diffs = [
             [a - b for a, b in zip(v, tight_pts[0])] for v in tight_pts[1:]
         ]
-        arank = _rank(diffs) if diffs else 0
-        if arank == d - 1:
-            defining.append((normal, bound))
+        if _bareiss(diffs)[0] == d - 1:
+            defining.add((normal, bound))
+    # the simple-polytope edge certificate against the flip graph
+    flip_adj = {frozenset((e.source, e.target)) for e in g.edges}
+    degree = [0] * len(vertices)
+    for edge in flip_adj:
+        for i in edge:
+            degree[i] += 1
+    at_vertex = []
+    for i, ks in enumerate(tight):
+        if degree[i] != d:
+            report.append(f"vertex {i} has {degree[i]} flip neighbours, expected {d}")
+        at_vertex.append({halfspaces[k] for k in ks} & defining)
+        if len(at_vertex[i]) != d or _bareiss([n for n, _ in at_vertex[i]])[0] != d:
+            report.append(f"vertex {i} is not simple")
+    for i, j in sorted(tuple(sorted(edge)) for edge in flip_adj):
+        if _bareiss([n for n, _ in at_vertex[i] & at_vertex[j]])[0] != d - 1:
+            report.append(
+                f"vertex adjacency of facets {i},{j} disagrees with the flip graph"
+            )
     if report:
         raise VHMismatch("; ".join(report))
     return Polytope(
         vertices=tuple(vertices),
         halfspaces=halfspaces,
-        defining=tuple(sorted(set(defining))),
-        report=(),
+        defining=tuple(sorted(defining)),
     )
-

@@ -373,6 +373,11 @@ def deep_walk(bq: BlossomQuiver, v: str) -> Walk:
     return canonicalize(bq, ltail, body, rtail)
 
 
+def deep_walks(bq: BlossomQuiver) -> dict[str, Walk]:
+    """The deep walk of every original vertex."""
+    return {v: deep_walk(bq, v) for v in bq.base.vertices}
+
+
 def finite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
     """Maximal relation-free paths between blossom leaves."""
     out = []

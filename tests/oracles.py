@@ -1,7 +1,8 @@
 """Oracles the tests check production code against.
 
 They re-derive results by slower, plainer means: raw word growth, a raw scan
-of all factor windows, and a generic graph-isomorphism backend.  What they
+of all factor windows, a generic graph-isomorphism backend, elimination over
+Fractions, and a test of every vertex pair of the associahedron.  What they
 still take from production, exactly:
 
 * the word oracle (`brute_force_finite_walks`) uses the letter-pair
@@ -13,9 +14,16 @@ still take from production, exactly:
   its word keys are their own: every (a, b) factor of each window is listed
   and matched by its word up to reversal, an O(n^3) scan that shares nothing
   with the maximal-run scan of `kiss_count`.
+
+The geometry oracles take nothing from production: `fraction_rank`,
+`fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss
+elimination, and `pairwise_edge_report` beside the local edge certificate of
+`build_associahedron`.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import networkx as nx
 
@@ -143,6 +151,117 @@ def window_scan_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
     """The raw window scan with the pumping rule of `kiss_count` applied."""
     win1, win2, pairs = matched_occurrences(bq, w1, w2, extra)
     return sum(not _is_pumpable(win1, win2, o1, o2) for o1, o2 in pairs)
+
+
+# ---------------------------------------------------------------------------
+# geometry: Fraction elimination and the pairwise polytope edge check
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gauss-Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        pv = m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def fraction_wall_normal(shared, witness) -> tuple[Fraction, ...] | None:
+    """A functional vanishing on the shared rays and positive on the witness."""
+    d = len(witness)
+    # solve shared . lambda = 0; nullspace should be 1-dimensional
+    m = [[Fraction(x) for x in row] for row in shared]
+    # gaussian elimination to row echelon
+    pivots = []
+    rank = 0
+    for col in range(d):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    if rank != d - 1:
+        return None
+    free = next(c for c in range(d) if c not in pivots)
+    lam = [Fraction(0)] * d
+    lam[free] = Fraction(1)
+    for r, col in enumerate(pivots):
+        lam[col] = -m[r][free]
+    val = sum(a * b for a, b in zip(lam, witness))
+    if val == 0:
+        return None
+    if val < 0:
+        lam = [-x for x in lam]
+    return tuple(lam)
+
+
+def pairwise_edge_report(vertices, halfspaces, g) -> list[str]:
+    """Every vertex pair is an edge iff the flip graph joins the two facets.
+
+    A pair spans an edge when the halfspaces tight at its midpoint have
+    normals of rank d - 1: O(F^2 |U|) Fraction work, no simplicity assumed.
+    """
+    d = len(g.quiver.vertices)
+    report = []
+    flip_adj = {frozenset((e.source, e.target)) for e in g.edges}
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            mid = tuple(
+                Fraction(a + b, 2) for a, b in zip(vertices[i], vertices[j])
+            )
+            tight = [
+                normal
+                for normal, bound in halfspaces
+                if sum(a * b for a, b in zip(normal, mid)) == bound
+            ]
+            rank = fraction_rank(tight) if tight else 0
+            is_edge = rank == d - 1
+            if is_edge != (frozenset((i, j)) in flip_adj):
+                report.append(
+                    f"vertex adjacency of facets {i},{j} disagrees with the flip graph"
+                )
+    return report
 
 
 def vf2_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:

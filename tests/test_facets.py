@@ -114,6 +114,19 @@ def test_distinguished_walk_singleton_and_empty():
     assert distinguished_walk(bq, [peak_walk(bq, "v1")], "v2+out1") is None
 
 
+def test_distinguished_data_matches_per_arrow_maximum(graphs):
+    # one bucketing pass over the facet's letters picks the same winner as
+    # the countercurrent maximum taken arrow by arrow
+    for name, (bq, g) in graphs.items():
+        for facet in g.facets:
+            want = {}
+            for arrow in bq.quiver.arrow_ids:
+                mw = distinguished_walk(bq, facet.walks, arrow)
+                if mw is not None:
+                    want[arrow] = mw
+            assert distinguished_data(bq, facet) == want, name
+
+
 def test_spiral_distinguished_at_pre_tail_occurrence(graphs):
     bq, g = graphs["loop"]
     for facet in g.facets:

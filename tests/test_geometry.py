@@ -1,11 +1,22 @@
 """g/c/d-vectors, dual bases, the fan and the associahedron."""
 
+import dataclasses
+import random
+
 import pytest
 
-from nonkissing.errors import NotClosed
+from nonkissing.errors import NotClosed, VHMismatch
 from nonkissing.facets import enumerate_facets, peak_facet
-from nonkissing.families import a_path, cycle_quiver, loop_quiver, reversed_path
+from nonkissing.families import (
+    a_path,
+    cambrian,
+    cycle_quiver,
+    loop_quiver,
+    reversed_path,
+)
 from nonkissing.geometry import (
+    _bareiss,
+    _wall_normal,
     build_associahedron,
     build_fan,
     c_vector,
@@ -19,10 +30,41 @@ from nonkissing.geometry import (
 from nonkissing.quiver import blossom
 from nonkissing.walks import (
     deep_walk,
+    deep_walks,
     enumerate_walks,
     peak_walk,
     straight_walks,
 )
+from oracles import (
+    fraction_det,
+    fraction_rank,
+    fraction_wall_normal,
+    pairwise_edge_report,
+)
+
+# closed flip graphs with a complete walk universe, small enough for the
+# O(F^2 |U|) pairwise oracle
+POLYTOPE_CORPUS = {
+    "apath2": a_path(2),
+    "apath3": a_path(3),
+    "apath4": a_path(4),
+    "cambrian-FRF": cambrian("FRF"),
+    "reversedpath2": reversed_path(2),
+    "reversedpath3": reversed_path(3),
+    "cycle2": cycle_quiver(2),
+    "cycle3": cycle_quiver(3),
+    "loop": loop_quiver(),
+}
+
+
+@pytest.fixture(scope="module")
+def polytopes():
+    out = {}
+    for name, q in POLYTOPE_CORPUS.items():
+        g = enumerate_facets(q)
+        universe, complete = enumerate_walks(blossom(q))
+        out[name] = (q, g, universe, build_associahedron(q, g, universe, complete))
+    return out
 
 
 def test_straight_walks_have_zero_g_vector():
@@ -87,7 +129,7 @@ def test_deep_walk_d_vector_is_negative_basis():
     for q in (a_path(2), a_path(3), loop_quiver()):
         bq = blossom(q)
         for i, v in enumerate(q.vertices):
-            d = d_vector(bq, deep_walk(bq, v))
+            d = d_vector(bq, deep_walk(bq, v), deep_walks(bq))
             assert d == tuple(-1 if j == i else 0 for j in range(len(q.vertices)))
 
 
@@ -98,13 +140,14 @@ def test_a2_d_vectors_are_cluster_denominators():
     bq = blossom(q)
     g = enumerate_facets(q)
     walks = {w for f in g.facets for w in f.bending}
-    ds = sorted(d_vector(bq, w) for w in walks)
+    deeps = deep_walks(bq)
+    ds = sorted(d_vector(bq, w, deeps) for w in walks)
     assert ds == [(-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 def test_loop_peak_d_vector_is_positive_basis():
     bq = blossom(loop_quiver())
-    assert d_vector(bq, peak_walk(bq, "v1")) == (1,)
+    assert d_vector(bq, peak_walk(bq, "v1"), deep_walks(bq)) == (1,)
 
 
 def test_sign_coherence_on_corpus():
@@ -193,3 +236,131 @@ def test_polytope_needs_complete_universe():
     universe, _ = enumerate_walks(bq)
     with pytest.raises(IncompleteUniverse):
         build_associahedron(q, g, universe, complete=False)
+
+
+def _random_matrix(rng, rows, cols):
+    m = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.4:
+        # a dependent row: an integer combination of two others
+        a, b = rng.sample(range(rows), 2)
+        k1, k2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        m[a] = [k1 * x + k2 * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+def test_bareiss_matches_fraction_elimination():
+    rng = random.Random(20181)
+    for _ in range(600):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, rows, cols)
+        rank, det = _bareiss(m)
+        assert rank == (fraction_rank(m) if m else 0), m
+        if rows == cols or not m:  # no rows: the empty 0x0 matrix
+            assert det == fraction_det(m), m
+        else:
+            assert det == 0, m
+    assert _bareiss([]) == (0, 1)
+    assert _bareiss([[0, 0], [0, 0]]) == (0, 0)
+    assert _bareiss([[0, 0, 0]]) == (0, 0)
+
+
+def test_wall_normal_matches_fraction_nullspace():
+    rng = random.Random(20182)
+    for _ in range(400):
+        d = rng.randint(1, 5)
+        shared = _random_matrix(rng, d - 1, d)
+        witness = [rng.randint(-3, 3) for _ in range(d)]
+        got = _wall_normal(shared, witness)
+        want = fraction_wall_normal(shared, witness)
+        if want is None:
+            assert got is None, (shared, witness)
+            continue
+        # the same functional up to a positive factor
+        assert got is not None, (shared, witness)
+        k = next(i for i, x in enumerate(got) if x)
+        assert all(x * want[k] == got[k] * y for x, y in zip(got, want))
+        assert got[k] * want[k] > 0
+        assert all(vec_dot(got, r) == 0 for r in shared)
+        assert vec_dot(got, witness) > 0
+
+
+def test_edge_certificate_agrees_with_pairwise_oracle(polytopes):
+    for name, (q, g, universe, poly) in polytopes.items():
+        assert pairwise_edge_report(poly.vertices, poly.halfspaces, g) == [], name
+        assert len(poly.vertices) == len(g.facets), name
+        assert all(isinstance(x, int) for v in poly.vertices for x in v), name
+
+
+def _drop_flip(g, i, j):
+    pair = {i, j}
+    kept = tuple(e for e in g.edges if {e.source, e.target} != pair)
+    return dataclasses.replace(g, edges=kept)
+
+
+def _add_flip(g, i, j):
+    first = g.edges[0]
+    extra = dataclasses.replace(first, source=i, target=j)
+    return dataclasses.replace(g, edges=g.edges + (extra,))
+
+
+def test_mutated_flip_graph_raises_vh_mismatch(polytopes):
+    for name in ("apath3", "cambrian-FRF", "cycle2", "loop"):
+        q, g, universe, poly = polytopes[name]
+        adjacent = {frozenset((e.source, e.target)) for e in g.edges}
+        e = g.edges[0]
+        dropped = _drop_flip(g, e.source, e.target)
+        assert pairwise_edge_report(poly.vertices, poly.halfspaces, dropped), name
+        with pytest.raises(VHMismatch):
+            build_associahedron(q, dropped, universe)
+        far = [
+            (i, j)
+            for i in range(len(g.facets))
+            for j in range(i + 1, len(g.facets))
+            if frozenset((i, j)) not in adjacent
+        ]
+        if not far:  # the loop's two facets are adjacent
+            continue
+        added = _add_flip(g, *far[0])
+        assert pairwise_edge_report(poly.vertices, poly.halfspaces, added), name
+        with pytest.raises(VHMismatch):
+            build_associahedron(q, added, universe)
+
+
+def test_degree_preserving_edge_swap_raises_vh_mismatch(polytopes):
+    # {a,b}, {c,e} -> {a,c}, {b,e}: every flip degree stays d, so only the
+    # rank test on the common tight normals of an edge can catch it
+    q, g, universe, poly = polytopes["apath3"]
+    adjacent = sorted(
+        tuple(sorted((e.source, e.target))) for e in g.edges if e.source < e.target
+    )
+    (a, b), (c, e) = next(
+        (x, y)
+        for x in adjacent
+        for y in adjacent
+        if len({*x, *y}) == 4
+        and (min(x[0], y[0]), max(x[0], y[0])) not in adjacent
+        and (min(x[1], y[1]), max(x[1], y[1])) not in adjacent
+    )
+    swapped = _add_flip(_add_flip(_drop_flip(_drop_flip(g, a, b), c, e), a, c), b, e)
+    assert pairwise_edge_report(poly.vertices, poly.halfspaces, swapped)
+    with pytest.raises(VHMismatch, match="disagrees with the flip graph"):
+        build_associahedron(q, swapped, universe)
+
+
+def test_fan_reports_on_corpus(polytopes):
+    for name, (q, g, universe, poly) in polytopes.items():
+        fan = build_fan(g)
+        assert fan.report == (), name
+        assert len(fan.cones) == len(g.facets), name
+    q, g, universe, poly = polytopes["apath3"]
+    e = g.edges[0]
+    fan = build_fan(_drop_flip(g, e.source, e.target))
+    assert fan.report == ("fan walls do not match the flip graph edges",)
+
+
+def test_precomputed_matrices_change_nothing():
+    for q in (a_path(3), cycle_quiver(2), loop_quiver()):
+        bq = blossom(q)
+        for facet in enumerate_facets(q).facets:
+            matrices = facet_matrices(bq, facet)
+            assert dual_basis_check(bq, facet, matrices) == dual_basis_check(bq, facet)
