@@ -8,6 +8,7 @@ and emit a byte-stable JSON (or DOT) document.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -335,7 +336,13 @@ def cmd_selfcheck(args) -> int:
     return 0 if doc["ok"] else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing leaves the parser unchanged (each call gets a fresh namespace),
+    so `main` stays a function of its argv alone; callers must not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="nonkissing",
         description="Exact non-kissing / non-crossing complex engine",

@@ -57,15 +57,10 @@ def start_corner(h):
     return (h[0], _START_CORNER[h[1]])
 
 
-def end_corner(h):
-    return start_corner(next_face(h))
-
-
 class SurfaceModel:
     """Half-edge quad complex carrying the two dual dissections."""
 
-    def __init__(self, quads, twin, base: BoundQuiver | None = None,
-                 black_names: dict | None = None):
+    def __init__(self, quads, twin, base: BoundQuiver | None = None):
         self.quads = tuple(quads)
         self.twin = dict(twin)
         self.base = base
@@ -75,75 +70,64 @@ class SurfaceModel:
             t = self.twin[h]
             if t is not None and self.twin.get(t) != h:
                 raise NotCellular(f"twin of {h} is not involutive")
-        self._classify(black_names or {})
+        self._classify()
 
     # -- construction helpers ------------------------------------------------
 
-    def _classify(self, black_names: dict) -> None:
-        parent: dict = {}
+    def _classify(self) -> None:
+        """Split the corners into the points of the surface.
 
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for h in self.halfedges:
-            find(start_corner(h))
-        for h in self.halfedges:
-            t = self.twin[h]
-            if t is not None:
-                union(start_corner(h), end_corner(t))
-                union(end_corner(h), start_corner(t))
-        classes: dict = {}
-        for h in self.halfedges:
-            for c in (start_corner(h), end_corner(h)):
-                classes.setdefault(find(c), set()).add(c)
-        self.corner_class = {c: find(c) for cs in classes.values() for c in cs}
-        self.class_corners = classes
+        Gluing h to its twin t joins the corner at the start of h to the
+        corner at the end of t, so a point is an orbit of the partial
+        rotation start(h) -> start(next_face(twin(h))), whose inverse is
+        `rotate`.  An orbit is a cycle around an interior point or a chain
+        between two boundary sides, so each is found by walking back to its
+        chain head and then forward.  A class is named by its first corner
+        in half-edge order, and classes are listed in that order.
+        """
+        self.corner_class: dict = {}
+        self.class_corners: dict = {}
         self.class_type: dict = {}
-        for root, corners in classes.items():
+        self.boundary_classes: set = set()
+        # black classes split into middle points (degree 4) and blossom points
+        self.black_kind: dict = {}
+        self.black_name: dict = {}
+        for h in self.halfedges:
+            root = start_corner(h)
+            if root in self.corner_class:
+                continue
+            # walk back to the chain head, or once round a cycle
+            head, back = h, self.rotate(h)
+            while back is not None and back != h:
+                head, back = back, self.rotate(back)
+            corners = set()
+            cur = head
+            while True:
+                corners.add(start_corner(cur))
+                t = self.twin[cur]
+                if t is None or next_face(t) == head:
+                    break
+                cur = next_face(t)
+            if t is None:
+                self.boundary_classes.add(root)
+            for c in corners:
+                self.corner_class[c] = root
+            self.class_corners[root] = corners
             kinds = {c[1] for c in corners}
-            if kinds <= {"s", "t"}:
-                self.class_type[root] = "black"
-            elif kinds == {"v"}:
+            if kinds == {"v"}:
                 self.class_type[root] = "green"
             elif kinds == {"f"}:
                 self.class_type[root] = "red"
-            else:
+            elif not kinds <= {"s", "t"}:
                 raise NotCellular(f"vertex class mixes corner kinds {kinds}")
-        boundary = set()
-        for h in self.halfedges:
-            if self.twin[h] is None:
-                boundary.add(self.corner_class[start_corner(h)])
-                boundary.add(self.corner_class[end_corner(h)])
-        self.boundary_classes = boundary
-        # black classes split into middle points (degree 4) and blossom points
-        self.black_kind: dict = {}
-        names = {}
-        fresh = 0
-        for root, corners in classes.items():
-            if self.class_type[root] != "black":
-                continue
-            if len(corners) == 4:
-                self.black_kind[root] = "middle"
-            elif len(corners) == 1:
-                self.black_kind[root] = "blossom"
+            elif len(corners) in (1, 4):
+                self.class_type[root] = "black"
+                self.black_kind[root] = "middle" if len(corners) == 4 else "blossom"
+                self.black_name[root] = f"x{len(self.black_name)}"
             else:
                 raise NotCellular(
                     f"black point with {len(corners)} corners; dissections not dual"
                 )
-            if root in black_names:
-                names[root] = black_names[root]
-            else:
-                names[root] = f"x{fresh}"
-                fresh += 1
-        self.black_name = names
 
     # -- basic queries --------------------------------------------------------
 
@@ -209,62 +193,71 @@ class SurfaceModel:
         half-edge follows from the types of the corners around its quad
         (black, red, black, green in face order), so every isomorphism maps
         `rs` half-edges to `rs` half-edges, and every component is made of
-        whole quads, so it has an `rs` root.
+        whole quads, so it has an `rs` root.  Entry i of an encoding is known
+        at step i of its search, so a root is dropped as soon as its prefix
+        exceeds the best encoding so far.
         """
-        comps = self._components()
+        index = {h: i for i, h in enumerate(self.halfedges)}
+        # half-edge i is side i % 4 of quad i // 4, sides in KINDS (face) order
+        twin = [index.get(self.twin[h], -1) for h in self.halfedges]
+        nxt = [i + 1 if i % 4 < 3 else i - 3 for i in range(len(twin))]
+        class_letter = {}
+        for root, typ in self.class_type.items():
+            if typ == "black":
+                class_letter[root] = "B" if self.black_kind[root] == "middle" else "L"
+            else:
+                class_letter[root] = "V" if typ == "green" else "F"
+        letter = [class_letter[self.corner_class[start_corner(h)]] for h in self.halfedges]
+        seen = [False] * len(twin)
         keys = []
-        for comp in comps:
+        for r in range(0, len(twin), 4):
+            if seen[r]:
+                continue
+            comp = [r]
+            seen[r] = True
+            for h in comp:
+                for nb in (nxt[h], twin[h]):
+                    if nb >= 0 and not seen[nb]:
+                        seen[nb] = True
+                        comp.append(nb)
             best = None
             for h0 in comp:
-                if h0[1] != "rs":
-                    continue
-                enc = self._encode_from(h0, comp)
-                if best is None or enc < best:
-                    best = enc
+                if h0 % 4 == 0:
+                    enc = _encode_below(h0, nxt, twin, letter, best)
+                    if enc is not None:
+                        best = enc
             keys.append(best)
         return tuple(sorted(keys))
 
-    def _components(self):
-        seen = set()
-        comps = []
-        for h in self.halfedges:
-            if h in seen:
-                continue
-            comp = []
-            stack = [h]
-            seen.add(h)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                for nb in (next_face(cur), self.twin[cur]):
-                    if nb is not None and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            comps.append(sorted(comp))
-        return comps
 
-    def _encode_from(self, h0, comp):
-        ids = {h0: 0}
-        order = [h0]
-        i = 0
-        while i < len(order):
-            h = order[i]
-            for nb in (next_face(h), self.twin[h]):
-                if nb is not None and nb not in ids:
-                    ids[nb] = len(order)
-                    order.append(nb)
-            i += 1
-        enc = []
-        for h in order:
-            t = self.twin[h]
-            root = self.corner_class[start_corner(h)]
-            typ = self.class_type[root]
-            if typ == "black":
-                typ = "B" if self.black_kind[root] == "middle" else "L"
-            else:
-                typ = "V" if typ == "green" else "F"
-            enc.append((ids[next_face(h)], -1 if t is None else ids[t], typ))
-        return tuple(enc)
+def _encode_below(h0, nxt, twin, letter, best):
+    """Breadth-first encoding of the component of h0 read from h0.
+
+    Entry i is (id of next_face, id of twin or -1, corner letter) of the i-th
+    half-edge reached; ids number half-edges in the order they are reached.
+    Returns None as soon as the encoding is known not to be below `best`.
+    """
+    ids = [-1] * len(twin)
+    ids[h0] = 0
+    order = [h0]
+    enc = []
+    tie = best is not None
+    for h in order:
+        f, t = nxt[h], twin[h]
+        if ids[f] < 0:
+            ids[f] = len(order)
+            order.append(f)
+        if t >= 0 and ids[t] < 0:
+            ids[t] = len(order)
+            order.append(t)
+        entry = (ids[f], ids[t] if t >= 0 else -1, letter[h])
+        if tie:
+            other = best[len(enc)]
+            if entry > other:
+                return None
+            tie = entry == other
+        enc.append(entry)
+    return tuple(enc)
 
 
 def surfaces_isomorphic(s1: SurfaceModel, s2: SurfaceModel) -> bool:
@@ -298,7 +291,8 @@ def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
             bq.quiver.src[a] if kind == "s" else bq.quiver.tgt[a]
             for a, kind in corners
         }
-        assert len(verts) == 1, "black class mixes quiver vertices"
+        if len(verts) != 1:
+            raise NotCellular(f"black class mixes quiver vertices {sorted(verts)}")
         names[root] = verts.pop()
     model.black_name = names
     return model
@@ -325,7 +319,8 @@ def _matching_components(q: BoundQuiver) -> int:
             cur = a
             while True:
                 nxt = straight_next(bq, cur)
-                assert nxt is not None, "a leaf-started path must end at a leaf"
+                if nxt is None:
+                    raise InconsistentEuler(f"straight path from leaf {src!r} stops inside")
                 cur = nxt
                 if bq.quiver.tgt[cur] in bq.blossom_vertices:
                     break
@@ -337,7 +332,8 @@ def _matching_components(q: BoundQuiver) -> int:
             cur = a
             while True:
                 nxt = rel_next.get(cur)
-                assert nxt is not None, "a leaf-started chain must end at a leaf"
+                if nxt is None:
+                    raise InconsistentEuler(f"relation chain from leaf {src!r} stops inside")
                 cur = nxt
                 if bq.quiver.tgt[cur] in bq.blossom_vertices:
                     break
@@ -433,7 +429,8 @@ def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
     for q in interior:
         t = s.twin[(q, glue_kind[0])]
         if t is not None and t[0] in interior_set:
-            assert t[1] == glue_kind[1]
+            if t[1] != glue_kind[1]:
+                raise NotCellular(f"side {q}:{glue_kind[0]} is glued to {t[0]}:{t[1]}")
             if which == "primary":
                 relations.add((q, t[0]))
             else:

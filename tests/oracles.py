@@ -19,6 +19,12 @@ The geometry oracles take nothing from production: `fraction_rank`,
 `fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss
 elimination, and `pairwise_edge_report` beside the local edge certificate of
 `build_associahedron`.
+
+The surface oracles read only a model's quads and twin table, with the face
+order of the sides (`next_face`, `start_corner`):
+`union_find_corner_classes` joins corners by union-find over every gluing
+instead of walking rotation orbits, and `all_roots_surface_key` encodes each
+component from every `rs` root in full, with no pruning, on those classes.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from fractions import Fraction
 import networkx as nx
 
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
+from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
     Window,
     make_window,
@@ -286,3 +293,91 @@ def vf2_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:
         edge_match=lambda x, y: x["kind"] == y["kind"],
     )
     return matcher.is_isomorphic()
+
+
+def _end_corner(h):
+    return start_corner(next_face(h))
+
+
+def union_find_corner_classes(s) -> dict:
+    """The points of a surface model from union-find over its gluings.
+
+    Maps each class, a frozenset of corners, to (type, black kind, on the
+    boundary): type is black, green or red, black kind middle, blossom or
+    None for a non-black class.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for h in s.halfedges:
+        find(start_corner(h))
+        t = s.twin[h]
+        if t is not None:
+            parent[find(start_corner(h))] = find(_end_corner(t))
+    members: dict = {}
+    for h in s.halfedges:
+        members.setdefault(find(start_corner(h)), set()).add(start_corner(h))
+    boundary = {
+        find(c)
+        for h in s.halfedges
+        if s.twin[h] is None
+        for c in (start_corner(h), _end_corner(h))
+    }
+    out = {}
+    for root, corners in members.items():
+        kinds = {c[1] for c in corners}
+        if kinds <= {"s", "t"}:
+            typ = "black"
+            kind = {4: "middle", 1: "blossom"}[len(corners)]
+        else:
+            (letter,) = kinds
+            typ, kind = {"v": "green", "f": "red"}[letter], None
+        out[frozenset(corners)] = (typ, kind, root in boundary)
+    return out
+
+
+def all_roots_surface_key(s) -> tuple:
+    """The surface key from a full breadth-first encoding at every rs root."""
+    letter = {}
+    for corners, (typ, kind, _) in union_find_corner_classes(s).items():
+        for c in corners:
+            if typ == "black":
+                letter[c] = "B" if kind == "middle" else "L"
+            else:
+                letter[c] = "V" if typ == "green" else "F"
+    seen: set = set()
+    keys = []
+    for h in s.halfedges:
+        if h in seen:
+            continue
+        comp = [h]
+        seen.add(h)
+        for cur in comp:
+            for nb in (next_face(cur), s.twin[cur]):
+                if nb is not None and nb not in seen:
+                    seen.add(nb)
+                    comp.append(nb)
+        keys.append(
+            min(_encode_from(s, h0, letter) for h0 in comp if h0[1] == "rs")
+        )
+    return tuple(sorted(keys))
+
+
+def _encode_from(s, h0, letter) -> tuple:
+    ids = {h0: 0}
+    order = [h0]
+    for h in order:
+        for nb in (next_face(h), s.twin[h]):
+            if nb is not None and nb not in ids:
+                ids[nb] = len(order)
+                order.append(nb)
+    enc = []
+    for h in order:
+        t = s.twin[h]
+        enc.append((ids[next_face(h)], -1 if t is None else ids[t], letter[start_corner(h)]))
+    return tuple(enc)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nonkissing.cli import main
+from nonkissing.cli import build_parser, main
 from nonkissing.families import a_path
 
 
@@ -157,3 +157,40 @@ def test_unknown_flag_is_usage_error():
 
 def test_family_spec_errors():
     assert main(["validate", "family:nosuch:3"]) == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_interleaved_calls_repeat_their_first_output(capsys, tmp_path, a2_file):
+    calls = [
+        ("validate", a2_file),
+        ("flipgraph", a2_file, "--format", "dot"),
+        ("flipgraph", a2_file),
+        ("surface", "family:cycle:1"),
+        ("fan", a2_file, "--out", str(tmp_path / "fan.json")),
+        ("fan", a2_file),
+        ("roundtrip", "family:doublepath:3"),
+        ("walks", "family:cycle:1", "--body-bound", "2"),
+        ("walks", "family:cycle:1"),
+    ]
+    first = {}
+    for _ in range(2):
+        for argv in calls:
+            first.setdefault(argv, run(capsys, *argv))
+            assert run(capsys, *argv) == first[argv]
+    # a flag given to one call does not leak into the next
+    assert first[calls[1]][1].startswith("digraph")
+    assert json.loads(first[calls[2]][1])["closed"] is True
+    assert first[calls[4]][1] == ""
+    assert json.loads(first[calls[5]][1])["simplicial_complete"] is True
+    assert first[calls[7]][0] == 3 and first[calls[8]][0] == 0
+
+
+def test_unknown_flag_after_a_successful_call_is_usage_error(capsys):
+    assert main(["validate", "family:apath:2"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "family:apath:2", "--unroll", "1"])
+    assert exc.value.code == 2
+    assert main(["validate", "family:apath:2"]) == 0

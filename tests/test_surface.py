@@ -1,13 +1,17 @@
 """Surface construction, invariants, round trips and the curve dictionary."""
 
 import itertools
+import random
 
 import pytest
 
+import nonkissing.walks
 from nonkissing.errors import (
     DifferentSurface,
+    InconsistentEuler,
     MissingDualPoint,
     MultipleDualPoints,
+    NotCellular,
     NotReducedCrossing,
 )
 from nonkissing.families import (
@@ -18,16 +22,20 @@ from nonkissing.families import (
     double_cycle,
     double_path,
     loop_quiver,
+    random_locally_gentle,
     reversed_path,
 )
 from nonkissing.quiver import blossom, is_isomorphic, koszul_dual
 from nonkissing.surface import (
+    KINDS,
     CrossingSequence,
     GreenView,
+    SurfaceModel,
     crossing_count,
     curve_of_walk,
     dual_dissection,
     quiver_from_surface,
+    start_corner,
     strip_dual,
     surface_dump,
     surface_from_quiver,
@@ -43,6 +51,8 @@ from nonkissing.walks import (
     primitive_cycles,
     straight_walks,
 )
+
+from oracles import all_roots_surface_key, union_find_corner_classes
 
 # (quiver, b, punctures, genus), straight from the worked example families
 INVARIANT_TABLE = [
@@ -299,3 +309,78 @@ def test_euler_cross_check_runs_everywhere():
     for q in corpus().values():
         inv = surface_invariants(surface_from_quiver(q))
         assert inv["euler"] == 2 - 2 * inv["genus"] - inv["b"]
+
+
+def _oracle_surfaces():
+    """Surfaces with closed (puncture) and chain (boundary) rotation orbits."""
+    quivers = [random_locally_gentle(random.Random(seed)) for seed in range(30)]
+    quivers += [koszul_dual(q) for q in quivers]
+    quivers += [double_cycle(n) for n in range(1, 17)]
+    quivers += [double_path(n) for n in range(2, 17)]
+    for q in quivers:
+        s = surface_from_quiver(q)
+        yield s
+        yield swap_dissections(s)
+        yield dual_dissection(strip_dual(s))
+
+
+def _corner_classes(s):
+    assert len(s.corner_class) == 4 * len(s.quads)
+    for c, root in s.corner_class.items():
+        assert c in s.class_corners[root]
+    return {
+        frozenset(corners): (
+            s.class_type[root],
+            s.black_kind.get(root),
+            root in s.boundary_classes,
+        )
+        for root, corners in s.class_corners.items()
+    }
+
+
+def test_rotation_orbits_match_union_find_oracle():
+    closed = chains = 0
+    for s in _oracle_surfaces():
+        classes = _corner_classes(s)
+        assert classes == union_find_corner_classes(s)
+        chains += sum(on_boundary for _, _, on_boundary in classes.values())
+        closed += sum(not on_boundary for _, _, on_boundary in classes.values())
+    assert closed and chains
+
+
+def test_pruned_key_matches_all_roots_oracle():
+    for s in _oracle_surfaces():
+        assert s.canonical_key() == all_roots_surface_key(s)
+
+
+def test_unnamed_black_points_are_numbered_in_corner_order():
+    def build():
+        return dual_dissection(strip_dual(surface_from_quiver(double_path(4))))
+
+    s = build()
+    position = {start_corner(h): i for i, h in enumerate(s.halfedges)}
+    blacks = [r for r in s.class_corners if s.class_type[r] == "black"]
+    assert blacks == sorted(blacks, key=position.get)
+    assert [s.black_name[r] for r in blacks] == [f"x{i}" for i in range(len(blacks))]
+    assert build().black_name == s.black_name
+
+
+def test_constructor_rejects_every_illegal_gluing():
+    # only rt-rs and gt-gs gluings join corners of one type, so
+    # quiver_from_surface never meets a relation side glued to a non-relation side
+    legal = {("rt", "rs"), ("rs", "rt"), ("gt", "gs"), ("gs", "gt")}
+    for k, j in itertools.product(KINDS, repeat=2):
+        # two quads make no degree-4 middle point, so a legal gluing fails
+        # too, but only on its black point count
+        match = "dissections not dual" if (k, j) in legal else None
+        with pytest.raises(NotCellular, match=match):
+            SurfaceModel(["A", "B"], {("A", k): ("B", j), ("B", j): ("A", k)})
+
+
+def test_matching_check_is_a_typed_error(monkeypatch):
+    # a complete blossoming always leads a leaf-started path to a leaf; the
+    # check must still raise, not vanish under python -O
+    s = surface_from_quiver(a_path(2))
+    monkeypatch.setattr(nonkissing.walks, "straight_next", lambda bq, a: None)
+    with pytest.raises(InconsistentEuler):
+        surface_invariants(s)
