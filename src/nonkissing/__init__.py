@@ -30,6 +30,7 @@ from .walks import (
 from .facets import (
     Facet,
     FlipGraph,
+    QuiverContext,
     brute_force_facets,
     countercurrent_less,
     distinguished_arrows,
@@ -37,6 +38,7 @@ from .facets import (
     distinguished_walk,
     enumerate_facets,
     flip,
+    maximal_cliques,
     peak_facet,
     deep_facet,
     verify_purity,

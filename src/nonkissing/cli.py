@@ -26,9 +26,9 @@ from .facets import (
 from .geometry import (
     build_associahedron,
     build_fan,
-    d_vector,
+    d_vectors,
     dual_basis_check,
-    facet_matrices,
+    graph_matrices,
     sign_coherence_report,
 )
 from .quiver import (
@@ -51,7 +51,7 @@ from .surface import (
     surface_invariants,
     swap_dissections,
 )
-from .walks import deep_walks, enumerate_walks, kn_pair
+from .walks import enumerate_walks
 
 
 def _emit(doc, args) -> None:
@@ -181,20 +181,18 @@ def cmd_flipgraph(args) -> int:
 
 def cmd_vectors(args) -> int:
     q = _load_quiver(args)
-    bq = blossom(q)
     g = enumerate_facets(q, max_facets=args.max_facets)
-    deeps = deep_walks(bq)
+    dvecs = d_vectors(g)
     out = []
-    for f in g.facets:
-        matrices = facet_matrices(bq, f)
-        walks, gs, cs = matrices
+    for f, ids, matrices in zip(g.facets, g.ids, graph_matrices(g)):
+        _, gs, cs = matrices
         out.append(
             {
-                "walks": [w.serialize() for w in walks],
+                "walks": [g.ctx.keys[w] for w in ids],
                 "g": [list(v) for v in gs],
                 "c": [list(v) for v in cs],
-                "d": [list(d_vector(bq, w, deeps)) for w in walks],
-                "dual_basis_violations": dual_basis_check(bq, f, matrices),
+                "d": [list(dvecs[w]) for w in ids],
+                "dual_basis_violations": dual_basis_check(g.ctx.bq, f, matrices),
             }
         )
     _emit({"closed": g.closed, "coordinates": list(q.vertices), "facets": out}, args)
@@ -218,9 +216,8 @@ def cmd_fan(args) -> int:
 
 def cmd_polytope(args) -> int:
     q = _load_quiver(args)
-    bq = blossom(q)
     g = enumerate_facets(q, max_facets=args.max_facets)
-    universe, complete = enumerate_walks(bq, args.body_bound)
+    universe, complete = enumerate_walks(g.ctx.bq, args.body_bound)
     poly = build_associahedron(q, g, universe, complete)
     _emit(
         {
@@ -284,47 +281,46 @@ def _selfcheck() -> dict:
     for name, q in corpus.items():
         try:
             validate_locally_gentle(q)
-            bq = blossom(q)
+            s = surface_from_quiver(q)
             n0, n1 = len(q.vertices), len(q.arrows)
-            if len(bq.quiver.vertices) != 5 * n0 - 2 * n1:
+            if len(s.bq.quiver.vertices) != 5 * n0 - 2 * n1:
                 note(name, ["blossom vertex count"])
             if not is_isomorphic(koszul_dual(koszul_dual(q)), q):
                 note(name, ["koszul dual is not an involution"])
-            s = surface_from_quiver(q)
             surface_invariants(s)
             if not is_isomorphic(quiver_from_surface(s), q):
                 note(name, ["surface roundtrip failed"])
         except NonKissingError as exc:
             note(name, [f"error: {exc}"])
+    graphs = {}
     for name in complete_instances:
         q = corpus[name]
-        bq = blossom(q)
-        g = enumerate_facets(q)
+        g = graphs[name] = enumerate_facets(q)
+        ctx = g.ctx
         note(name, verify_purity(g))
         note(name, verify_thinness(g))
         note(name, verify_distinguished_census(g))
         note(name, walks_through_cycles_check(g))
-        note(name, sign_coherence_report(bq, g))
-        for f in g.facets:
-            note(name, dual_basis_check(bq, f))
-        oracle = brute_force_facets(q)
+        matrices = graph_matrices(g)
+        note(name, sign_coherence_report(ctx.bq, g, matrices))
+        for f, m in zip(g.facets, matrices):
+            note(name, dual_basis_check(ctx.bq, f, m))
+        oracle = brute_force_facets(q, ctx=ctx)
         if sorted(f.key for f in g.facets) != sorted(f.key for f in oracle):
             note(name, ["flip BFS facets differ from the clique oracle"])
-        walks, complete = enumerate_walks(bq)
-        for w1 in walks:
-            for w2 in walks:
-                c1, c2 = curve_of_walk(bq, w1), curve_of_walk(bq, w2)
-                if crossing_count(bq, c1, c2) != kn_pair(bq, w1, w2):
+        walks, complete = enumerate_walks(ctx.bq)
+        curves = [(ctx.intern(w), curve_of_walk(ctx.bq, w)) for w in walks]
+        for i, c1 in curves:
+            for j, c2 in curves:
+                if crossing_count(ctx.bq, c1, c2) != ctx.kn(i, j) + ctx.kn(j, i):
                     note(name, ["crossing count differs from kissing number"])
     for name in ("a2", "loop"):
-        q = corpus[name]
-        bq = blossom(q)
-        g = enumerate_facets(q)
+        g = graphs[name]
         fan = build_fan(g)
         note(name, list(fan.report))
-        universe, complete = enumerate_walks(bq)
+        universe, complete = enumerate_walks(g.ctx.bq)
         try:
-            build_associahedron(q, g, universe, complete)
+            build_associahedron(corpus[name], g, universe, complete)
         except NonKissingError as exc:
             note(name, [f"polytope: {exc}"])
     return {"ok": not report, "violations": report}

@@ -67,6 +67,10 @@ class KissingPair(OrderError):
     """The countercurrent order is undefined on kissing walks."""
 
 
+class NotMarked(OrderError):
+    """A marked walk has no letter of the compared arrow at its mark."""
+
+
 # facets and flips
 
 class FacetError(NonKissingError):
@@ -87,6 +91,14 @@ class NotMaximalFacet(FacetError):
 
 class FlipCheckFailed(FacetError):
     """A flip result does not kiss the flipped walk, or kisses a facet member."""
+
+
+class FlipFailed(FacetError):
+    """The exchange cannot be built: a partner arrow or split is missing or not unique."""
+
+
+class BoundError(NonKissingError):
+    """A size bound such as the maximum number of facets is below 1."""
 
 
 # fan / polytope

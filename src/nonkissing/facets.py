@@ -5,6 +5,11 @@ walk: body letters are 0..B-1, right-tail letters B, B+1, ... periodically,
 left-tail letters -1, -2, ... periodically.  Only occurrences in the body
 and the first period of each tail are ever marked; the occurrence closest to
 the body dominates the deeper periodic copies in the countercurrent order.
+
+The flip engine works on a `QuiverContext`, one per quiver.  Inside it a
+walk is an int id, a mark is a (walk id, position) pair and a facet is the
+tuple of its bending walk ids in serialization order.  Ids never reach the
+output, which stays sorted by serialization.
 """
 
 from __future__ import annotations
@@ -15,16 +20,18 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-import networkx as nx
-
 from .errors import (
+    BoundError,
     FlipCheckFailed,
+    FlipFailed,
     IncompleteUniverse,
     KissingPair,
     NotBending,
     NotClosed,
+    NotMarked,
     NotMaximalFacet,
     NotMember,
+    OrderError,
     SameMarkedWalk,
 )
 from .quiver import BlossomQuiver, BoundQuiver, blossom
@@ -37,7 +44,6 @@ from .walks import (
     inv,
     is_bending,
     kiss_count,
-    kissing,
     letter_tgt,
     peak_walk,
     primitive_cycles,
@@ -45,6 +51,8 @@ from .walks import (
     straight_walks,
     walk_uses_cycle,
 )
+
+Mark = tuple[int, int]  # (walk id, global letter index) inside a QuiverContext
 
 
 def walk_letter(w: Walk, g: int) -> Letter | None:
@@ -85,12 +93,6 @@ class MarkedWalk:
     walk: Walk
     position: int  # global letter index on the stored direction
 
-    @property
-    def letter(self) -> Letter:
-        letter = walk_letter(self.walk, self.position)
-        assert letter is not None
-        return letter
-
 
 def _stream(w: Walk, g0: int, orient: int):
     def get(i: int) -> Letter | None:
@@ -122,8 +124,10 @@ def countercurrent_less(
     """
     lm = walk_letter(m.walk, m.position)
     ln = walk_letter(n.walk, n.position)
-    assert lm is not None and lm[0] == arrow, "m is not marked at the arrow"
-    assert ln is not None and ln[0] == arrow, "n is not marked at the arrow"
+    if lm is None or lm[0] != arrow:
+        raise NotMarked(f"m is not marked at {arrow!r}")
+    if ln is None or ln[0] != arrow:
+        raise NotMarked(f"n is not marked at {arrow!r}")
     if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
     sm = _stream(m.walk, m.position, 1 if lm[1] == 1 else -1)
@@ -139,7 +143,8 @@ def countercurrent_less(
             if x is None or y is None:
                 break
             if x != y:
-                assert x[1] != y[1], "split letters must take opposite directions"
+                if x[1] == y[1]:
+                    raise OrderError("split letters must take opposite directions")
                 verdicts.append(x[1] == 1)
                 break
         # loop exhaustion = infinite periodic agreement: uninformative side
@@ -150,22 +155,102 @@ def countercurrent_less(
     return verdicts[0]
 
 
-def _countercurrent_max(bq: BlossomQuiver, marks: list[MarkedWalk], arrow: str) -> MarkedWalk:
+# ---------------------------------------------------------------------------
+# the per-quiver context
+
+
+class QuiverContext:
+    """A quiver's blossoming, its interned walks and memoized pair facts.
+
+    `intern` gives each walk a dense int id and computes its serialization,
+    its marked positions by arrow and whether it bends, once.  Kiss numbers
+    and countercurrent verdicts are memoized by id; they are the values of
+    the pure kernels `kiss_count` and `countercurrent_less`, so a context
+    changes no result.  The tables belong to the context and die with it.
+    """
+
+    def __init__(self, bq: BlossomQuiver):
+        self.bq = bq
+        self.walks: list[Walk] = []
+        self.keys: list[str] = []  # serializations
+        self.marks: list[dict[str, tuple[int, ...]]] = []  # arrow -> marked positions
+        self.bending: list[bool] = []
+        self._ids: dict[Walk, int] = {}
+        self._kn: dict[tuple[int, int], int] = {}
+        self._less: dict[tuple[Mark, Mark], bool] = {}
+
+    @property
+    def q(self) -> BoundQuiver:
+        return self.bq.base
+
+    def intern(self, w: Walk) -> int:
+        i = self._ids.get(w)
+        if i is None:
+            i = self._ids[w] = len(self.walks)
+            self.walks.append(w)
+            self.keys.append(w.serialize())
+            marks: dict[str, list[int]] = {}
+            for g, (a, _) in _marked_letters(w):
+                marks.setdefault(a, []).append(g)
+            self.marks.append({a: tuple(gs) for a, gs in marks.items()})
+            self.bending.append(is_bending(w))
+        return i
+
+    def kn(self, i: int, j: int) -> int:
+        """kn(walk i, walk j)."""
+        k = self._kn.get((i, j))
+        if k is None:
+            k = self._kn[i, j] = kiss_count(self.bq, self.walks[i], self.walks[j])
+        return k
+
+    def kissing(self, i: int, j: int) -> bool:
+        return self.kn(i, j) > 0 or self.kn(j, i) > 0
+
+    def less(self, m: Mark, n: Mark, arrow: str) -> bool:
+        """countercurrent_less of two marks; the arrow is the one at both marks."""
+        v = self._less.get((m, n))
+        if v is None:
+            v = self._less[m, n] = countercurrent_less(
+                self.bq, self.marked(m), self.marked(n), arrow
+            )
+        return v
+
+    def marked(self, m: Mark) -> MarkedWalk:
+        return MarkedWalk(self.walks[m[0]], m[1])
+
+
+def _marks_at(ctx: QuiverContext, ids, arrow: str) -> list[Mark]:
+    return [(i, g) for i in ids for g in ctx.marks[i].get(arrow, ())]
+
+
+def _countercurrent_max(ctx: QuiverContext, marks: list[Mark], arrow: str) -> Mark:
     best = marks[0]
     for cand in marks[1:]:
-        if countercurrent_less(bq, best, cand, arrow):
+        if ctx.less(best, cand, arrow):
             best = cand
     return best
+
+
+def _data(ctx: QuiverContext, ids) -> dict[str, Mark]:
+    """The distinguished mark at every arrow marked by one of the walks ids."""
+    marks: dict[str, list[Mark]] = {}
+    for i in ids:
+        for a, gs in ctx.marks[i].items():
+            marks.setdefault(a, []).extend((i, g) for g in gs)
+    return {
+        a: _countercurrent_max(ctx, marks[a], a)
+        for a in ctx.bq.quiver.arrow_ids
+        if a in marks
+    }
 
 
 def distinguished_walk(
     bq: BlossomQuiver, walks, arrow: str
 ) -> MarkedWalk | None:
     """Max of the countercurrent order over all marked occurrences in walks."""
-    marks = [
-        MarkedWalk(w, g) for w in walks for g in mark_positions(w, arrow)
-    ]
-    return _countercurrent_max(bq, marks, arrow) if marks else None
+    ctx = QuiverContext(bq)
+    marks = _marks_at(ctx, [ctx.intern(w) for w in walks], arrow)
+    return ctx.marked(_countercurrent_max(ctx, marks, arrow)) if marks else None
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +288,9 @@ def make_facet(bending, straights) -> Facet:
 
 def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, MarkedWalk]:
     """The distinguished marked walk at every arrow of the blossoming quiver."""
-    marks: dict[str, list[MarkedWalk]] = {}
-    for w in facet.walks:
-        for g, (a, _) in _marked_letters(w):
-            marks.setdefault(a, []).append(MarkedWalk(w, g))
-    return {
-        a: _countercurrent_max(bq, marks[a], a)
-        for a in bq.quiver.arrow_ids
-        if a in marks
-    }
+    ctx = QuiverContext(bq)
+    data = _data(ctx, [ctx.intern(w) for w in facet.walks])
+    return {a: ctx.marked(m) for a, m in data.items()}
 
 
 def distinguished_arrows(
@@ -243,18 +322,20 @@ def distinguished_substring(
         raise NotBending(f"walk {w.serialize()!r} is straight")
     if data is None:
         data = distinguished_data(bq, facet)
-    marks = sorted(
-        (mw.position, a) for a, mw in data.items() if mw.walk == w
-    )
+    return _substring(bq, w, [mw.position for mw in data.values() if mw.walk == w])
+
+
+def _substring(bq: BlossomQuiver, w: Walk, marks: list[int]) -> DistinguishedString:
+    """The distinguished substring of w, whose distinguished marks are at marks."""
     if len(marks) != 2:
         raise NotMaximalFacet(
             f"bending walk has {len(marks)} distinguished arrows, expected 2"
         )
-    (g1, _), (g2, _) = marks
+    g1, g2 = sorted(marks)
     l1 = walk_letter(w, g1)
     l2 = walk_letter(w, g2)
-    assert l1 is not None and l2 is not None
-    assert l1[1] != l2[1], "distinguished arrows must point in opposite directions"
+    if l1 is None or l2 is None or l1[1] == l2[1]:
+        raise NotMaximalFacet("distinguished arrows must point in opposite directions")
     on_top = l1[1] == -1 and l2[1] == 1
     letters = tuple(walk_letter(w, g) for g in range(g1 + 1, g2))
     vertices = tuple(letter_tgt(bq, walk_letter(w, g)) for g in range(g1, g2))
@@ -279,12 +360,14 @@ def _prefix_through(triple, p: int):
     """(ltail, letters) of the oriented walk up to position p inclusive."""
     lt, bd, rt = triple
     if p < 0:
-        assert lt and -p <= len(lt), "mark beyond the first tail period"
+        if not lt or -p > len(lt):
+            raise FlipFailed("mark beyond the first tail period")
         return lt, lt[: len(lt) + p + 1]
     if p < len(bd):
         return lt, bd[: p + 1]
     j = p - len(bd)
-    assert rt and j < len(rt), "mark beyond the first tail period"
+    if not rt or j >= len(rt):
+        raise FlipFailed("mark beyond the first tail period")
     return lt, bd + rt[: j + 1]
 
 
@@ -292,13 +375,14 @@ def _suffix_from(triple, p: int):
     """(letters, rtail) of the oriented walk from position p inclusive."""
     lt, bd, rt = triple
     if p >= len(bd):
-        assert rt, "mark beyond a finite right end"
         j = p - len(bd)
-        assert j < len(rt), "mark beyond the first tail period"
+        if not rt or j >= len(rt):
+            raise FlipFailed("mark beyond the first tail period")
         return rt[j:], rt
     if p >= 0:
         return bd[p:], rt
-    assert lt and -p <= len(lt), "mark beyond the first tail period"
+    if not lt or -p > len(lt):
+        raise FlipFailed("mark beyond the first tail period")
     return lt[len(lt) + p :] + bd, rt
 
 
@@ -321,7 +405,8 @@ def _companion(bq: BlossomQuiver, letter: Letter, side: str) -> str:
             cands = [c for c in bq.quiver.arrows_in[v] if (c, a) in bq.quiver.relations]
         else:
             cands = [c for c in bq.quiver.arrows_out[v] if (a, c) in bq.quiver.relations]
-    assert len(cands) == 1, f"expected a unique ideal partner for {letter}, got {cands}"
+    if len(cands) != 1:
+        raise FlipFailed(f"expected a unique ideal partner for {letter}, got {cands}")
     return cands[0]
 
 
@@ -336,14 +421,14 @@ def _expected_run(w: Walk, start: int, step: int, guard: int, prefix) -> list:
     return out
 
 
-def _orient_matching(mw: MarkedWalk, expected, side: int):
-    """Orientation of mw.walk whose letters match expected on the given side.
+def _orient_matching(w: Walk, position: int, expected, side: int):
+    """Orientation of w whose letters match expected on the given side of a mark.
 
     side +1 compares positions after the mark, side -1 before it; a None in
     expected demands the walk end there too.
     """
     for orient in (1, -1):
-        stream = _stream(mw.walk, mw.position, orient)
+        stream = _stream(w, position, orient)
         if all(
             stream(side * i) == want for i, want in enumerate(expected, start=1)
         ):
@@ -365,48 +450,73 @@ def flip(
         raise NotMember(f"walk {w.serialize()!r} not in facet")
     if not is_bending(w):
         raise NotBending("only bending walks can be flipped")
-    ds = distinguished_substring(bq, facet, w, data)
+    ctx = QuiverContext(bq)
+    ids = [ctx.intern(x) for x in facet.walks]
+    marks = _data(ctx, ids) if data is None else {
+        a: (ctx.intern(mw.walk), mw.position) for a, mw in data.items()
+    }
+    new, direction = _flip(ctx, ids, marks, ctx.intern(w), check)
+    return facet.replace(w, ctx.walks[new]), ctx.walks[new], direction
+
+
+def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
+    """`flip` on ids: exchange walk wi of the facet whose walks are ids.
+
+    data is the facet's distinguished data; returns (new walk id, direction).
+    """
+    bq, w = ctx.bq, ctx.walks[wi]
+    ds = _substring(bq, w, [g for i, g in data.values() if i == wi])
     g1, g2 = ds.left, ds.right
-    l1 = walk_letter(w, g1)
-    l2 = walk_letter(w, g2)
-    alpha_p = _companion(bq, l1, "left")
-    beta_p = _companion(bq, l2, "right")
-    rest = [x for x in facet.walks if x != w]
-    mu = distinguished_walk(bq, rest, alpha_p)
-    nu = distinguished_walk(bq, rest, beta_p)
-    assert mu is not None and nu is not None, "companion arrows must be covered"
+    alpha_p = _companion(bq, walk_letter(w, g1), "left")
+    beta_p = _companion(bq, walk_letter(w, g2), "right")
+    rest = [x for x in ids if x != wi]
+    mu_marks = _marks_at(ctx, rest, alpha_p)
+    nu_marks = _marks_at(ctx, rest, beta_p)
+    if not mu_marks or not nu_marks:
+        raise FlipFailed("companion arrows must be covered")
+    mu_id, mu_g = _countercurrent_max(ctx, mu_marks, alpha_p)
+    nu_id, nu_g = _countercurrent_max(ctx, nu_marks, beta_p)
+    mu, nu = ctx.walks[mu_id], ctx.walks[nu_id]
 
     sigma = ds.letters
     guard = 4 + len(sigma) + len(w.body) + 2 * max(
-        len(w.rtail), len(w.ltail), len(mu.walk.body), len(nu.walk.body), 1
+        len(w.rtail), len(w.ltail), len(mu.body), len(nu.body), 1
     )
     # mu = rho' sigma tau: after mu's mark come sigma then w's letters from g2
     after_mu = _expected_run(w, g2, 1, guard, sigma)
-    o_mu = _orient_matching(mu, after_mu, side=1)
-    assert o_mu is not None, "distinguished walk does not split along sigma tau"
+    o_mu = _orient_matching(mu, mu_g, after_mu, side=1)
+    if o_mu is None:
+        raise FlipFailed("distinguished walk does not split along sigma tau")
     # nu = rho sigma tau': before nu's mark come sigma reversed positionwise,
     # then w's letters leftward from g1
     before_nu = _expected_run(w, g1, -1, guard, tuple(reversed(sigma)))
-    o_nu = _orient_matching(nu, before_nu, side=-1)
-    assert o_nu is not None, "distinguished walk does not split along rho sigma"
+    o_nu = _orient_matching(nu, nu_g, before_nu, side=-1)
+    if o_nu is None:
+        raise FlipFailed("distinguished walk does not split along rho sigma")
 
-    t_mu = _oriented_triple(mu.walk, o_mu)
-    p_mu = _oriented_position(mu.walk, mu.position, o_mu)
-    lt, rho_letters = _prefix_through(t_mu, p_mu)
-    t_nu = _oriented_triple(nu.walk, o_nu)
-    p_nu = _oriented_position(nu.walk, nu.position, o_nu)
-    tau_letters, rt = _suffix_from(t_nu, p_nu)
-
-    new = canonicalize(bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
-    assert new != w, "flip produced the same walk"
+    lt, rho_letters = _prefix_through(
+        _oriented_triple(mu, o_mu), _oriented_position(mu, mu_g, o_mu)
+    )
+    tau_letters, rt = _suffix_from(
+        _oriented_triple(nu, o_nu), _oriented_position(nu, nu_g, o_nu)
+    )
+    new = ctx.intern(
+        canonicalize(bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
+    )
+    if new == wi:
+        raise FlipFailed("flip produced the same walk")
     if check:
-        if not kissing(bq, w, new):
+        if not ctx.kissing(wi, new):
             raise FlipCheckFailed("flip result must kiss the flipped walk")
         for other in rest:
-            if kissing(bq, new, other):
+            if ctx.kissing(new, other):
                 raise FlipCheckFailed("flip result kisses a facet member")
-    direction = "increasing" if ds.on_top else "decreasing"
-    return facet.replace(w, new), new, direction
+    return new, "increasing" if ds.on_top else "decreasing"
+
+
+def _exchange(ctx: QuiverContext, bending: tuple[int, ...], old: int, new: int):
+    """The bending walk ids with old replaced by new, in serialization order."""
+    return tuple(sorted(set(bending) - {old} | {new}, key=ctx.keys.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +534,34 @@ class FlipEdge:
 
 @dataclass(frozen=True)
 class FlipGraph:
-    quiver: BoundQuiver
-    facets: tuple[Facet, ...]
+    """The facets reached by flips, indexing into the quiver's context.
+
+    ids[i] are facet i's bending walk ids in serialization order and
+    straights the ids of the straight walks every facet holds.  data[i] is
+    facet i's distinguished data, arrow -> mark, computed once when the
+    facet was expanded.
+    """
+
+    ctx: QuiverContext
+    ids: tuple[tuple[int, ...], ...]
+    straights: tuple[int, ...]
+    data: tuple[dict[str, Mark], ...]
     edges: tuple[FlipEdge, ...]
     closed: bool
 
+    @property
+    def quiver(self) -> BoundQuiver:
+        return self.ctx.q
+
     @cached_property
-    def index(self) -> dict[tuple[str, ...], int]:
-        return {f.key: i for i, f in enumerate(self.facets)}
+    def facets(self) -> tuple[Facet, ...]:
+        walks = self.ctx.walks
+        straights = tuple(walks[i] for i in self.straights)
+        return tuple(Facet(tuple(walks[i] for i in b), straights) for b in self.ids)
+
+    def marked_data(self, i: int) -> dict[str, MarkedWalk]:
+        """Facet i's distinguished data in the form `distinguished_data` returns."""
+        return {a: self.ctx.marked(m) for a, m in self.data[i].items()}
 
 
 def peak_facet(bq: BlossomQuiver) -> Facet:
@@ -448,53 +578,88 @@ def enumerate_facets(
     q: BoundQuiver, max_facets: int = 10000, check_flips: bool = True
 ) -> FlipGraph:
     """BFS closure of flips starting from the peak facet."""
-    assert max_facets >= 1
-    bq = blossom(q)
-    start = peak_facet(bq)
-    facets = [start]
-    index = {start.key: 0}
+    if max_facets < 1:
+        raise BoundError("max_facets must be at least 1")
+    ctx = QuiverContext(blossom(q))
+    start = peak_facet(ctx.bq)
+    straights = tuple(map(ctx.intern, start.straights))
+    facets = [tuple(map(ctx.intern, start.bending))]
+    index = {facets[0]: 0}
+    data: list[dict[str, Mark]] = []
     edges: list[FlipEdge] = []
     closed = True
-    head = 0
-    while head < len(facets):
-        facet = facets[head]
-        data = distinguished_data(bq, facet)
-        for w in facet.bending:
-            new_facet, new_walk, direction = flip(bq, facet, w, check_flips, data)
-            j = index.get(new_facet.key)
+    for head, bending in enumerate(facets):  # facets grows as the BFS runs
+        ids = bending + straights
+        marks = _data(ctx, ids)
+        data.append(marks)
+        for w in bending:
+            new, direction = _flip(ctx, ids, marks, w, check_flips)
+            target = _exchange(ctx, bending, w, new)
+            j = index.get(target)
             if j is None:
                 if len(facets) >= max_facets:
                     closed = False
                     continue
-                j = len(facets)
-                index[new_facet.key] = j
-                facets.append(new_facet)
-            edges.append(
-                FlipEdge(head, j, w.serialize(), new_walk.serialize(), direction)
-            )
-        head += 1
-    return FlipGraph(q, tuple(facets), tuple(edges), closed)
+                j = index[target] = len(facets)
+                facets.append(target)
+            edges.append(FlipEdge(head, j, ctx.keys[w], ctx.keys[new], direction))
+    return FlipGraph(ctx, tuple(facets), straights, tuple(data), tuple(edges), closed)
 
 
-def brute_force_facets(q: BoundQuiver, body_bound: int = 64) -> list[Facet]:
-    """Oracle: maximal cliques of the non-kissing compatibility graph."""
-    bq = blossom(q)
-    walks, complete = enumerate_walks(bq, body_bound)
+def maximal_cliques(rows: list[int]) -> list[list[int]]:
+    """Maximal cliques of the loopless graph on 0..n-1 with adjacency bitsets rows.
+
+    Bron–Kerbosch with pivoting: the pivot is a vertex of the candidates or
+    the excluded set with the most neighbours among the candidates, and only
+    the candidates it is not adjacent to are branched on.
+    """
+    out: list[list[int]] = []
+
+    def expand(clique: list[int], cand: int, excl: int) -> None:
+        if not cand and not excl:
+            out.append(clique)
+            return
+        pivot = max(_bits(cand | excl), key=lambda u: (rows[u] & cand).bit_count())
+        for v in _bits(cand & ~rows[pivot]):
+            expand(clique + [v], cand & rows[v], excl & rows[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+    expand([], (1 << len(rows)) - 1, 0)
+    return out
+
+
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def brute_force_facets(
+    q: BoundQuiver, body_bound: int = 64, ctx: QuiverContext | None = None
+) -> list[Facet]:
+    """Oracle: maximal cliques of the non-kissing compatibility graph.
+
+    ctx is the quiver's context, whose kiss numbers are shared; a new one is
+    built when not given.
+    """
+    if ctx is None:
+        ctx = QuiverContext(blossom(q))
+    walks, complete = enumerate_walks(ctx.bq, body_bound)
     if not complete:
         raise IncompleteUniverse("walk enumeration truncated; oracle unavailable")
-    bend = [
-        w for w in walks if is_bending(w) and kiss_count(bq, w, w) == 0
-    ]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(bend)))
-    for i in range(len(bend)):
-        for j in range(i + 1, len(bend)):
-            if not kissing(bq, bend[i], bend[j]):
-                graph.add_edge(i, j)
-    straights = straight_walks(bq)
+    bend = [i for i in map(ctx.intern, walks) if ctx.bending[i] and ctx.kn(i, i) == 0]
+    rows = [0] * len(bend)
+    for a in range(len(bend)):
+        for b in range(a + 1, len(bend)):
+            if not ctx.kissing(bend[a], bend[b]):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    straights = straight_walks(ctx.bq)
     facets = [
-        make_facet([bend[i] for i in clique], straights)
-        for clique in nx.find_cliques(graph)
+        make_facet([ctx.walks[bend[k]] for k in clique], straights)
+        for clique in maximal_cliques(rows)
     ]
     return sorted(facets, key=lambda f: f.key)
 
@@ -504,10 +669,9 @@ def brute_force_facets(q: BoundQuiver, body_bound: int = 64) -> list[Facet]:
 
 
 def verify_purity(g: FlipGraph) -> list[str]:
-    bq = blossom(g.quiver)
     n0 = len(g.quiver.vertices)
     n1 = len(g.quiver.arrows)
-    p = len(primitive_cycles(bq))
+    p = len(primitive_cycles(g.ctx.bq))
     report = []
     for i, f in enumerate(g.facets):
         fin = [w for w in f.straights if not w.is_infinite_straight]
@@ -530,56 +694,55 @@ def verify_purity(g: FlipGraph) -> list[str]:
 def verify_thinness(g: FlipGraph) -> list[str]:
     if not g.closed:
         raise NotClosed("thinness check needs a closed flip graph")
-    bq = blossom(g.quiver)
-    data = [distinguished_data(bq, f) for f in g.facets]
+    ctx = g.ctx
+    index = {bending: i for i, bending in enumerate(g.ids)}
     # holders of a ridge: the facets that are the ridge plus one bending walk
-    holders = Counter(frozenset(f.bending) - {w} for f in g.facets for w in f.bending)
+    holders = Counter(frozenset(b) - {w} for b in g.ids for w in b)
     report = []
-    for i, f in enumerate(g.facets):
-        for w in f.bending:
-            f2, w2, d = flip(bq, f, w, check=False, data=data[i])
-            j = g.index.get(f2.key)
+    for i, bending in enumerate(g.ids):
+        for w in bending:
+            w2, d = _flip(ctx, bending + g.straights, g.data[i], w, False)
+            b2 = _exchange(ctx, bending, w, w2)
+            j = index.get(b2)
             if j is None:
-                report.append(f"facet {i}: flip at {w.serialize()} leaves the graph")
+                report.append(f"facet {i}: flip at {ctx.keys[w]} leaves the graph")
                 continue
-            f3, w3, d3 = flip(bq, f2, w2, check=False, data=data[j])
-            if f3.key != f.key or w3 != w:
-                report.append(f"facet {i}: flip at {w.serialize()} is not an involution")
+            w3, d3 = _flip(ctx, b2 + g.straights, g.data[j], w2, False)
+            if _exchange(ctx, b2, w2, w3) != bending or w3 != w:
+                report.append(f"facet {i}: flip at {ctx.keys[w]} is not an involution")
             if {d, d3} != {"increasing", "decreasing"}:
                 report.append(f"facet {i}: flip directions do not reverse")
             # codimension-1 face in exactly two facets
-            k = holders[frozenset(f.bending) - {w}]
+            k = holders[frozenset(bending) - {w}]
             if k != 2:
                 report.append(
-                    f"facet {i}: ridge without {w.serialize()} lies in {k} facets"
+                    f"facet {i}: ridge without {ctx.keys[w]} lies in {k} facets"
                 )
     return report
 
 
 def verify_distinguished_census(g: FlipGraph) -> list[str]:
-    bq = blossom(g.quiver)
+    ctx = g.ctx
     report = []
-    for i, f in enumerate(g.facets):
-        data = distinguished_data(bq, f)
-        for w in f.walks:
-            k = len([a for a, mw in data.items() if mw.walk == w])
-            if is_bending(w):
+    for i, bending in enumerate(g.ids):
+        held = Counter(w for w, _ in g.data[i].values())
+        for w in bending + g.straights:
+            if ctx.bending[w]:
                 want = 2
-            elif w.is_infinite_straight:
+            elif ctx.walks[w].is_infinite_straight:
                 want = 0
             else:
                 want = 1
-            if k != want:
+            if held[w] != want:
                 report.append(
-                    f"facet {i}: walk {w.serialize()} has {k} distinguished arrows,"
+                    f"facet {i}: walk {ctx.keys[w]} has {held[w]} distinguished arrows,"
                     f" expected {want}"
                 )
     return report
 
 
 def walks_through_cycles_check(g: FlipGraph) -> list[str]:
-    bq = blossom(g.quiver)
-    cycles = primitive_cycles(bq)
+    cycles = primitive_cycles(g.ctx.bq)
     report = []
     for i, f in enumerate(g.facets):
         for c in cycles:

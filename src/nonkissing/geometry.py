@@ -22,14 +22,13 @@ from .facets import (
     distinguished_data,
     distinguished_substring,
 )
-from .quiver import BlossomQuiver, BoundQuiver, blossom
+from .quiver import BlossomQuiver, BoundQuiver
 from .walks import (
     Walk,
     corner_profile,
     deep_walks,
     is_bending,
     kiss_count,
-    total_kissing_number,
 )
 
 IntVector = tuple[int, ...]
@@ -99,9 +98,13 @@ def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
     return tuple(kiss_count(bq, w, deeps[v]) for v in q.vertices)
 
 
-def facet_matrices(bq: BlossomQuiver, facet: Facet):
-    """(walks, G, C) with matching column order over the bending walks."""
-    data = distinguished_data(bq, facet)
+def facet_matrices(bq: BlossomQuiver, facet: Facet, data=None):
+    """(walks, G, C) with matching column order over the bending walks.
+
+    data is the facet's distinguished data, computed here when not given.
+    """
+    if data is None:
+        data = distinguished_data(bq, facet)
     walks = list(facet.bending)
     gs = [g_vector(bq, w) for w in walks]
     cs = [c_vector(bq, facet, w, data) for w in walks]
@@ -126,12 +129,29 @@ def dual_basis_check(bq: BlossomQuiver, facet: Facet, matrices=None) -> list[str
     return report
 
 
-def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph) -> list[str]:
-    """g per coordinate across each facet; c and d per vector."""
-    report = []
+def graph_matrices(g: FlipGraph) -> list:
+    """The `facet_matrices` of every facet of g, from its stored distinguished data."""
+    bq = g.ctx.bq
+    return [facet_matrices(bq, f, g.marked_data(i)) for i, f in enumerate(g.facets)]
+
+
+def d_vectors(g: FlipGraph) -> dict[int, IntVector]:
+    """The d-vector of every bending walk of g, by walk id, each computed once."""
+    bq, walks = g.ctx.bq, g.ctx.walks
     deeps = deep_walks(bq)
-    for i, facet in enumerate(g.facets):
-        walks, gs, cs = facet_matrices(bq, facet)
+    return {w: d_vector(bq, walks[w], deeps) for b in g.ids for w in b}
+
+
+def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph, matrices=None) -> list[str]:
+    """g per coordinate across each facet; c and d per vector.
+
+    matrices is `graph_matrices(g)`, computed here when not given.
+    """
+    report = []
+    dvecs = d_vectors(g)
+    if matrices is None:
+        matrices = graph_matrices(g)
+    for i, (walks, gs, cs) in enumerate(matrices):
         for k in range(len(bq.base.vertices)):
             signs = {x[k] > 0 for x in gs if x[k] != 0}
             if len(signs) > 1:
@@ -139,8 +159,8 @@ def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph) -> list[str]:
         for w, c in zip(walks, cs):
             if any(x > 0 for x in c) and any(x < 0 for x in c):
                 report.append(f"facet {i}: c({w.serialize()}) mixes signs")
-        for w in walks:
-            d = d_vector(bq, w, deeps)
+        for w, wi in zip(walks, g.ids[i]):
+            d = dvecs[wi]
             if any(x > 0 for x in d) and any(x < 0 for x in d):
                 report.append(f"facet {i}: d({w.serialize()}) mixes signs")
     return report
@@ -231,12 +251,13 @@ def build_fan(g: FlipGraph) -> Fan:
     """
     if not g.closed:
         raise NotClosed("fan construction needs a closed flip graph")
-    bq = blossom(g.quiver)
+    bq, walks = g.ctx.bq, g.ctx.walks
+    gvecs = {w: g_vector(bq, walks[w]) for b in g.ids for w in b}
     d = len(g.quiver.vertices)
     report: list[str] = []
     cones = []
-    for i, facet in enumerate(g.facets):
-        rays = tuple(sorted(g_vector(bq, w) for w in facet.bending))
+    for i, bending in enumerate(g.ids):
+        rays = tuple(sorted(gvecs[w] for w in bending))
         cones.append(FanCone(i, rays))
         if len(rays) != d or (d > 0 and _bareiss(rays)[1] == 0):
             report.append(f"cone {i} is not simplicial")
@@ -302,42 +323,45 @@ def build_associahedron(
         raise NotClosed("polytope construction needs a closed flip graph")
     if not complete:
         raise IncompleteUniverse("polytope construction needs the complete walk set")
-    bq = blossom(q)
+    ctx = g.ctx
+    bq = ctx.bq
     d = len(q.vertices)
+    uids = [ctx.intern(w) for w in universe]
     normals = [g_vector(bq, w) for w in universe]
-    bounds = [total_kissing_number(bq, w, universe, complete) for w in universe]
-    kn_total = dict(zip(universe, bounds))
+    # KN(w) = sum of kn(w, w') + kn(w', w) over the universe, each kn once
+    bounds = [sum(ctx.kn(i, j) + ctx.kn(j, i) for j in uids) for i in uids]
+    kn_total = dict(zip(uids, bounds))
     report: list[str] = []
     vertices = []
-    for facet in g.facets:
-        data = distinguished_data(bq, facet)
+    for i, facet in enumerate(g.facets):
+        data = g.marked_data(i)
         p = zero_vector(q)
-        for w in facet.bending:
-            if w not in kn_total:
-                report.append(f"facet walk {w.serialize()} missing from the universe")
+        for wi, w in zip(g.ids[i], facet.bending):
+            if wi not in kn_total:
+                report.append(f"facet walk {ctx.keys[wi]} missing from the universe")
                 continue
-            p = vec_add(p, vec_scale(kn_total[w], c_vector(bq, facet, w, data)))
+            p = vec_add(p, vec_scale(kn_total[wi], c_vector(bq, facet, w, data)))
         vertices.append(p)
     halfspaces = tuple(zip(normals, bounds))
     # V against H, recording the halfspaces each vertex meets with equality
     tight: list[set[int]] = []
-    for i, (vert, facet) in enumerate(zip(vertices, g.facets)):
-        members = set(facet.walks)
+    for i, vert in enumerate(vertices):
+        members = {*g.ids[i], *g.straights}
         tight.append(set())
-        for k, w in enumerate(universe):
+        for k, wi in enumerate(uids):
             val = vec_dot(normals[k], vert)
             bound = bounds[k]
             if val == bound:
                 tight[i].add(k)
-            if w in members:
+            if wi in members:
                 if val != bound:
                     report.append(
-                        f"vertex {i} not tight on its own walk {w.serialize()}:"
+                        f"vertex {i} not tight on its own walk {ctx.keys[wi]}:"
                         f" {val} != {bound}"
                     )
             elif val >= bound:
                 report.append(
-                    f"vertex {i} violates halfspace of {w.serialize()}: {val} >= {bound}"
+                    f"vertex {i} violates halfspace of {ctx.keys[wi]}: {val} >= {bound}"
                 )
     if len(set(vertices)) != len(vertices):
         report.append("facet vertices are not pairwise distinct")

@@ -60,10 +60,10 @@ def start_corner(h):
 class SurfaceModel:
     """Half-edge quad complex carrying the two dual dissections."""
 
-    def __init__(self, quads, twin, base: BoundQuiver | None = None):
+    def __init__(self, quads, twin, bq: BlossomQuiver | None = None):
         self.quads = tuple(quads)
         self.twin = dict(twin)
-        self.base = base
+        self.bq = bq  # the blossoming the surface was built from, if any
         self.halfedges = tuple((q, k) for q in self.quads for k in KINDS)
         for h in self.halfedges:
             self.twin.setdefault(h, None)
@@ -281,7 +281,7 @@ def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
             else:
                 twin[(a, "gt")] = (b, "gs")
                 twin[(b, "gs")] = (a, "gt")
-    model = SurfaceModel(bq.quiver.arrow_ids, twin, base=q)
+    model = SurfaceModel(bq.quiver.arrow_ids, twin, bq)
     names = {}
     # name black classes by the quiver vertex they come from
     for root, corners in model.class_corners.items():
@@ -302,7 +302,7 @@ def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
 # invariants
 
 
-def _matching_components(q: BoundQuiver) -> int:
+def _matching_components(bq: BlossomQuiver) -> int:
     """Components of the superposed straight and relation chain matchings.
 
     Both matchings live on the blossom leaves of one blossoming: straight
@@ -311,7 +311,6 @@ def _matching_components(q: BoundQuiver) -> int:
     """
     from .walks import straight_next
 
-    bq = blossom(q)
     edges = []
     # matching 1: endpoints of maximal relation-free paths
     for a, src, _ in bq.quiver.arrows:
@@ -380,8 +379,8 @@ def surface_invariants(s: SurfaceModel) -> dict:
         raise InconsistentEuler(
             f"half-edge Euler characteristic {chi} != {2 - 2 * genus - b_cycles}"
         )
-    if s.base is not None:
-        b_match = _matching_components(s.base)
+    if s.bq is not None:
+        b_match = _matching_components(s.bq)
         if b_match != b_cycles:
             raise InconsistentEuler(
                 f"matching graph gives {b_match} boundary components, map gives {b_cycles}"
@@ -454,7 +453,7 @@ def swap_dissections(s: SurfaceModel) -> SurfaceModel:
             twin[(q, kind_map[k])] = None
         else:
             twin[(q, kind_map[k])] = (t[0], kind_map[t[1]])
-    model = SurfaceModel(s.quads, twin, base=None)
+    model = SurfaceModel(s.quads, twin)
     # new s-corners were old t-corners and vice versa; carry the names over
     names = {}
     for root, corners in model.class_corners.items():
@@ -569,7 +568,7 @@ def dual_dissection(view: GreenView) -> SurfaceModel:
             raise NotCellular(f"green pairing {pair} does not match side kinds")
         twin[hx] = hy
         twin[hy] = hx
-    return SurfaceModel(quads, twin, base=None)
+    return SurfaceModel(quads, twin)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,198 @@
+"""The per-quiver context: interned walks, memo tables and stored facet data."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nonkissing
+from nonkissing import cli, facets as facets_module, quiver as quiver_module
+from nonkissing.errors import FacetError, FlipFailed
+from nonkissing.facets import (
+    Facet,
+    QuiverContext,
+    distinguished_data,
+    enumerate_facets,
+    flip,
+    peak_facet,
+    verify_distinguished_census,
+    verify_purity,
+    verify_thinness,
+    walks_through_cycles_check,
+)
+from nonkissing.families import a_path, corpus, double_cycle
+from nonkissing.geometry import build_associahedron, build_fan, sign_coherence_report
+from nonkissing.quiver import blossom, make_quiver
+from nonkissing.walks import enumerate_walks, kiss_count
+
+FINITE = (
+    "a2", "a3", "cambrian-FRF", "loop", "cycle2", "cycle3", "reversedpath2",
+    "reversedpath3",
+)
+
+
+def test_contexts_keep_their_own_kiss_numbers():
+    # the same arrow ids, so the same walk ids could index both memos
+    q1 = a_path(3)
+    q2 = make_quiver(q1.vertices, q1.arrows, [("a1", "a2")])
+    g1, g2 = enumerate_facets(q1), enumerate_facets(q2)
+    ctx1, ctx2 = g1.ctx, g2.ctx
+    for ctx in (ctx1, ctx2, ctx1):
+        n = len(ctx.walks)
+        for i in range(n):
+            for j in range(n):
+                assert ctx.kn(i, j) == kiss_count(ctx.bq, ctx.walks[i], ctx.walks[j])
+    shared = min(len(ctx1.walks), len(ctx2.walks))
+    assert any(
+        ctx1.kn(i, j) != ctx2.kn(i, j) for i in range(shared) for j in range(shared)
+    ), "a memo shared by id would go unnoticed here"
+
+
+def test_kernels_run_once_per_distinct_argument(monkeypatch):
+    calls = {"kiss_count": 0, "countercurrent_less": 0}
+    for name in calls:
+        kernel = getattr(facets_module, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(facets_module, name, counted)
+    g = enumerate_facets(a_path(6))
+    assert len(g.facets) == 429 and g.closed
+    assert calls["kiss_count"] <= 1080
+    assert calls["countercurrent_less"] <= 419
+
+
+def _stored_data_graphs():
+    graphs = [enumerate_facets(corpus()[name]) for name in FINITE]
+    capped = enumerate_facets(double_cycle(2), max_facets=40)
+    assert not capped.closed
+    return graphs + [capped]
+
+
+def test_stored_data_matches_fresh_distinguished_data():
+    for g in _stored_data_graphs():
+        assert len(g.data) == len(g.facets)
+        for i, f in enumerate(g.facets):
+            assert g.marked_data(i) == distinguished_data(g.ctx.bq, f)
+
+
+def test_interned_walk_facts():
+    g = enumerate_facets(a_path(3))
+    ctx = g.ctx
+    for i, w in enumerate(ctx.walks):
+        assert ctx.intern(w) == i
+        assert ctx.keys[i] == w.serialize()
+        for arrow, positions in ctx.marks[i].items():
+            assert list(positions) == facets_module.mark_positions(w, arrow)
+    assert [f.key for f in g.facets] == [
+        tuple(ctx.keys[w] for w in ids) for ids in g.ids
+    ]
+
+
+def _record_blossoms(monkeypatch):
+    """Events ('blossom' | 'context', quiver) in call order."""
+    events = []
+    original = quiver_module.blossom
+
+    def counting(q):
+        events.append(("blossom", q))
+        return original(q)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nonkissing"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    init = QuiverContext.__init__
+
+    def recording(self, bq):
+        init(self, bq)
+        events.append(("context", bq.base))
+
+    monkeypatch.setattr(QuiverContext, "__init__", recording)
+    return events
+
+
+def _reblossomed(events):
+    """Quivers blossomed again after their context was built."""
+    with_context = []
+    out = []
+    for kind, q in events:
+        if kind == "context":
+            with_context.append(q)
+        elif q in with_context:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("command", ["facets", "flipgraph", "vectors", "fan", "polytope"])
+def test_cli_blossoms_each_quiver_once(monkeypatch, capsys, command):
+    events = _record_blossoms(monkeypatch)
+    for spec in ("family:apath:3", "family:cycle:2"):
+        events.clear()
+        assert cli.main([command, spec]) == 0
+        assert [kind for kind, _ in events] == ["blossom", "context"], spec
+    capsys.readouterr()
+
+
+def test_selfcheck_blossoms_no_quiver_with_a_context(monkeypatch, capsys):
+    events = _record_blossoms(monkeypatch)
+    assert cli.main(["selfcheck"]) == 0
+    capsys.readouterr()
+    assert any(kind == "context" for kind, _ in events)
+    assert _reblossomed(events) == []
+
+
+def test_reports_read_the_context(monkeypatch):
+    q = a_path(3)
+    g = enumerate_facets(q)
+    universe, complete = enumerate_walks(g.ctx.bq)
+    events = _record_blossoms(monkeypatch)
+    assert verify_purity(g) == verify_thinness(g) == []
+    assert verify_distinguished_census(g) == walks_through_cycles_check(g) == []
+    assert sign_coherence_report(g.ctx.bq, g) == []
+    assert build_fan(g).report == ()
+    build_associahedron(q, g, universe, complete)
+    assert events == []
+
+
+# a facet whose straight walks were removed: the flip finds no walk at a
+# partner arrow of the flipped walk's distinguished substring
+CORRUPT = """
+from nonkissing.errors import FacetError
+from nonkissing.facets import Facet, flip, peak_facet
+from nonkissing.families import a_path
+from nonkissing.quiver import blossom
+
+bq = blossom(a_path(3))
+facet = peak_facet(bq)
+bad = Facet(facet.bending, ())
+try:
+    flip(bq, bad, bad.bending[0])
+except FacetError as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_corrupted_facet_raises_facet_error():
+    bq = blossom(a_path(3))
+    facet = peak_facet(bq)
+    bad = Facet(facet.bending, ())
+    with pytest.raises(FlipFailed):
+        flip(bq, bad, bad.bending[0])
+    assert issubclass(FlipFailed, FacetError)
+
+
+def test_corrupted_facet_raises_facet_error_under_optimize():
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["FlipFailed"]

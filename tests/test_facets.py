@@ -1,13 +1,16 @@
 """Countercurrent order, distinguished data, flips, facet enumeration."""
 
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
 from nonkissing import facets as facets_module
 from nonkissing.errors import FlipCheckFailed, KissingPair, NotBending, SameMarkedWalk
 from nonkissing.facets import (
     MarkedWalk,
+    QuiverContext,
     brute_force_facets,
     countercurrent_less,
     deep_facet,
@@ -18,16 +21,18 @@ from nonkissing.facets import (
     enumerate_facets,
     flip,
     mark_positions,
+    maximal_cliques,
     peak_facet,
     verify_distinguished_census,
     verify_purity,
     verify_thinness,
     walks_through_cycles_check,
 )
-from nonkissing.families import a_path, cycle_quiver, loop_quiver, reversed_path
+from nonkissing.families import a_path, corpus, cycle_quiver, loop_quiver, reversed_path
 from nonkissing.quiver import blossom
 from nonkissing.walks import (
     deep_walk,
+    enumerate_walks,
     is_bending,
     peak_walk,
     primitive_cycles,
@@ -175,9 +180,10 @@ def test_flip_rejects_straight_walks():
 def test_flip_check_raises_when_kissing_disagrees(monkeypatch, wrong):
     # False: the result seems not to kiss the flipped walk; True: it seems to
     # kiss every facet member.  Either way the check raises, also under -O.
+    # The flip reads kiss numbers through its context, from this kernel.
     bq = blossom(a_path(2))
     facet = peak_facet(bq)
-    monkeypatch.setattr(facets_module, "kissing", lambda bq, w1, w2: wrong)
+    monkeypatch.setattr(facets_module, "kiss_count", lambda bq, w1, w2: int(wrong))
     with pytest.raises(FlipCheckFailed):
         flip(bq, facet, facet.bending[0])
     flip(bq, facet, facet.bending[0], check=False)
@@ -296,3 +302,42 @@ def test_truncated_enumeration_flags_not_closed():
     g = enumerate_facets(a_path(3), max_facets=3)
     assert not g.closed
     assert len(g.facets) == 3
+
+
+def _networkx_cliques(rows):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(rows)))
+    graph.add_edges_from(
+        (u, v) for u, row in enumerate(rows) for v in range(u) if row >> v & 1
+    )
+    return {frozenset(c) for c in nx.find_cliques(graph)}
+
+
+def test_maximal_cliques_match_networkx_on_the_finite_corpus():
+    for name in ("a2", "a3", "cambrian-FRF", "loop", "cycle2", "cycle3",
+                 "reversedpath2", "reversedpath3"):
+        ctx = QuiverContext(blossom(corpus()[name]))
+        walks, complete = enumerate_walks(ctx.bq)
+        assert complete, name
+        bend = [i for i in map(ctx.intern, walks) if ctx.bending[i] and ctx.kn(i, i) == 0]
+        rows = [
+            sum(1 << b for b, j in enumerate(bend) if j != i and not ctx.kissing(i, j))
+            for i in bend
+        ]
+        got = maximal_cliques(rows)
+        assert len(got) == len({frozenset(c) for c in got}), name
+        assert {frozenset(c) for c in got} == _networkx_cliques(rows), name
+
+
+def test_maximal_cliques_match_networkx_on_random_graphs():
+    rng = random.Random(2018)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u):
+                if rng.random() < p:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        assert {frozenset(c) for c in maximal_cliques(rows)} == _networkx_cliques(rows)
