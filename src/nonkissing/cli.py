@@ -292,10 +292,13 @@ def _selfcheck() -> dict:
                 note(name, ["surface roundtrip failed"])
         except NonKissingError as exc:
             note(name, [f"error: {exc}"])
-    graphs = {}
+    geometry_instances = ("a2", "loop")
+    graphs = {}  # only the graphs the geometry checks reuse stay alive
     for name in complete_instances:
         q = corpus[name]
-        g = graphs[name] = enumerate_facets(q)
+        g = enumerate_facets(q)
+        if name in geometry_instances:
+            graphs[name] = g
         ctx = g.ctx
         note(name, verify_purity(g))
         note(name, verify_thinness(g))
@@ -314,7 +317,7 @@ def _selfcheck() -> dict:
             for j, c2 in curves:
                 if crossing_count(ctx.bq, c1, c2) != ctx.kn(i, j) + ctx.kn(j, i):
                     note(name, ["crossing count differs from kissing number"])
-    for name in ("a2", "loop"):
+    for name in geometry_instances:
         g = graphs[name]
         fan = build_fan(g)
         note(name, list(fan.report))

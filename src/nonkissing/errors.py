@@ -90,7 +90,8 @@ class NotMaximalFacet(FacetError):
 
 
 class FlipCheckFailed(FacetError):
-    """A flip result does not kiss the flipped walk, or kisses a facet member."""
+    """A flip result does not kiss the flipped walk or kisses a facet member,
+    or the start facet of the flip BFS has a kissing pair."""
 
 
 class FlipFailed(FacetError):

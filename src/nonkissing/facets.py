@@ -166,7 +166,9 @@ class QuiverContext:
     its marked positions by arrow and whether it bends, once.  Kiss numbers
     and countercurrent verdicts are memoized by id; they are the values of
     the pure kernels `kiss_count` and `countercurrent_less`, so a context
-    changes no result.  The tables belong to the context and die with it.
+    changes no result.  So are a walk's distinguished substring under given
+    distinguished positions and the walk a flip builds from it, keyed by
+    every value they read.  The tables belong to the context and die with it.
     """
 
     def __init__(self, bq: BlossomQuiver):
@@ -178,6 +180,10 @@ class QuiverContext:
         self._ids: dict[Walk, int] = {}
         self._kn: dict[tuple[int, int], int] = {}
         self._less: dict[tuple[Mark, Mark], bool] = {}
+        # (walk id, distinguished positions) -> (substring, left/right partners)
+        self._substrings: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        # (walk id, distinguished positions, mu mark, nu mark) -> flipped walk id
+        self._built: dict[tuple, int] = {}
 
     @property
     def q(self) -> BoundQuiver:
@@ -217,6 +223,32 @@ class QuiverContext:
 
     def marked(self, m: Mark) -> MarkedWalk:
         return MarkedWalk(self.walks[m[0]], m[1])
+
+    def substring(self, wi: int, data: dict[str, Mark]):
+        """(distinguished substring, left partner, right partner) of walk wi.
+
+        data is the distinguished data of a facet holding wi; the partners
+        are the ideal partners of the two distinguished letters.
+        """
+        key = (wi, tuple(sorted(g for i, g in data.values() if i == wi)))
+        hit = self._substrings.get(key)
+        if hit is None:
+            w = self.walks[wi]
+            ds = _substring(self.bq, w, list(key[1]))
+            hit = self._substrings[key] = (
+                ds,
+                _companion(self.bq, walk_letter(w, ds.left), "left"),
+                _companion(self.bq, walk_letter(w, ds.right), "right"),
+            )
+        return hit
+
+    def build(self, wi: int, ds: DistinguishedString, mu: Mark, nu: Mark) -> int:
+        """`_construct` of walk wi with substring ds and partner marks mu, nu."""
+        key = (wi, (ds.left, ds.right), mu, nu)
+        new = self._built.get(key)
+        if new is None:
+            new = self._built[key] = _construct(self, wi, ds, mu, nu)
+        return new
 
 
 def _marks_at(ctx: QuiverContext, ids, arrow: str) -> list[Mark]:
@@ -463,21 +495,37 @@ def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
     """`flip` on ids: exchange walk wi of the facet whose walks are ids.
 
     data is the facet's distinguished data; returns (new walk id, direction).
+    The distinguished marks mu and nu at the partner arrows are taken over
+    this facet; the walk built from them is memoized on the context.
     """
-    bq, w = ctx.bq, ctx.walks[wi]
-    ds = _substring(bq, w, [g for i, g in data.values() if i == wi])
-    g1, g2 = ds.left, ds.right
-    alpha_p = _companion(bq, walk_letter(w, g1), "left")
-    beta_p = _companion(bq, walk_letter(w, g2), "right")
+    ds, alpha_p, beta_p = ctx.substring(wi, data)
     rest = [x for x in ids if x != wi]
     mu_marks = _marks_at(ctx, rest, alpha_p)
     nu_marks = _marks_at(ctx, rest, beta_p)
     if not mu_marks or not nu_marks:
         raise FlipFailed("companion arrows must be covered")
-    mu_id, mu_g = _countercurrent_max(ctx, mu_marks, alpha_p)
-    nu_id, nu_g = _countercurrent_max(ctx, nu_marks, beta_p)
-    mu, nu = ctx.walks[mu_id], ctx.walks[nu_id]
+    mu = _countercurrent_max(ctx, mu_marks, alpha_p)
+    nu = _countercurrent_max(ctx, nu_marks, beta_p)
+    new = ctx.build(wi, ds, mu, nu)
+    if check:
+        if not ctx.kissing(wi, new):
+            raise FlipCheckFailed("flip result must kiss the flipped walk")
+        # straight walks kiss nothing
+        for other in rest:
+            if ctx.bending[other] and ctx.kissing(new, other):
+                raise FlipCheckFailed("flip result kisses a facet member")
+    return new, "increasing" if ds.on_top else "decreasing"
 
+
+def _construct(
+    ctx: QuiverContext, wi: int, ds: DistinguishedString, mu_mark: Mark, nu_mark: Mark
+) -> int:
+    """The id of the walk that replaces walk wi, whose distinguished substring
+    is ds, given the distinguished marks mu and nu at its partner arrows."""
+    w = ctx.walks[wi]
+    (mu_id, mu_g), (nu_id, nu_g) = mu_mark, nu_mark
+    mu, nu = ctx.walks[mu_id], ctx.walks[nu_id]
+    g1, g2 = ds.left, ds.right
     sigma = ds.letters
     guard = 4 + len(sigma) + len(w.body) + 2 * max(
         len(w.rtail), len(w.ltail), len(mu.body), len(nu.body), 1
@@ -501,17 +549,11 @@ def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
         _oriented_triple(nu, o_nu), _oriented_position(nu, nu_g, o_nu)
     )
     new = ctx.intern(
-        canonicalize(bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
+        canonicalize(ctx.bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
     )
     if new == wi:
         raise FlipFailed("flip produced the same walk")
-    if check:
-        if not ctx.kissing(wi, new):
-            raise FlipCheckFailed("flip result must kiss the flipped walk")
-        for other in rest:
-            if ctx.kissing(new, other):
-                raise FlipCheckFailed("flip result kisses a facet member")
-    return new, "increasing" if ds.on_top else "decreasing"
+    return new
 
 
 def _exchange(ctx: QuiverContext, bending: tuple[int, ...], old: int, new: int):
@@ -574,26 +616,42 @@ def deep_facet(bq: BlossomQuiver) -> Facet:
     return make_facet(bend, straight_walks(bq))
 
 
+_REVERSED = {"increasing": "decreasing", "decreasing": "increasing"}
+
+
 def enumerate_facets(
     q: BoundQuiver, max_facets: int = 10000, check_flips: bool = True
 ) -> FlipGraph:
-    """BFS closure of flips starting from the peak facet."""
+    """BFS closure of flips starting from the peak facet.
+
+    The complex is thin, so flipping is an involution: when w in F flips to
+    w' in a facet F' not yet expanded, flipping w' in F' is recorded as
+    giving w back with the direction reversed, and F' uses the record
+    instead of flipping again.  With check_flips the start facet is checked
+    pairwise and every computed flip against its facet, which covers the
+    pairs of every facet reached.
+    """
     if max_facets < 1:
         raise BoundError("max_facets must be at least 1")
     ctx = QuiverContext(blossom(q))
     start = peak_facet(ctx.bq)
     straights = tuple(map(ctx.intern, start.straights))
     facets = [tuple(map(ctx.intern, start.bending))]
+    if check_flips and any(ctx.kn(i, j) for i in facets[0] for j in facets[0]):
+        raise FlipCheckFailed("the peak facet has a kissing pair")
     index = {facets[0]: 0}
     data: list[dict[str, Mark]] = []
     edges: list[FlipEdge] = []
+    # (facet index, walk id) -> (new walk id, direction), known from the reverse flip
+    reverse: dict[tuple[int, int], tuple[int, str]] = {}
     closed = True
     for head, bending in enumerate(facets):  # facets grows as the BFS runs
         ids = bending + straights
         marks = _data(ctx, ids)
         data.append(marks)
         for w in bending:
-            new, direction = _flip(ctx, ids, marks, w, check_flips)
+            recorded = reverse.pop((head, w), None)
+            new, direction = recorded or _flip(ctx, ids, marks, w, check_flips)
             target = _exchange(ctx, bending, w, new)
             j = index.get(target)
             if j is None:
@@ -602,6 +660,13 @@ def enumerate_facets(
                     continue
                 j = index[target] = len(facets)
                 facets.append(target)
+            if j > head:
+                back = (w, _REVERSED[direction])
+                if reverse.setdefault((j, new), back) != back:
+                    raise FlipFailed(
+                        f"facet {j} is reached twice by flips to {ctx.keys[new]}:"
+                        " its ridge lies in more than two facets"
+                    )
             edges.append(FlipEdge(head, j, ctx.keys[w], ctx.keys[new], direction))
     return FlipGraph(ctx, tuple(facets), straights, tuple(data), tuple(edges), closed)
 

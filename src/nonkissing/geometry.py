@@ -17,6 +17,7 @@ from .errors import (
     VHMismatch,
 )
 from .facets import (
+    DistinguishedString,
     Facet,
     FlipGraph,
     distinguished_data,
@@ -81,9 +82,17 @@ def c_vector(
         raise NotBending("c-vectors are attached to bending walks only")
     if w not in facet.walks:
         raise NotMember(f"walk {w.serialize()!r} is not in the facet")
-    ds = distinguished_substring(bq, facet, w, data)
-    vec = multiplicity_vector(bq.base, ds.vertices)
+    return _signed_multiplicity(bq.base, distinguished_substring(bq, facet, w, data))
+
+
+def _signed_multiplicity(q: BoundQuiver, ds: DistinguishedString) -> IntVector:
+    vec = multiplicity_vector(q, ds.vertices)
     return vec if ds.on_top else vec_scale(-1, vec)
+
+
+def _graph_c_vector(g: FlipGraph, i: int, w: int) -> IntVector:
+    """The c-vector of walk id w in facet i of g, from the stored data."""
+    return _signed_multiplicity(g.quiver, g.ctx.substring(w, g.data[i])[0])
 
 
 def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
@@ -98,13 +107,9 @@ def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
     return tuple(kiss_count(bq, w, deeps[v]) for v in q.vertices)
 
 
-def facet_matrices(bq: BlossomQuiver, facet: Facet, data=None):
-    """(walks, G, C) with matching column order over the bending walks.
-
-    data is the facet's distinguished data, computed here when not given.
-    """
-    if data is None:
-        data = distinguished_data(bq, facet)
+def facet_matrices(bq: BlossomQuiver, facet: Facet):
+    """(walks, G, C) with matching column order over the bending walks."""
+    data = distinguished_data(bq, facet)
     walks = list(facet.bending)
     gs = [g_vector(bq, w) for w in walks]
     cs = [c_vector(bq, facet, w, data) for w in walks]
@@ -131,15 +136,37 @@ def dual_basis_check(bq: BlossomQuiver, facet: Facet, matrices=None) -> list[str
 
 def graph_matrices(g: FlipGraph) -> list:
     """The `facet_matrices` of every facet of g, from its stored distinguished data."""
-    bq = g.ctx.bq
-    return [facet_matrices(bq, f, g.marked_data(i)) for i, f in enumerate(g.facets)]
+    bq, walks = g.ctx.bq, g.ctx.walks
+    gvecs = {w: g_vector(bq, walks[w]) for b in g.ids for w in b}
+    return [
+        (
+            [walks[w] for w in b],
+            [gvecs[w] for w in b],
+            [_graph_c_vector(g, i, w) for w in b],
+        )
+        for i, b in enumerate(g.ids)
+    ]
 
 
 def d_vectors(g: FlipGraph) -> dict[int, IntVector]:
-    """The d-vector of every bending walk of g, by walk id, each computed once."""
-    bq, walks = g.ctx.bq, g.ctx.walks
-    deeps = deep_walks(bq)
-    return {w: d_vector(bq, walks[w], deeps) for b in g.ids for w in b}
+    """The d-vector of every bending walk of g, by walk id, each computed once.
+
+    The deep walks are interned into g's context, whose memoized kiss
+    numbers give the coordinates.
+    """
+    ctx = g.ctx
+    q = ctx.q
+    deeps = [ctx.intern(dw) for dw in deep_walks(ctx.bq).values()]  # by vertex
+    out = {}
+    for b in g.ids:
+        for w in b:
+            if w not in out:
+                out[w] = (
+                    basis_vector(q, q.vertices[deeps.index(w)], -1)
+                    if w in deeps
+                    else tuple(ctx.kn(w, d) for d in deeps)
+                )
+    return out
 
 
 def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph, matrices=None) -> list[str]:
@@ -333,14 +360,13 @@ def build_associahedron(
     kn_total = dict(zip(uids, bounds))
     report: list[str] = []
     vertices = []
-    for i, facet in enumerate(g.facets):
-        data = g.marked_data(i)
+    for i, bending in enumerate(g.ids):
         p = zero_vector(q)
-        for wi, w in zip(g.ids[i], facet.bending):
+        for wi in bending:
             if wi not in kn_total:
                 report.append(f"facet walk {ctx.keys[wi]} missing from the universe")
                 continue
-            p = vec_add(p, vec_scale(kn_total[wi], c_vector(bq, facet, w, data)))
+            p = vec_add(p, vec_scale(kn_total[wi], _graph_c_vector(g, i, wi)))
         vertices.append(p)
     halfspaces = tuple(zip(normals, bounds))
     # V against H, recording the halfspaces each vertex meets with equality

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +196,19 @@ def test_unknown_flag_after_a_successful_call_is_usage_error(capsys):
         main(["validate", "family:apath:2", "--unroll", "1"])
     assert exc.value.code == 2
     assert main(["validate", "family:apath:2"]) == 0
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
+FLIP_GOLDENS = {
+    key: digest
+    for key, digest in json.loads(GOLDENS.read_text()).items()
+    if key.split()[0] in ("facets", "flipgraph") and "family:" in key
+}
+
+
+@pytest.mark.parametrize("key", sorted(FLIP_GOLDENS))
+def test_flip_outputs_match_benchmark_goldens(capsys, key):
+    # the benchmark's stdout digests: facet and edge order may not drift
+    main(key.split())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == FLIP_GOLDENS[key]

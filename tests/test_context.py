@@ -65,6 +65,85 @@ def test_kernels_run_once_per_distinct_argument(monkeypatch):
     assert calls["countercurrent_less"] <= 419
 
 
+def test_each_edge_is_flipped_once(monkeypatch):
+    calls = {"_flip": 0, "_construct": 0}
+    for name in calls:
+        step = getattr(facets_module, name)
+
+        def counted(*args, _step=step, _name=name):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(facets_module, name, counted)
+    g = enumerate_facets(a_path(6))
+    assert len(g.facets) == 429 and g.closed
+    assert calls["_flip"] == len(g.edges) // 2 <= 1287
+    assert calls["_construct"] <= 252
+
+
+def test_thinness_report_sees_a_broken_involution(monkeypatch):
+    g = enumerate_facets(a_path(3))
+    assert verify_thinness(g) == []
+    ctx, edge = g.ctx, g.edges[0]
+    walk_in = ctx.keys.index(edge.walk_in)
+    target = g.ids[edge.target] + g.straights
+    flip_ids = facets_module._flip
+
+    def broken(ctx, ids, data, wi, check):
+        if ids == target and wi == walk_in:
+            return wi, "decreasing"  # the flipped walk stays
+        return flip_ids(ctx, ids, data, wi, check)
+
+    monkeypatch.setattr(facets_module, "_flip", broken)
+    report = verify_thinness(g)
+    assert f"facet {edge.source}: flip at {edge.walk_out} is not an involution" in report
+
+
+# a fake complex in which the ridge {u} lies in three facets: the peak {p, q}
+# flips both walks to u, and both {q, u} and {p, u} then flip to {u, t}, so
+# two different reverse flips are recorded for {u, t}
+CONFLICT = """
+from nonkissing import facets
+from nonkissing.errors import FlipFailed
+from nonkissing.families import a_path
+from nonkissing.walks import enumerate_walks
+
+table = {}
+
+def fake_flip(ctx, ids, data, wi, check):
+    bending = frozenset(i for i in ids if ctx.bending[i])
+    if not table:
+        p, q = sorted(bending)
+        walks, _ = enumerate_walks(ctx.bq)
+        u, t = [i for i in map(ctx.intern, walks) if ctx.bending[i] and i not in bending][:2]
+        table.update({
+            (frozenset({p, q}), p): u, (frozenset({p, q}), q): u,
+            (frozenset({q, u}), q): t, (frozenset({p, u}), p): t,
+        })
+    return table[bending, wi], "increasing"
+
+facets._flip = fake_flip
+facets._data = lambda ctx, ids: {}
+try:
+    facets.enumerate_facets(a_path(2))
+except FlipFailed as exc:
+    print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_conflicting_reverse_flip_raises(flags):
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", CONFLICT],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["FlipFailed"]
+
+
 def _stored_data_graphs():
     graphs = [enumerate_facets(corpus()[name]) for name in FINITE]
     capped = enumerate_facets(double_cycle(2), max_facets=40)

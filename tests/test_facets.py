@@ -189,6 +189,22 @@ def test_flip_check_raises_when_kissing_disagrees(monkeypatch, wrong):
     flip(bq, facet, facet.bending[0], check=False)
 
 
+def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
+    # no flip compares two walks of the peak facet, so only the start check
+    # sees a kiss between them
+    bq = blossom(a_path(3))
+    p1, p2 = peak_facet(bq).bending[:2]
+    real = facets_module.kiss_count
+
+    def kissing_peaks(bq, w1, w2):
+        return 1 if {w1, w2} == {p1, p2} else real(bq, w1, w2)
+
+    monkeypatch.setattr(facets_module, "kiss_count", kissing_peaks)
+    with pytest.raises(FlipCheckFailed):
+        enumerate_facets(a_path(3))
+    assert enumerate_facets(a_path(3), check_flips=False).closed
+
+
 def test_flip_with_precomputed_data_matches(graphs):
     for name, (bq, g) in graphs.items():
         for facet in g.facets:
