@@ -41,7 +41,6 @@ from .quiver import (
     validate_locally_gentle,
 )
 from .surface import (
-    crossing_count,
     curve_of_walk,
     dual_dissection,
     quiver_from_surface,
@@ -50,6 +49,7 @@ from .surface import (
     surface_from_quiver,
     surface_invariants,
     swap_dissections,
+    walk_of_curve,
 )
 from .walks import enumerate_walks
 
@@ -69,15 +69,13 @@ def _emit(doc, args) -> None:
 def _load_quiver(args) -> BoundQuiver:
     spec = args.input
     if spec.startswith("family:"):
-        q = families.parse_family(spec)
-    else:
-        try:
-            with open(spec) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {spec!r}: {exc}") from exc
-        q = quiver_from_json(text)
-    return validate_locally_gentle(q)
+        return families.parse_family(spec)
+    try:
+        with open(spec) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {spec!r}: {exc}") from exc
+    return quiver_from_json(text)
 
 
 def cmd_validate(args) -> int:
@@ -130,9 +128,9 @@ def cmd_facets(args) -> int:
     g = enumerate_facets(q, max_facets=args.max_facets)
     _emit(
         {
-            "facets": len(g.facets),
+            "facets": len(g.ids),
             "closed": g.closed,
-            "facet_walks": [list(f.key) for f in g.facets],
+            "facet_walks": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
         },
         args,
     )
@@ -141,8 +139,8 @@ def cmd_facets(args) -> int:
 
 def _flipgraph_dot(g: FlipGraph) -> str:
     lines = ["digraph flipgraph {"]
-    for i, f in enumerate(g.facets):
-        label = "; ".join(f.key)
+    for i, ids in enumerate(g.ids):
+        label = "; ".join(g.ctx.keys[w] for w in ids)
         lines.append(f'  n{i} [label="{i}: {label}"];')
     for e in g.edges:
         lines.append(
@@ -162,7 +160,7 @@ def cmd_flipgraph(args) -> int:
         _emit(
             {
                 "closed": g.closed,
-                "facets": [list(f.key) for f in g.facets],
+                "facets": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
                 "edges": [
                     {
                         "source": e.source,
@@ -280,12 +278,13 @@ def _selfcheck() -> dict:
     ]
     for name, q in corpus.items():
         try:
-            validate_locally_gentle(q)
             s = surface_from_quiver(q)
+            validate_locally_gentle(s.bq.quiver)
+            dual = validate_locally_gentle(koszul_dual(q))
             n0, n1 = len(q.vertices), len(q.arrows)
             if len(s.bq.quiver.vertices) != 5 * n0 - 2 * n1:
                 note(name, ["blossom vertex count"])
-            if not is_isomorphic(koszul_dual(koszul_dual(q)), q):
+            if not is_isomorphic(koszul_dual(dual), q):
                 note(name, ["koszul dual is not an involution"])
             surface_invariants(s)
             if not is_isomorphic(quiver_from_surface(s), q):
@@ -309,14 +308,13 @@ def _selfcheck() -> dict:
         for f, m in zip(g.facets, matrices):
             note(name, dual_basis_check(ctx.bq, f, m))
         oracle = brute_force_facets(q, ctx=ctx)
-        if sorted(f.key for f in g.facets) != sorted(f.key for f in oracle):
+        keys = sorted(tuple(ctx.keys[w] for w in ids) for ids in g.ids)
+        if keys != sorted(f.key for f in oracle):
             note(name, ["flip BFS facets differ from the clique oracle"])
         walks, complete = enumerate_walks(ctx.bq)
-        curves = [(ctx.intern(w), curve_of_walk(ctx.bq, w)) for w in walks]
-        for i, c1 in curves:
-            for j, c2 in curves:
-                if crossing_count(ctx.bq, c1, c2) != ctx.kn(i, j) + ctx.kn(j, i):
-                    note(name, ["crossing count differs from kissing number"])
+        for w in walks:
+            if walk_of_curve(ctx.bq, curve_of_walk(ctx.bq, w)) != w:
+                note(name, [f"curve of {w.serialize()} reads back as another walk"])
     for name in geometry_instances:
         g = graphs[name]
         fan = build_fan(g)

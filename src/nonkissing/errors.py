@@ -28,7 +28,7 @@ class GentleBranchViolation(QuiverError):
 
 
 class NotComplete(QuiverError):
-    """A quiver expected to be complete has a vertex of total degree not 1 or 4."""
+    """A vertex has total degree not 1 or 4 in a complete quiver, or cannot be completed."""
 
 
 # walks

@@ -622,7 +622,7 @@ _REVERSED = {"increasing": "decreasing", "decreasing": "increasing"}
 def enumerate_facets(
     q: BoundQuiver, max_facets: int = 10000, check_flips: bool = True
 ) -> FlipGraph:
-    """BFS closure of flips starting from the peak facet.
+    """BFS closure of flips starting from the peak facet of q, a locally gentle quiver.
 
     The complex is thin, so flipping is an involution: when w in F flips to
     w' in a facet F' not yet expanded, flipping w' in F' is recorded as

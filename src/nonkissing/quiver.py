@@ -114,7 +114,7 @@ class BlossomQuiver:
 
 
 def quiver_from_dict(data: object) -> BoundQuiver:
-    """Parse the JSON quiver format (strict: unknown fields rejected)."""
+    """Parse and validate the JSON quiver format (strict: unknown fields rejected)."""
     if not isinstance(data, dict):
         raise ParseError("quiver document must be a JSON object")
     extra = set(data) - {"vertices", "arrows", "relations"}
@@ -154,11 +154,12 @@ def quiver_from_dict(data: object) -> BoundQuiver:
         if a not in aseen or b not in aseen:
             raise ParseError(f"relation {pair!r} references unknown arrow")
         relations.add((a, b))
-    return BoundQuiver(
+    q = BoundQuiver(
         vertices=tuple(sorted(vertices)),
         arrows=tuple(sorted(arrows)),
         relations=frozenset(relations),
     )
+    return validate_locally_gentle(q)
 
 
 def quiver_from_json(text: str) -> BoundQuiver:
@@ -173,7 +174,8 @@ def validate_locally_gentle(q: BoundQuiver) -> BoundQuiver:
     """Check the three locally-gentle conditions, returning q unchanged.
 
     Raises DegreeViolation, NonComposableRelation or GentleBranchViolation
-    naming the offending vertex or arrow.
+    naming the offending vertex or arrow.  Quivers are checked only where they
+    enter (`quiver_from_dict`, `make_quiver`, `quiver_from_surface`).
     """
     for v in q.vertices:
         if len(q.arrows_in[v]) > 2:
@@ -229,8 +231,8 @@ def blossom(q: BoundQuiver) -> BlossomQuiver:
     paired into a relation matching whose complement is relation-free.
     Existing arrows keep their given pairs; free slots pair in arrow-id order.
     Ids are generated deterministically so the result is reproducible.
+    q must be locally gentle; it is not checked here.
     """
-    validate_locally_gentle(q)
     used_v = set(q.vertices)
     used_a = set(q.arrow_ids)
     vertices = list(q.vertices)
@@ -277,24 +279,20 @@ def blossom(q: BoundQuiver) -> BlossomQuiver:
             if ok:
                 choice = m
                 break
-        assert choice is not None, f"no consistent relation completion at vertex {v!r}"
+        if choice is None:
+            raise NotComplete(f"no consistent relation completion at vertex {v!r}")
         relations |= choice
     bq = BoundQuiver(
         vertices=tuple(sorted(vertices)),
         arrows=tuple(sorted(arrows)),
         relations=frozenset(relations),
     )
-    validate_locally_gentle(bq)
-    out = BlossomQuiver(
+    return BlossomQuiver(
         quiver=bq,
         base=q,
         blossom_vertices=frozenset(new_vertices),
         blossom_arrows=frozenset(new_arrows),
     )
-    n0, n1 = len(q.vertices), len(q.arrows)
-    assert len(bq.vertices) == 5 * n0 - 2 * n1
-    assert len(bq.arrows) == 4 * n0 - n1
-    return out
 
 
 def prune(bq: BoundQuiver) -> BoundQuiver:
@@ -314,20 +312,19 @@ def prune(bq: BoundQuiver) -> BoundQuiver:
 
 
 def koszul_dual(q: BoundQuiver) -> BoundQuiver:
-    """Reverse all arrows and complement the relations over composable pairs."""
-    validate_locally_gentle(q)
+    """Reverse all arrows and complement the relations over composable pairs.
+    q must be locally gentle (not checked); then so is its dual."""
     arrows = tuple(sorted((a, t, s) for a, s, t in q.arrows))
     relations = set()
     for a in q.arrow_ids:
         for b in q.arrows_out[q.tgt[a]]:
             if (a, b) not in q.relations:
                 relations.add((b, a))
-    dual = BoundQuiver(
+    return BoundQuiver(
         vertices=q.vertices,
         arrows=arrows,
         relations=frozenset(relations),
     )
-    return validate_locally_gentle(dual)
 
 
 # ---------------------------------------------------------------------------

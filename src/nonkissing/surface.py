@@ -26,7 +26,7 @@ from .errors import (
     NotReducedCrossing,
     ParseError,
 )
-from .quiver import BlossomQuiver, BoundQuiver, blossom
+from .quiver import BlossomQuiver, BoundQuiver, blossom, validate_locally_gentle
 from .walks import (
     Letter,
     Walk,
@@ -269,7 +269,8 @@ def surfaces_isomorphic(s1: SurfaceModel, s2: SurfaceModel) -> bool:
 
 
 def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
-    """Glue one lozenge per blossoming arrow along relation and non-relation pairs."""
+    """Glue one lozenge per blossoming arrow along relation and non-relation pairs.
+    q must be locally gentle; it is not checked here."""
     bq = blossom(q)
     twin: dict = {}
     for a in bq.quiver.arrow_ids:
@@ -400,7 +401,7 @@ def surface_invariants(s: SurfaceModel) -> dict:
 
 
 def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
-    """Read a bound quiver off the chosen dissection of the surface.
+    """Read a bound quiver off the chosen dissection of the surface, and validate it.
 
     Vertices are the interior dissection edges (middle black points), arrows
     the quads whose two black corners are both interior, relations the
@@ -439,8 +440,6 @@ def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
         arrows=tuple(sorted(arrows)),
         relations=frozenset(relations),
     )
-    from .quiver import validate_locally_gentle
-
     return validate_locally_gentle(out)
 
 
@@ -729,7 +728,7 @@ def surface_dump(s: SurfaceModel) -> dict:
 
 
 def crossing_count(bq: BlossomQuiver, c1: CrossingSequence, c2: CrossingSequence) -> int:
-    """Crossing number of two curves: the kissing number of their walks."""
-    if c1.quiver_key != c2.quiver_key:
-        raise DifferentSurface("curves live on different surfaces")
+    """Crossing number of two curves, defined as the kissing number of their
+    walks (`walk_of_curve` rejects a curve of another surface); it is not
+    counted on the surface itself."""
     return kn_pair(bq, walk_of_curve(bq, c1), walk_of_curve(bq, c2))

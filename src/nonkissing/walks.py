@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    BoundError,
     IncompleteUniverse,
     NotMaximal,
     NotReduced,
@@ -351,7 +352,8 @@ def _backward_ray(bq: BlossomQuiver, a: str):
 
 def peak_walk(bq: BlossomQuiver, v: str) -> Walk:
     """The unique walk whose only corner is a peak at v (arrows leave v)."""
-    assert v in bq.base.vertices, f"{v!r} is not an original vertex"
+    if v not in bq.base.vertices:
+        raise ParseError(f"{v!r} is not an original vertex")
     o1, o2 = sorted(bq.quiver.arrows_out[v])
     left_letters, left_unit = _forward_ray(bq, o1)
     right_letters, right_unit = _forward_ray(bq, o2)
@@ -363,7 +365,8 @@ def peak_walk(bq: BlossomQuiver, v: str) -> Walk:
 
 def deep_walk(bq: BlossomQuiver, v: str) -> Walk:
     """The unique walk whose only corner is a deep at v (arrows enter v)."""
-    assert v in bq.base.vertices, f"{v!r} is not an original vertex"
+    if v not in bq.base.vertices:
+        raise ParseError(f"{v!r} is not an original vertex")
     i1, i2 = sorted(bq.quiver.arrows_in[v])
     lpart, lunit = _backward_ray(bq, i1)
     rpart_rev, runit_rev = _backward_ray(bq, i2)
@@ -415,7 +418,8 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     excluded from the universe by design); only branches cut by body_bound
     clear the completeness flag.
     """
-    assert body_bound >= 1
+    if body_bound < 1:
+        raise BoundError("body_bound must be at least 1")
     walks: set[Walk] = set()
     complete = True
 

@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from nonkissing import quiver as quiver_module
+from nonkissing import surface as surface_module
+from nonkissing import walks as walks_module
 from nonkissing.cli import build_parser, main
-from nonkissing.families import a_path
+from nonkissing.families import a_path, random_locally_gentle
+from nonkissing.quiver import blossom, koszul_dual
+from nonkissing.walks import peak_walk
 
 
 @pytest.fixture()
@@ -89,8 +96,12 @@ def test_parse_error_exit_1(capsys, tmp_path):
     assert code == 1
 
 
-def test_validation_error_exit_2(capsys, tmp_path):
-    doc = {
+INPUT_COMMANDS = (
+    "validate", "blossom", "dual", "walks", "facets", "flipgraph",
+    "vectors", "fan", "polytope", "surface", "roundtrip",
+)
+INVALID_QUIVERS = {
+    "degree": {
         "vertices": ["1", "2"],
         "arrows": [
             {"id": "a", "src": "1", "tgt": "2"},
@@ -98,10 +109,33 @@ def test_validation_error_exit_2(capsys, tmp_path):
             {"id": "c", "src": "1", "tgt": "1"},
         ],
         "relations": [],
-    }
+    },
+    "noncomposable": {
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "1", "tgt": "2"}, {"id": "b", "src": "1", "tgt": "3"}],
+        "relations": [["a", "b"]],
+    },
+    "gentlebranch": {
+        "vertices": ["1", "2", "3", "4"],
+        "arrows": [
+            {"id": "b", "src": "1", "tgt": "2"},
+            {"id": "c", "src": "2", "tgt": "3"},
+            {"id": "d", "src": "2", "tgt": "4"},
+        ],
+        "relations": [],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INVALID_QUIVERS))
+@pytest.mark.parametrize("command", INPUT_COMMANDS)
+def test_validation_error_exit_2(capsys, tmp_path, command, kind):
     path = tmp_path / "bad_quiver.json"
-    path.write_text(json.dumps(doc))
-    assert main(["validate", str(path)]) == 2
+    path.write_text(json.dumps(INVALID_QUIVERS[kind]))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation error")
 
 
 def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
@@ -212,3 +246,73 @@ def test_flip_outputs_match_benchmark_goldens(capsys, key):
     main(key.split())
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FLIP_GOLDENS[key]
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Rebind every name of the package bound to original to replacement."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("nonkissing"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def _record_calls(monkeypatch, module, name):
+    """The argument tuples of every later call to module.name, in order."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    _patch_everywhere(monkeypatch, original, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, most", [("validate", 1), ("dual", 1), ("surface", 1), ("roundtrip", 3)]
+)
+def test_commands_validate_where_the_quiver_enters(monkeypatch, capsys, tmp_path, command, most):
+    rng = random.Random(8)
+    path = tmp_path / "q.json"
+    validations = _record_calls(monkeypatch, quiver_module, "validate_locally_gentle")
+    for _ in range(10):
+        path.write_text(random_locally_gentle(rng).to_json())
+        validations.clear()
+        assert main([command, str(path)]) == 0
+        assert 1 <= len(validations) <= most
+    capsys.readouterr()
+
+
+def test_blossom_and_koszul_dual_trust_their_input(monkeypatch):
+    rng = random.Random(9)
+    quivers = [random_locally_gentle(rng) for _ in range(20)]
+    validations = _record_calls(monkeypatch, quiver_module, "validate_locally_gentle")
+    for q in quivers:
+        blossom(q)
+        koszul_dual(q)
+    assert validations == []
+
+
+def test_selfcheck_checks_the_curve_dictionary_per_walk(monkeypatch, capsys):
+    crossings = _record_calls(monkeypatch, surface_module, "crossing_count")
+    kisses = _record_calls(monkeypatch, walks_module, "kiss_count")
+    readings = _record_calls(monkeypatch, surface_module, "walk_of_curve")
+    code, out = run(capsys, "selfcheck")
+    assert code == 0 and json.loads(out) == {"ok": True, "violations": {}}
+    assert crossings == []
+    assert len(kisses) <= 1060
+    assert len(readings) <= 80
+
+
+def test_selfcheck_reports_a_wrong_curve_reading(monkeypatch, capsys):
+    def wrong(bq, curve):
+        return peak_walk(bq, bq.base.vertices[0])
+
+    _patch_everywhere(monkeypatch, surface_module.walk_of_curve, wrong)
+    code, out = run(capsys, "selfcheck")
+    doc = json.loads(out)
+    assert code == 2 and doc["ok"] is False
+    messages = [m for ms in doc["violations"].values() for m in ms]
+    assert any("reads back as another walk" in m for m in messages)

@@ -1,9 +1,14 @@
 """Validation, blossoming, pruning and Koszul duality."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import nonkissing
 from nonkissing.errors import (
     DegreeViolation,
     GentleBranchViolation,
@@ -21,6 +26,7 @@ from nonkissing.families import (
     reversed_path,
 )
 from nonkissing.quiver import (
+    BoundQuiver,
     blossom,
     canonical_key,
     is_isomorphic,
@@ -199,3 +205,66 @@ def test_random_generator_produces_valid_quivers():
     rng = random.Random(99)
     for _ in range(30):
         validate_locally_gentle(random_locally_gentle(rng))
+
+
+# random_locally_gentle seeds; the same examples on every run
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(SEEDS)
+def test_blossom_is_valid_complete_and_sized(seed):
+    q = random_locally_gentle(random.Random(seed))
+    bq = blossom(q).quiver
+    validate_locally_gentle(bq)
+    assert all(bq.degree(v) in (1, 4) for v in bq.vertices)
+    n0, n1 = len(q.vertices), len(q.arrows)
+    assert len(bq.vertices) == 5 * n0 - 2 * n1
+    assert len(bq.arrows) == 4 * n0 - n1
+
+
+@PROPERTY
+@given(SEEDS)
+def test_koszul_dual_is_valid_and_an_exact_involution(seed):
+    q = random_locally_gentle(random.Random(seed))
+    dual = koszul_dual(q)
+    validate_locally_gentle(dual)
+    assert koszul_dual(dual) == q
+
+
+# a hand-built quiver, never validated, in which arrow a composes to zero
+# with both successors: no relation matching completes vertex 2
+UNCOMPLETABLE = BoundQuiver(
+    vertices=("1", "2", "3", "4"),
+    arrows=(("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")),
+    relations=frozenset({("a", "b"), ("a", "c")}),
+)
+
+
+def test_blossom_of_uncompletable_quiver_raises_not_complete():
+    with pytest.raises(GentleBranchViolation):
+        validate_locally_gentle(UNCOMPLETABLE)
+    with pytest.raises(NotComplete):
+        blossom(UNCOMPLETABLE)
+
+
+def test_blossom_raises_not_complete_under_optimize():
+    script = (
+        "from nonkissing.errors import NotComplete\n"
+        "from nonkissing.quiver import BoundQuiver, blossom\n"
+        f"q = {UNCOMPLETABLE!r}\n"
+        "try:\n"
+        "    blossom(q)\n"
+        "except NotComplete:\n"
+        "    print('NotComplete')\n"
+    )
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["NotComplete"]

@@ -2,10 +2,14 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nonkissing.errors import IncompleteUniverse, NotMaximal, RelationHit
+import nonkissing
+from nonkissing.errors import BoundError, IncompleteUniverse, NotMaximal, ParseError, RelationHit
 from nonkissing.families import (
     a_path,
     cambrian,
@@ -316,3 +320,50 @@ def test_winding_quiver_truncates_at_small_bound():
     walks, complete_large = enumerate_walks(bq, body_bound=40)
     assert complete_large
     assert any(w.ltail or w.rtail for w in walks)
+
+
+# caller errors must stay typed errors under python -O, where asserts vanish
+BAD_ARGUMENTS = """
+from nonkissing.errors import NonKissingError
+from nonkissing.families import cycle_quiver
+from nonkissing.quiver import blossom
+from nonkissing.walks import deep_walk, enumerate_walks, peak_walk
+
+bq = blossom(cycle_quiver(1))
+leaf = min(bq.blossom_vertices)
+calls = (
+    lambda: enumerate_walks(bq, 0),
+    lambda: peak_walk(bq, leaf),
+    lambda: deep_walk(bq, leaf),
+    lambda: peak_walk(bq, "nosuch"),
+)
+for call in calls:
+    try:
+        call()
+        print("returned")
+    except NonKissingError as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_bad_walk_arguments_raise_typed_errors():
+    bq = blossom(cycle_quiver(1))
+    leaf = min(bq.blossom_vertices)
+    with pytest.raises(BoundError):
+        enumerate_walks(bq, 0)
+    for make in (peak_walk, deep_walk):
+        for v in (leaf, "nosuch"):
+            with pytest.raises(ParseError):
+                make(bq, v)
+
+
+def test_bad_walk_arguments_raise_typed_errors_under_optimize():
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_ARGUMENTS],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["BoundError", "ParseError", "ParseError", "ParseError"]
