@@ -197,18 +197,23 @@ def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph, matrices=None) -> lis
 # exact integer linear algebra
 
 
-def _bareiss(rows) -> tuple[int, int]:
-    """Rank, and determinant of a square matrix (0 otherwise), of integer rows.
+def _eliminate(rows, jordan: bool = False):
+    """Fraction-free (Bareiss) elimination of integer rows.
 
-    Fraction-free Gaussian elimination (Bareiss): after each pivot every
-    entry below it is a minor of the input, so the divisions are exact and
-    all intermediate values stay integers.
+    Returns (rows, pivot columns, sign of the row swaps, last pivot).  After
+    each pivot every entry below it is a minor of the input, so the
+    divisions are exact and all intermediate values stay integers.  With
+    jordan the entries above each pivot are cleared too, which keeps the
+    divisions exact and leaves every pivot row holding the last pivot in
+    its pivot column: a scaled reduced echelon form.
     """
     m = [list(row) for row in rows]
     n = len(m)
     cols = len(m[0]) if m else 0
-    rank, prev, sign = 0, 1, 1
+    pivots: list[int] = []
+    prev, sign = 1, 1
     for col in range(cols):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, n) if m[r][col]), None)
         if pivot is None:
             continue
@@ -217,37 +222,48 @@ def _bareiss(rows) -> tuple[int, int]:
             sign = -sign
         top = m[rank]
         p = top[col]
-        for r in range(rank + 1, n):
+        for r in range(0 if jordan else rank + 1, n):
+            if r == rank:
+                continue
             row = m[r]
             f = row[col]
-            m[r] = [0] * (col + 1) + [
-                (p * row[c] - f * top[c]) // prev for c in range(col + 1, cols)
-            ]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-        rank += 1
-        if rank == n:
+        pivots.append(col)
+        if rank + 1 == n:
             break
-    return rank, (sign * prev if rank == n == cols else 0)
+    return m, pivots, sign, prev
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """Rank, and determinant of a square matrix (0 otherwise), of integer rows."""
+    m, pivots, sign, last = _eliminate(rows)
+    n, rank = len(m), len(pivots)
+    return rank, (sign * last if rank == n == (len(m[0]) if m else 0) else 0)
 
 
 def _wall_normal(shared, witness) -> IntVector | None:
     """A functional vanishing on the d-1 shared rays and positive on the witness.
 
-    Its entries are the signed (d-1)-minors of the shared rays, so <lam, x> is
-    the determinant of the shared rays stacked on x; lam is zero exactly when
-    the shared rays are dependent.  None for a degenerate wall.
+    The shared rays span a hyperplane exactly when their reduced echelon form
+    leaves one free column; the normal is then read off that form's
+    nullspace.  None for a degenerate wall.
     """
     d = len(witness)
     if len(shared) != d - 1:
         return None
-    lam = tuple(
-        (-1) ** (d - 1 + k) * _bareiss([r[:k] + r[k + 1 :] for r in shared])[1]
-        for k in range(d)
-    )
+    m, pivots, _, last = _eliminate(shared, jordan=True)
+    if len(pivots) != d - 1:
+        return None
+    (free,) = set(range(d)) - set(pivots)
+    lam = [0] * d
+    lam[free] = last
+    for row, col in zip(m, pivots):
+        lam[col] = -row[free]
     val = vec_dot(lam, witness)
     if val == 0:
         return None
-    return lam if val > 0 else vec_scale(-1, lam)
+    return tuple(lam) if val > 0 else vec_scale(-1, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,29 @@ class BlossomQuiver:
         out = {}
         for v in self.blossom_vertices:
             arrows = self.quiver.arrows_in[v] + self.quiver.arrows_out[v]
-            assert len(arrows) == 1
+            if len(arrows) != 1:
+                raise NotComplete(f"blossom leaf {v!r} has {len(arrows)} arrows, not 1")
             out[v] = arrows[0]
         return out
+
+    @cached_property
+    def successors(self) -> dict[tuple[str, int], tuple[tuple[str, int], ...]]:
+        """Each signed letter's legal continuations, sorted.
+
+        walks.pair_reason decides legality; the table only stores its
+        verdicts, so walk growth and validation read one dict lookup.
+        """
+        # function-local: walks imports this module
+        from .walks import letter_tgt, pair_reason
+
+        q = self.quiver
+        table = {}
+        for a in q.arrow_ids:
+            for x in ((a, 1), (a, -1)):
+                v = letter_tgt(self, x)
+                options = [(b, 1) for b in q.arrows_out[v]] + [(b, -1) for b in q.arrows_in[v]]
+                table[x] = tuple(sorted(m for m in options if pair_reason(self, x, m) is None))
+        return table
 
     def is_blossom_vertex(self, v: str) -> bool:
         return v in self.blossom_vertices

@@ -22,6 +22,7 @@ from functools import cached_property
 
 from .errors import (
     BoundError,
+    GentleBranchViolation,
     IncompleteUniverse,
     NotMaximal,
     NotReduced,
@@ -38,7 +39,7 @@ def inv(letter: Letter) -> Letter:
 
 
 def rev_word(word: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    return tuple(inv(x) for x in reversed(word))
+    return tuple((a, -s) for a, s in reversed(word))
 
 
 def letter_src(bq: BlossomQuiver, letter: Letter) -> str:
@@ -70,15 +71,7 @@ def pair_ok(bq: BlossomQuiver, l1: Letter, l2: Letter) -> bool:
 
 def continuations(bq: BlossomQuiver, letter: Letter) -> list[Letter]:
     """Letters m with letter . m a legal factor; at most one of each sign."""
-    v = letter_tgt(bq, letter)
-    out = []
-    for a in bq.quiver.arrows_out[v]:
-        if pair_ok(bq, letter, (a, 1)):
-            out.append((a, 1))
-    for a in bq.quiver.arrows_in[v]:
-        if pair_ok(bq, letter, (a, -1)):
-            out.append((a, -1))
-    return sorted(out)
+    return list(bq.successors[letter])
 
 
 def serialize_letter(letter: Letter) -> str:
@@ -109,6 +102,10 @@ class Walk:
         return bool(self.ltail) and not self.body and self.ltail == self.rtail
 
     def serialize(self) -> str:
+        return self._serialized
+
+    @cached_property
+    def _serialized(self) -> str:
         parts = []
         if self.ltail:
             parts.append("( " + " ".join(map(serialize_letter, self.ltail)) + " )")
@@ -172,7 +169,10 @@ def _check_tail_unit(bq: BlossomQuiver, unit: tuple[Letter, ...]) -> None:
     for p in range(1, k):
         if k % p == 0 and all(unit[i] == unit[i % p] for i in range(k)):
             raise ParseError(f"tail unit {unit} is a proper power")
+    succ = bq.successors
     for i in range(k):
+        if unit[(i + 1) % k] in succ.get(unit[i], ()):
+            continue
         reason = pair_reason(bq, unit[i], unit[(i + 1) % k])
         if reason == "gap":
             raise ParseError(f"tail unit {unit} is not a closed cycle")
@@ -193,7 +193,10 @@ def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
     if rtail:
         _check_tail_unit(bq, rtail)
     window = tuple(ltail) * 2 + tuple(body) + tuple(rtail) * 2
+    succ = bq.successors
     for x, y in zip(window, window[1:]):
+        if y in succ.get(x, ()):
+            continue
         reason = pair_reason(bq, x, y)
         if reason == "gap":
             raise ParseError(
@@ -220,16 +223,25 @@ def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
 
 
 def _strip_minimal(ltail, body, rtail):
-    ltail, body, rtail = list(ltail), list(body), list(rtail)
+    """Absorb into each tail the body letters that continue its period.
+
+    The body keeps body[i:j]; the left unit turns left by i letters and the
+    right unit right by len(body) - j, so each stays in phase with the body.
+    """
+    ltail, body, rtail = tuple(ltail), tuple(body), tuple(rtail)
+    i, j = 0, len(body)
     if ltail:
-        while body and body[0] == ltail[0]:
-            body.pop(0)
-            ltail = ltail[1:] + ltail[:1]
+        k = len(ltail)
+        while i < j and body[i] == ltail[i % k]:
+            i += 1
+        ltail = ltail[i % k :] + ltail[: i % k]
     if rtail:
-        while body and body[-1] == rtail[-1]:
-            body.pop()
-            rtail = rtail[-1:] + rtail[:-1]
-    return tuple(ltail), tuple(body), tuple(rtail)
+        k = len(rtail)
+        while j > i and body[j - 1] == rtail[(j - len(body) - 1) % k]:
+            j -= 1
+        turn = (len(body) - j) % k
+        rtail = rtail[k - turn :] + rtail[: k - turn]
+    return ltail, body[i:j], rtail
 
 
 def _directed_canonical(ltail, body, rtail):
@@ -387,7 +399,10 @@ def finite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
     for a, s, _ in bq.quiver.arrows:
         if s in bq.blossom_vertices:
             letters, unit = _forward_ray(bq, a)
-            assert not unit, "a path starting at a leaf cannot cycle"
+            if unit:
+                # a cycle arrow entered from the leaf path has two
+                # relation-free predecessors
+                raise GentleBranchViolation(f"the straight path from leaf {s!r} winds into a cycle")
             out.append(canonicalize(bq, (), letters, ()))
     return sorted(set(out), key=Walk.serialize)
 
@@ -417,57 +432,71 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     already spun into a tail are pruned silently (cycle-rewinding walks are
     excluded from the universe by design); only branches cut by body_bound
     clear the completeness flag.
+
+    Each walk is grown from both of its ends.  Growth is a tree, so each
+    directed form is reached at most once; keeping the reverse directed
+    form of every walk canonicalized so far lets the arrival from the other
+    end skip `canonicalize`.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
-    walks: set[Walk] = set()
+    succ = bq.successors
+    walks: dict[str, Walk] = {}
+    pending: set[tuple] = set()  # reverse directed forms not yet reached
     complete = True
+    shared = {x: x for x in succ}  # one object per letter: stored forms copy none
 
-    def emit(ltail, letters, rtail):
-        walks.add(canonicalize(bq, tuple(ltail), tuple(letters), tuple(rtail)))
+    def rev(word):
+        return tuple(shared[a, -s] for a, s in reversed(word))
 
-    def grow(ltail, letters):
+    def emit(ltail, body, rtail):
+        fwd = _directed_canonical(ltail, body, rtail)
+        if fwd in pending:
+            pending.remove(fwd)
+            return
+        w = canonicalize(bq, ltail, body, rtail)
+        pending.add(_directed_canonical(rev(rtail), rev(body), rev(ltail)))
+        walks[w.serialize()] = w
+
+    def grow(ltail, letters, run):
+        # letters[run:] is the trailing run of letters of one sign: repeating
+        # a letter of it closes a tail unit, and repeating an earlier letter
+        # closes a unit of mixed signs, which is no tail
         nonlocal complete
         if len(letters) > body_bound:
             complete = False
             return
-        conts = continuations(bq, letters[-1])
+        last = letters[-1]
+        conts = succ[last]
         if not conts:
-            emit(ltail, letters, ())
+            emit(ltail, tuple(letters), ())
             return
+        n = len(letters)
         for m in conts:
-            last_at = None
-            for j in range(len(letters) - 1, -1, -1):
-                if letters[j] == m:
-                    last_at = j
-                    break
-            if last_at is not None:
-                unit = letters[last_at:]
-                if len({s for _, s in unit}) == 1:
-                    emit(ltail, letters[:last_at], tuple(unit))
+            if m[1] == last[1]:
+                j = n - 1
+                while j >= run and letters[j] != m:
+                    j -= 1
+                if j >= run:
+                    emit(ltail, tuple(letters[:j]), tuple(letters[j:]))
                     continue  # prune winding past a tail state
-            grow(ltail, letters + [m])
+            letters.append(m)
+            grow(ltail, letters, run if m[1] == last[1] else n)
+            letters.pop()
 
-    seeds = []
     for v in sorted(bq.blossom_vertices):
         a = (bq.quiver.arrows_out[v] + bq.quiver.arrows_in[v])[0]
-        letter = (a, 1) if bq.quiver.src[a] == v else (a, -1)
-        seeds.append(((), [letter]))
+        grow((), [(a, 1) if bq.quiver.src[a] == v else (a, -1)], 0)
     for c in primitive_cycles(bq):
-        for sign in (1, -1):
-            base = tuple((a, 1) for a in c) if sign > 0 else rev_word(tuple((a, 1) for a in c))
-            k = len(base)
-            for phase in range(k):
+        forward = tuple((a, 1) for a in c)
+        for base in (forward, rev_word(forward)):
+            for phase in range(len(base)):
                 unit = base[phase:] + base[:phase]
-                for m in continuations(bq, unit[-1]):
-                    if m == unit[0]:
-                        continue  # staying in the tail
-                    seeds.append((unit, [m]))
-        unit = tuple((a, 1) for a in c)
-        walks.add(canonicalize(bq, unit, (), unit))
-    for ltail, letters in seeds:
-        grow(ltail, letters)
-    return sorted(walks, key=Walk.serialize), complete
+                for m in succ[unit[-1]]:
+                    if m != unit[0]:  # unit[0] stays in the tail
+                        grow(unit, [m], 0)
+        emit(forward, (), forward)
+    return [walks[k] for k in sorted(walks)], complete
 
 
 # ---------------------------------------------------------------------------

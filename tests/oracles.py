@@ -7,6 +7,13 @@ still take from production, exactly:
 
 * the word oracle (`brute_force_finite_walks`) uses the letter-pair
   legality rule `pair_ok`;
+* the walk-growth oracle (`reference_enumerate_walks`: plain growth that
+  copies the letter list at every step, scans the whole list for a
+  repeated letter and canonicalizes every arrival, so each walk twice)
+  uses the successor table through `continuations`, `primitive_cycles`
+  and `canonicalize`; `reference_strip_minimal` absorbs periodic body
+  letters into the tails one letter at a time, beside the index
+  arithmetic of `walks._strip_minimal`;
 * the window-scan kissing oracles (`raw_window_kiss_count`,
   `window_scan_kiss_count`) use the window size (`_tail_periods_for_pair`)
   and the unrolling (`make_window`), and `window_scan_kiss_count` also the
@@ -33,12 +40,17 @@ from fractions import Fraction
 
 import networkx as nx
 
+from nonkissing.errors import BoundError
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
+    Walk,
     Window,
+    canonicalize,
+    continuations,
     make_window,
     pair_ok,
+    primitive_cycles,
     _is_pumpable,
     _tail_periods_for_pair,
 )
@@ -93,6 +105,81 @@ def brute_force_finite_walks(bq: BlossomQuiver, max_len: int = 24) -> set:
                 nxt.append((m,) + word)
         frontier = nxt
     return maximal
+
+
+def reference_strip_minimal(ltail, body, rtail):
+    """Absorb periodic body letters into the tails one letter at a time."""
+    ltail, body, rtail = list(ltail), list(body), list(rtail)
+    if ltail:
+        while body and body[0] == ltail[0]:
+            body.pop(0)
+            ltail = ltail[1:] + ltail[:1]
+    if rtail:
+        while body and body[-1] == rtail[-1]:
+            body.pop()
+            rtail = rtail[-1:] + rtail[:-1]
+    return tuple(ltail), tuple(body), tuple(rtail)
+
+
+def reference_enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
+    """All canonical walks with body length <= body_bound.
+
+    Returns (walks, complete).  Branches that would re-enter a letter state
+    already spun into a tail are pruned silently (cycle-rewinding walks are
+    excluded from the universe by design); only branches cut by body_bound
+    clear the completeness flag.
+    """
+    if body_bound < 1:
+        raise BoundError("body_bound must be at least 1")
+    walks: set[Walk] = set()
+    complete = True
+
+    def emit(ltail, letters, rtail):
+        walks.add(canonicalize(bq, tuple(ltail), tuple(letters), tuple(rtail)))
+
+    def grow(ltail, letters):
+        nonlocal complete
+        if len(letters) > body_bound:
+            complete = False
+            return
+        conts = continuations(bq, letters[-1])
+        if not conts:
+            emit(ltail, letters, ())
+            return
+        for m in conts:
+            last_at = None
+            for j in range(len(letters) - 1, -1, -1):
+                if letters[j] == m:
+                    last_at = j
+                    break
+            if last_at is not None:
+                unit = letters[last_at:]
+                if len({s for _, s in unit}) == 1:
+                    emit(ltail, letters[:last_at], tuple(unit))
+                    continue  # prune winding past a tail state
+            grow(ltail, letters + [m])
+
+    seeds = []
+    for v in sorted(bq.blossom_vertices):
+        a = (bq.quiver.arrows_out[v] + bq.quiver.arrows_in[v])[0]
+        letter = (a, 1) if bq.quiver.src[a] == v else (a, -1)
+        seeds.append(((), [letter]))
+    for c in primitive_cycles(bq):
+        for sign in (1, -1):
+            base = tuple((a, 1) for a in c) if sign > 0 else rev_word(tuple((a, 1) for a in c))
+            k = len(base)
+            for phase in range(k):
+                unit = base[phase:] + base[:phase]
+                for m in continuations(bq, unit[-1]):
+                    if m == unit[0]:
+                        continue  # staying in the tail
+                    seeds.append((unit, [m]))
+        unit = tuple((a, 1) for a in c)
+        walks.add(canonicalize(bq, unit, (), unit))
+    for ltail, letters in seeds:
+        grow(ltail, letters)
+    return sorted(walks, key=Walk.serialize), complete
+
 
 
 def _occurrence_bounds(win: Window) -> tuple[int, int]:

@@ -236,13 +236,13 @@ GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
 FLIP_GOLDENS = {
     key: digest
     for key, digest in json.loads(GOLDENS.read_text()).items()
-    if key.split()[0] in ("facets", "flipgraph") and "family:" in key
+    if key.split()[0] in ("facets", "flipgraph", "walks") and "family:" in key
 }
 
 
 @pytest.mark.parametrize("key", sorted(FLIP_GOLDENS))
 def test_flip_outputs_match_benchmark_goldens(capsys, key):
-    # the benchmark's stdout digests: facet and edge order may not drift
+    # the benchmark's stdout digests: facet, edge and walk order may not drift
     main(key.split())
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FLIP_GOLDENS[key]

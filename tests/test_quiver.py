@@ -268,3 +268,26 @@ def test_blossom_raises_not_complete_under_optimize():
         check=True,
     )
     assert out.stdout.split() == ["NotComplete"]
+
+
+def test_blossom_leaf_with_two_arrows_raises_not_complete_under_optimize():
+    # a hand-built blossoming, never validated, whose leaf 2 has two arrows
+    script = (
+        "from nonkissing.errors import NotComplete\n"
+        "from nonkissing.quiver import BlossomQuiver, BoundQuiver\n"
+        "q = BoundQuiver(('1', '2'), (('a', '1', '2'), ('b', '1', '2')), frozenset())\n"
+        "bq = BlossomQuiver(q, q, frozenset({'2'}), frozenset({'a', 'b'}))\n"
+        "try:\n"
+        "    bq.leaf_arrow\n"
+        "except NotComplete:\n"
+        "    print('NotComplete')\n"
+    )
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["NotComplete"]

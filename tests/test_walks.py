@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nonkissing
+from nonkissing import walks as walks_module
 from nonkissing.errors import BoundError, IncompleteUniverse, NotMaximal, ParseError, RelationHit
 from nonkissing.families import (
     a_path,
@@ -22,6 +24,7 @@ from nonkissing.families import (
 )
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import (
+    _strip_minimal,
     canonicalize,
     corner_profile,
     deep_walk,
@@ -30,6 +33,7 @@ from nonkissing.walks import (
     infinite_straight_walks,
     kiss_count,
     kn_pair,
+    pair_ok,
     parse_walk,
     peak_walk,
     primitive_cycles,
@@ -43,6 +47,8 @@ from oracles import (
     brute_force_finite_walks,
     matched_occurrences,
     raw_window_kiss_count,
+    reference_enumerate_walks,
+    reference_strip_minimal,
     window_scan_kiss_count,
 )
 
@@ -367,3 +373,122 @@ def test_bad_walk_arguments_raise_typed_errors_under_optimize():
         check=True,
     )
     assert out.stdout.split() == ["BoundError", "ParseError", "ParseError", "ParseError"]
+
+
+def _enumeration_cases():
+    for name, q in corpus().items():
+        for bound in (4, 8):
+            yield f"{name}-{bound}", q, bound
+    for spec in ("doublecycle:1", "doublecycle:2", "doublepath:3", "doublepath:4"):
+        for bound in (4, 8, 12, 16):
+            yield f"{spec}-{bound}", parse_family(f"family:{spec}"), bound
+    for seed in range(30):
+        for bound in (4, 8):
+            yield f"random{seed}-{bound}", random_locally_gentle(random.Random(seed)), bound
+
+
+def test_enumeration_matches_reference_oracle():
+    for name, q, bound in _enumeration_cases():
+        bq = blossom(q)
+        walks, complete = enumerate_walks(bq, bound)
+        want, want_complete = reference_enumerate_walks(bq, bound)
+        assert [w.serialize() for w in walks] == [w.serialize() for w in want], name
+        assert walks == want and complete == want_complete, name
+
+
+def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return canonicalize(*args)
+
+    monkeypatch.setattr(walks_module, "canonicalize", counted)
+    walks, complete = enumerate_walks(blossom(parse_family("family:doublecycle:1")), 16)
+    assert not complete
+    assert len(calls) == len(walks) == 3193
+
+
+def test_successor_table_is_the_pair_rule():
+    quivers = list(corpus().values())
+    quivers += [random_locally_gentle(random.Random(seed)) for seed in range(30)]
+    for q in quivers:
+        bq = blossom(q)
+        letters = [(a, s) for a in bq.quiver.arrow_ids for s in (1, -1)]
+        assert set(bq.successors) == set(letters)
+        for x in letters:
+            want = sorted(y for y in letters if pair_ok(bq, x, y))
+            assert list(bq.successors[x]) == want
+
+
+def test_strip_minimal_matches_reference(universes):
+    for bq, walks in universes.values():
+        for w in walks:
+            for ltail, body, rtail in (
+                (w.ltail, w.body, w.rtail),
+                (w.ltail, w.ltail + w.body + w.rtail, w.rtail),
+                (w.ltail, w.ltail * 3 + w.body[:1], w.rtail),
+                reverse_walk(w),
+            ):
+                got = _strip_minimal(ltail, body, rtail)
+                assert got == reference_strip_minimal(ltail, body, rtail)
+
+
+# random_locally_gentle seeds; the same examples on every run
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _random_universe(seed):
+    bq = blossom(random_locally_gentle(random.Random(seed)))
+    return bq, enumerate_walks(bq, 6)[0]
+
+
+@PROPERTY
+@given(SEEDS)
+def test_canonicalize_is_idempotent_and_reversal_invariant(seed):
+    bq, walks = _random_universe(seed)
+    for w in walks:
+        assert canonicalize(bq, w.ltail, w.body, w.rtail) == w
+        assert canonicalize(bq, *reverse_walk(w)) == w
+        # one period of each tail unrolled into the body
+        assert canonicalize(bq, w.ltail, w.ltail + w.body + w.rtail, w.rtail) == w
+
+
+@PROPERTY
+@given(SEEDS)
+def test_parse_and_serialize_round_trip(seed):
+    bq, walks = _random_universe(seed)
+    for w in walks:
+        text = w.serialize()
+        back = parse_walk(bq, text)
+        assert back == w and back.serialize() == text
+
+
+# a hand-built blossoming, never validated: the straight path from leaf 1
+# runs into the loop c at vertex 2, so c has two relation-free predecessors
+WINDING_LEAF = """
+from nonkissing.errors import GentleBranchViolation
+from nonkissing.quiver import BlossomQuiver, BoundQuiver
+from nonkissing.walks import finite_straight_walks
+
+q = BoundQuiver(("1", "2"), (("c", "2", "2"), ("l", "1", "2")), frozenset())
+bq = BlossomQuiver(q, q, frozenset({"1"}), frozenset({"l"}))
+try:
+    finite_straight_walks(bq)
+    print("returned")
+except GentleBranchViolation:
+    print("GentleBranchViolation")
+"""
+
+
+def test_straight_walk_winding_from_a_leaf_raises_under_optimize():
+    src = str(Path(nonkissing.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", WINDING_LEAF],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        check=True,
+    )
+    assert out.stdout.split() == ["GentleBranchViolation"]
