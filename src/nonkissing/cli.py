@@ -182,7 +182,7 @@ def cmd_vectors(args) -> int:
     g = enumerate_facets(q, max_facets=args.max_facets)
     dvecs = d_vectors(g)
     out = []
-    for f, ids, matrices in zip(g.facets, g.ids, graph_matrices(g)):
+    for ids, matrices in zip(g.ids, graph_matrices(g)):
         _, gs, cs = matrices
         out.append(
             {
@@ -190,7 +190,7 @@ def cmd_vectors(args) -> int:
                 "g": [list(v) for v in gs],
                 "c": [list(v) for v in cs],
                 "d": [list(dvecs[w]) for w in ids],
-                "dual_basis_violations": dual_basis_check(g.ctx.bq, f, matrices),
+                "dual_basis_violations": dual_basis_check(matrices),
             }
         )
     _emit({"closed": g.closed, "coordinates": list(q.vertices), "facets": out}, args)
@@ -304,9 +304,9 @@ def _selfcheck() -> dict:
         note(name, verify_distinguished_census(g))
         note(name, walks_through_cycles_check(g))
         matrices = graph_matrices(g)
-        note(name, sign_coherence_report(ctx.bq, g, matrices))
-        for f, m in zip(g.facets, matrices):
-            note(name, dual_basis_check(ctx.bq, f, m))
+        note(name, sign_coherence_report(g, matrices))
+        for m in matrices:
+            note(name, dual_basis_check(m))
         oracle = brute_force_facets(q, ctx=ctx)
         keys = sorted(tuple(ctx.keys[w] for w in ids) for ids in g.ids)
         if keys != sorted(f.key for f in oracle):

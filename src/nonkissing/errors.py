@@ -142,6 +142,10 @@ class NotReducedCrossing(SurfaceError):
     """A crossing sequence immediately re-crosses the same edge backwards."""
 
 
+class NoUniqueWalk(SurfaceError):
+    """A crossing sequence reads as no walk, or as more than one."""
+
+
 class DifferentSurface(SurfaceError):
     pass
 

@@ -14,7 +14,6 @@ output, which stays sorted by serialization.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,13 +40,13 @@ from .walks import (
     canonicalize,
     enumerate_walks,
     deep_walk,
-    inv,
     is_bending,
     kiss_count,
     letter_tgt,
     peak_walk,
     primitive_cycles,
-    rev_word,
+    reverse_walk,
+    span,
     straight_walks,
     walk_uses_cycle,
 )
@@ -94,22 +93,31 @@ class MarkedWalk:
     position: int  # global letter index on the stored direction
 
 
-def _stream(w: Walk, g0: int, orient: int):
-    def get(i: int) -> Letter | None:
-        letter = walk_letter(w, g0 + orient * i)
-        if letter is None:
-            return None
-        return letter if orient == 1 else inv(letter)
-
-    return get
+def _oriented(w: Walk, o: int) -> tuple:
+    """(ltail, body, rtail) of w read forwards (o = 1) or backwards (o = -1)."""
+    return (w.ltail, w.body, w.rtail) if o == 1 else reverse_walk(w)
 
 
-def _agreement_limit(w1: Walk, w2: Walk) -> int:
-    lens = [len(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail) if u]
-    lcm = 1
-    for k in lens:
-        lcm = lcm * k // math.gcd(lcm, k)
-    return len(w1.body) + len(w2.body) + 2 * lcm + 8
+def _oriented_position(w: Walk, g: int, o: int) -> int:
+    return g if o == 1 else len(w.body) - 1 - g
+
+
+def _ray(t: tuple, p: int, side: int, n: int) -> tuple:
+    """The n letters of the walk t = (ltail, body, rtail) beside position p.
+
+    side 1 reads the letters after p, side -1 those before it, nearest
+    first; None stands at each place past an end of the walk.  The letters
+    are a slice of one word unrolled just far enough into the tails.
+    """
+    lt, bd, rt = t
+    lo, hi = (p + 1, p + 1 + n) if side == 1 else (p - n, p)
+    left = -(lo // len(lt)) if lt and lo < 0 else 0
+    right = -(-(hi - len(bd)) // len(rt)) if rt and hi > len(bd) else 0
+    off = len(lt) * left
+    run = (lt * left + bd + rt * right)[max(off + lo, 0) : off + hi]
+    if side == -1:
+        run = run[::-1]
+    return run + (None,) * (n - len(run))
 
 
 def countercurrent_less(
@@ -118,7 +126,8 @@ def countercurrent_less(
     """True iff m comes before n in the countercurrent order at the arrow.
 
     Both marked walks are oriented so the marked occurrence reads as the
-    arrow taken forwards, then compared letterwise outward from the mark.
+    arrow taken forwards, then compared letterwise outward from the mark
+    for `span` letters per side; walks that agree that far agree forever.
     At the first disagreement on either side exactly one of the two leaves
     with the flow of the arrow; that one is the smaller.
     """
@@ -130,24 +139,22 @@ def countercurrent_less(
         raise NotMarked(f"n is not marked at {arrow!r}")
     if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
-    sm = _stream(m.walk, m.position, 1 if lm[1] == 1 else -1)
-    sn = _stream(n.walk, n.position, 1 if ln[1] == 1 else -1)
-    limit = _agreement_limit(m.walk, n.walk)
+    tm, tn = _oriented(m.walk, lm[1]), _oriented(n.walk, ln[1])
+    pm = _oriented_position(m.walk, m.position, lm[1])
+    pn = _oriented_position(n.walk, n.position, ln[1])
+    limit = span(m.walk, n.walk)
     verdicts = []
-    for direction in (1, -1):
-        for i in range(1, limit + 1):
-            x = sm(direction * i)
-            y = sn(direction * i)
-            if x is None and y is None:
-                break
-            if x is None or y is None:
-                break
+    for side in (1, -1):
+        for x, y in zip(_ray(tm, pm, side, limit), _ray(tn, pn, side, limit)):
             if x != y:
-                if x[1] == y[1]:
-                    raise OrderError("split letters must take opposite directions")
-                verdicts.append(x[1] == 1)
+                if x is not None and y is not None:
+                    if x[1] == y[1]:
+                        raise OrderError("split letters must take opposite directions")
+                    verdicts.append(x[1] == 1)
                 break
-        # loop exhaustion = infinite periodic agreement: uninformative side
+            if x is None:
+                break
+        # no disagreement: the walks agree forever on this side
     if not verdicts:
         raise SameMarkedWalk("marked walks agree on both sides")
     if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
@@ -364,58 +371,18 @@ def _substring(bq: BlossomQuiver, w: Walk, marks: list[int]) -> DistinguishedStr
             f"bending walk has {len(marks)} distinguished arrows, expected 2"
         )
     g1, g2 = sorted(marks)
-    l1 = walk_letter(w, g1)
-    l2 = walk_letter(w, g2)
+    run = _ray(_oriented(w, 1), g1 - 1, 1, g2 - g1 + 1)  # letters g1..g2
+    l1, l2 = run[0], run[-1]
     if l1 is None or l2 is None or l1[1] == l2[1]:
         raise NotMaximalFacet("distinguished arrows must point in opposite directions")
     on_top = l1[1] == -1 and l2[1] == 1
-    letters = tuple(walk_letter(w, g) for g in range(g1 + 1, g2))
-    vertices = tuple(letter_tgt(bq, walk_letter(w, g)) for g in range(g1, g2))
+    letters = run[1:-1]
+    vertices = tuple(letter_tgt(bq, x) for x in run[:-1])
     return DistinguishedString(w, g1, g2, on_top, letters, vertices)
 
 
 # ---------------------------------------------------------------------------
 # flips
-
-
-def _oriented_triple(w: Walk, orient: int):
-    if orient == 1:
-        return (w.ltail, w.body, w.rtail)
-    return (rev_word(w.rtail), rev_word(w.body), rev_word(w.ltail))
-
-
-def _oriented_position(w: Walk, g: int, orient: int) -> int:
-    return g if orient == 1 else len(w.body) - 1 - g
-
-
-def _prefix_through(triple, p: int):
-    """(ltail, letters) of the oriented walk up to position p inclusive."""
-    lt, bd, rt = triple
-    if p < 0:
-        if not lt or -p > len(lt):
-            raise FlipFailed("mark beyond the first tail period")
-        return lt, lt[: len(lt) + p + 1]
-    if p < len(bd):
-        return lt, bd[: p + 1]
-    j = p - len(bd)
-    if not rt or j >= len(rt):
-        raise FlipFailed("mark beyond the first tail period")
-    return lt, bd + rt[: j + 1]
-
-
-def _suffix_from(triple, p: int):
-    """(letters, rtail) of the oriented walk from position p inclusive."""
-    lt, bd, rt = triple
-    if p >= len(bd):
-        j = p - len(bd)
-        if not rt or j >= len(rt):
-            raise FlipFailed("mark beyond the first tail period")
-        return rt[j:], rt
-    if p >= 0:
-        return bd[p:], rt
-    if not lt or -p > len(lt):
-        raise FlipFailed("mark beyond the first tail period")
-    return lt[len(lt) + p :] + bd, rt
 
 
 def _companion(bq: BlossomQuiver, letter: Letter, side: str) -> str:
@@ -442,29 +409,16 @@ def _companion(bq: BlossomQuiver, letter: Letter, side: str) -> str:
     return cands[0]
 
 
-def _expected_run(w: Walk, start: int, step: int, guard: int, prefix) -> list:
-    """prefix, then walk letters from start stepping by step, None-terminated."""
-    out = list(prefix)
-    for k in range(guard):
-        x = walk_letter(w, start + step * k)
-        out.append(x)
-        if x is None:
-            break
-    return out
-
-
-def _orient_matching(w: Walk, position: int, expected, side: int):
+def _orient_matching(w: Walk, position: int, expected: tuple, side: int):
     """Orientation of w whose letters match expected on the given side of a mark.
 
-    side +1 compares positions after the mark, side -1 before it; a None in
-    expected demands the walk end there too.
+    side 1 compares the letters after the mark, side -1 those before it; a
+    None in expected demands the walk end there too.
     """
-    for orient in (1, -1):
-        stream = _stream(w, position, orient)
-        if all(
-            stream(side * i) == want for i, want in enumerate(expected, start=1)
-        ):
-            return orient
+    for o in (1, -1):
+        p = _oriented_position(w, position, o)
+        if _ray(_oriented(w, o), p, side, len(expected)) == expected:
+            return o
     return None
 
 
@@ -525,32 +479,26 @@ def _construct(
     w = ctx.walks[wi]
     (mu_id, mu_g), (nu_id, nu_g) = mu_mark, nu_mark
     mu, nu = ctx.walks[mu_id], ctx.walks[nu_id]
-    g1, g2 = ds.left, ds.right
-    sigma = ds.letters
-    guard = 4 + len(sigma) + len(w.body) + 2 * max(
-        len(w.rtail), len(w.ltail), len(mu.body), len(nu.body), 1
-    )
-    # mu = rho' sigma tau: after mu's mark come sigma then w's letters from g2
-    after_mu = _expected_run(w, g2, 1, guard, sigma)
-    o_mu = _orient_matching(mu, mu_g, after_mu, side=1)
+    tw = _oriented(w, 1)
+    n = len(ds.letters) + max(span(w, mu), span(w, nu))
+    # mu = rho' sigma tau: after mu's mark come sigma then w's letters from
+    # its right distinguished letter on, which is w read after its left one
+    o_mu = _orient_matching(mu, mu_g, _ray(tw, ds.left, 1, n), side=1)
     if o_mu is None:
         raise FlipFailed("distinguished walk does not split along sigma tau")
-    # nu = rho sigma tau': before nu's mark come sigma reversed positionwise,
-    # then w's letters leftward from g1
-    before_nu = _expected_run(w, g1, -1, guard, tuple(reversed(sigma)))
-    o_nu = _orient_matching(nu, nu_g, before_nu, side=-1)
+    # nu = rho sigma tau': before nu's mark comes w read before its right
+    # distinguished letter
+    o_nu = _orient_matching(nu, nu_g, _ray(tw, ds.right, -1, n), side=-1)
     if o_nu is None:
         raise FlipFailed("distinguished walk does not split along rho sigma")
-
-    lt, rho_letters = _prefix_through(
-        _oriented_triple(mu, o_mu), _oriented_position(mu, mu_g, o_mu)
-    )
-    tau_letters, rt = _suffix_from(
-        _oriented_triple(nu, o_nu), _oriented_position(nu, nu_g, o_nu)
-    )
-    new = ctx.intern(
-        canonicalize(ctx.bq, lt, tuple(rho_letters) + sigma + tuple(tau_letters), rt)
-    )
+    # rho runs through mu's mark and tau on from nu's mark: slices of the
+    # one-period words of the oriented walks (marks lie in the body or a
+    # first tail period), whose extra tail periods canonicalize absorbs
+    lt, mu_body, mu_rt = _oriented(mu, o_mu)
+    nu_lt, nu_body, rt = _oriented(nu, o_nu)
+    rho = (lt + mu_body + mu_rt)[: len(lt) + _oriented_position(mu, mu_g, o_mu) + 1]
+    tau = (nu_lt + nu_body + rt)[len(nu_lt) + _oriented_position(nu, nu_g, o_nu) :]
+    new = ctx.intern(canonicalize(ctx.bq, lt, rho + ds.letters + tau, rt))
     if new == wi:
         raise FlipFailed("flip produced the same walk")
     return new
@@ -619,17 +567,15 @@ def deep_facet(bq: BlossomQuiver) -> Facet:
 _REVERSED = {"increasing": "decreasing", "decreasing": "increasing"}
 
 
-def enumerate_facets(
-    q: BoundQuiver, max_facets: int = 10000, check_flips: bool = True
-) -> FlipGraph:
+def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     """BFS closure of flips starting from the peak facet of q, a locally gentle quiver.
 
     The complex is thin, so flipping is an involution: when w in F flips to
     w' in a facet F' not yet expanded, flipping w' in F' is recorded as
     giving w back with the direction reversed, and F' uses the record
-    instead of flipping again.  With check_flips the start facet is checked
-    pairwise and every computed flip against its facet, which covers the
-    pairs of every facet reached.
+    instead of flipping again.  The start facet is checked pairwise and
+    every computed flip against its facet, which covers the pairs of every
+    facet reached.
     """
     if max_facets < 1:
         raise BoundError("max_facets must be at least 1")
@@ -637,7 +583,7 @@ def enumerate_facets(
     start = peak_facet(ctx.bq)
     straights = tuple(map(ctx.intern, start.straights))
     facets = [tuple(map(ctx.intern, start.bending))]
-    if check_flips and any(ctx.kn(i, j) for i in facets[0] for j in facets[0]):
+    if any(ctx.kn(i, j) for i in facets[0] for j in facets[0]):
         raise FlipCheckFailed("the peak facet has a kissing pair")
     index = {facets[0]: 0}
     data: list[dict[str, Mark]] = []
@@ -651,7 +597,7 @@ def enumerate_facets(
         data.append(marks)
         for w in bending:
             recorded = reverse.pop((head, w), None)
-            new, direction = recorded or _flip(ctx, ids, marks, w, check_flips)
+            new, direction = recorded or _flip(ctx, ids, marks, w, True)
             target = _exchange(ctx, bending, w, new)
             j = index.get(target)
             if j is None:

@@ -116,12 +116,12 @@ def facet_matrices(bq: BlossomQuiver, facet: Facet):
     return walks, gs, cs
 
 
-def dual_basis_check(bq: BlossomQuiver, facet: Facet, matrices=None) -> list[str]:
+def dual_basis_check(matrices) -> list[str]:
     """Pairings of g- and c-vectors over a facet must form the identity.
 
-    matrices is the facet's `facet_matrices`, computed here when not given.
+    matrices is the facet's `facet_matrices`, or its entry of `graph_matrices`.
     """
-    walks, gs, cs = matrices if matrices is not None else facet_matrices(bq, facet)
+    walks, gs, cs = matrices
     report = []
     for i, wi in enumerate(walks):
         for j, wj in enumerate(walks):
@@ -169,17 +169,15 @@ def d_vectors(g: FlipGraph) -> dict[int, IntVector]:
     return out
 
 
-def sign_coherence_report(bq: BlossomQuiver, g: FlipGraph, matrices=None) -> list[str]:
+def sign_coherence_report(g: FlipGraph, matrices) -> list[str]:
     """g per coordinate across each facet; c and d per vector.
 
-    matrices is `graph_matrices(g)`, computed here when not given.
+    matrices is `graph_matrices(g)`.
     """
     report = []
     dvecs = d_vectors(g)
-    if matrices is None:
-        matrices = graph_matrices(g)
     for i, (walks, gs, cs) in enumerate(matrices):
-        for k in range(len(bq.base.vertices)):
+        for k in range(len(g.quiver.vertices)):
             signs = {x[k] > 0 for x in gs if x[k] != 0}
             if len(signs) > 1:
                 report.append(f"facet {i}: g-vectors mix signs in coordinate {k}")

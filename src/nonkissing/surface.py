@@ -23,7 +23,9 @@ from .errors import (
     MissingDualPoint,
     MultipleDualPoints,
     NotCellular,
+    NotMaximal,
     NotReducedCrossing,
+    NoUniqueWalk,
     ParseError,
 )
 from .quiver import BlossomQuiver, BoundQuiver, blossom, validate_locally_gentle
@@ -607,14 +609,16 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
     core = list(w.body)
     if not w.ltail:
         first = core.pop(0)
-        assert bq.is_blossom_arrow(first[0])
+        if not bq.is_blossom_arrow(first[0]):
+            raise NotMaximal(f"left end of {w.serialize()!r} is not at a blossom leaf")
         left = ("B", letter_src(bq, first))
     else:
         cyc, sign = _cycle_key(w.ltail)
         left = ("P", cyc, sign)
     if not w.rtail:
         last = core.pop()
-        assert bq.is_blossom_arrow(last[0])
+        if not bq.is_blossom_arrow(last[0]):
+            raise NotMaximal(f"right end of {w.serialize()!r} is not at a blossom leaf")
         right = ("B", letter_tgt(bq, last))
     else:
         cyc, sign = _cycle_key(w.rtail)
@@ -686,9 +690,8 @@ def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
                 results.add(canonicalize(bq, lt, tuple(letters), rt))
             except NonKissingError:
                 continue
-    assert len(results) == 1, (
-        f"crossing sequence determines {len(results)} walks, expected 1"
-    )
+    if len(results) != 1:
+        raise NoUniqueWalk(f"crossing sequence determines {len(results)} walks, expected 1")
     return results.pop()
 
 

@@ -505,51 +505,51 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
 
 @dataclass(frozen=True)
 class Window:
-    """A finite unrolling of a walk: letters plus zone tags.
+    """A finite unrolling of a walk in its stored direction.
 
-    zone[i] is ("L", d), ("B", i) or ("R", d) with d >= 1 the period depth,
-    d = 1 adjacent to the body.  Positions follow the stored direction.
+    letters[:left] are left-tail periods, letters[left:right] the body and
+    letters[right:] right-tail periods.
     """
 
     walk: Walk
     letters: tuple[Letter, ...]
-    zone: tuple[tuple[str, int], ...]
+    left: int
+    right: int
 
     @property
     def n(self) -> int:
         return len(self.letters)
 
+    def tail(self, i: int) -> tuple[Letter, ...]:
+        """The tail unit that letter i unrolls; () for a body letter."""
+        if i < self.left:
+            return self.walk.ltail
+        return self.walk.rtail if i >= self.right else ()
+
 
 def make_window(w: Walk, lperiods: int, rperiods: int) -> Window:
-    letters: list[Letter] = []
-    zone: list[tuple[str, int]] = []
-    if w.ltail:
-        for d in range(lperiods, 0, -1):
-            for x in w.ltail:
-                letters.append(x)
-                zone.append(("L", d))
-    for i, x in enumerate(w.body):
-        letters.append(x)
-        zone.append(("B", i))
-    if w.rtail:
-        for d in range(1, rperiods + 1):
-            for x in w.rtail:
-                letters.append(x)
-                zone.append(("R", d))
-    return Window(w, tuple(letters), tuple(zone))
+    left = len(w.ltail) * lperiods
+    return Window(
+        w, w.ltail * lperiods + w.body + w.rtail * rperiods, left, left + len(w.body)
+    )
+
+
+def span(w1: Walk, w2: Walk) -> int:
+    """Letters to read along w1 and w2 before their comparisons repeat.
+
+    Past their bodies and a common multiple of their tail periods, two
+    walks read side by side only repeat what was read; this sizes the kiss
+    windows, the countercurrent comparison and the flip's split matching.
+    """
+    units = [len(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail) if u]
+    return len(w1.body) + len(w2.body) + 4 * math.lcm(*units) + 6
 
 
 def _tail_periods_for_pair(w1: Walk, w2: Walk, extra: int = 0) -> tuple[int, int, int, int]:
-    units = [len(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail) if u]
-    lcm = 1
-    for u in units:
-        lcm = lcm * u // math.gcd(lcm, u)
-    span = len(w1.body) + len(w2.body) + 4 * lcm + 6
+    n = span(w1, w2)
 
     def periods(unit):
-        if not unit:
-            return 0
-        return max(2, -(-span // len(unit))) + extra
+        return max(2, -(-n // len(unit))) + extra if unit else 0
 
     return (
         periods(w1.ltail),
@@ -592,17 +592,15 @@ def _is_pumpable(win1: Window, win2: Window, o1, o2) -> bool:
         run = 0
         run_key = None
         for i1, i2 in pairs:
-            z1 = win1.zone[i1][0]
-            z2 = win2.zone[i2][0]
-            if z1 in ("L", "R") and z2 in ("L", "R"):
+            u1, u2 = win1.tail(i1), win2.tail(i2)
+            if u1 and u2:
                 # a deletable stretch must stay inside a single tail per walk
-                p1 = len(win1.walk.ltail if z1 == "L" else win1.walk.rtail)
-                p2 = len(win2.walk.ltail if z2 == "L" else win2.walk.rtail)
-                if (z1, p1, z2, p2) != run_key:
+                key = (i1 < win1.left, len(u1), i2 < win2.left, len(u2))
+                if key != run_key:
                     run = 0
-                    run_key = (z1, p1, z2, p2)
+                    run_key = key
                 run += 1
-                if run >= p1 * p2 // math.gcd(p1, p2):
+                if run >= math.lcm(len(u1), len(u2)):
                     return True
             else:
                 run = 0

@@ -22,6 +22,12 @@ still take from production, exactly:
   and matched by its word up to reversal, an O(n^3) scan that shares nothing
   with the maximal-run scan of `kiss_count`.
 
+The countercurrent oracle (`reference_countercurrent_less`) reads both marked
+walks one letter at a time through `facets.walk_letter`, the global letter
+index, inverting letters by hand when a walk is read backwards, for a length
+of its own (`_agreement_limit`); it shares no unrolling, orientation or
+length with the tuple-slice reader of `countercurrent_less`.
+
 The geometry oracles take nothing from production: `fraction_rank`,
 `fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss
 elimination, and `pairwise_edge_report` beside the local edge certificate of
@@ -36,18 +42,22 @@ component from every `rs` root in full, with no pruning, on those classes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import networkx as nx
 
-from nonkissing.errors import BoundError
+from nonkissing.errors import BoundError, KissingPair, NotMarked, OrderError, SameMarkedWalk
+from nonkissing.facets import MarkedWalk, walk_letter
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
+    Letter,
     Walk,
     Window,
     canonicalize,
     continuations,
+    inv,
     make_window,
     pair_ok,
     primitive_cycles,
@@ -245,6 +255,71 @@ def window_scan_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
     """The raw window scan with the pumping rule of `kiss_count` applied."""
     win1, win2, pairs = matched_occurrences(bq, w1, w2, extra)
     return sum(not _is_pumpable(win1, win2, o1, o2) for o1, o2 in pairs)
+
+
+# ---------------------------------------------------------------------------
+# countercurrent order: a letter-at-a-time reading
+
+
+def _stream(w: Walk, g0: int, orient: int):
+    def get(i: int) -> Letter | None:
+        letter = walk_letter(w, g0 + orient * i)
+        if letter is None:
+            return None
+        return letter if orient == 1 else inv(letter)
+
+    return get
+
+
+def _agreement_limit(w1: Walk, w2: Walk) -> int:
+    lens = [len(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail) if u]
+    lcm = 1
+    for k in lens:
+        lcm = lcm * k // math.gcd(lcm, k)
+    return len(w1.body) + len(w2.body) + 2 * lcm + 8
+
+
+def reference_countercurrent_less(
+    bq: BlossomQuiver, m: MarkedWalk, n: MarkedWalk, arrow: str
+) -> bool:
+    """True iff m comes before n in the countercurrent order at the arrow.
+
+    Both marked walks are oriented so the marked occurrence reads as the
+    arrow taken forwards, then compared letterwise outward from the mark.
+    At the first disagreement on either side exactly one of the two leaves
+    with the flow of the arrow; that one is the smaller.
+    """
+    lm = walk_letter(m.walk, m.position)
+    ln = walk_letter(n.walk, n.position)
+    if lm is None or lm[0] != arrow:
+        raise NotMarked(f"m is not marked at {arrow!r}")
+    if ln is None or ln[0] != arrow:
+        raise NotMarked(f"n is not marked at {arrow!r}")
+    if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
+        raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
+    sm = _stream(m.walk, m.position, 1 if lm[1] == 1 else -1)
+    sn = _stream(n.walk, n.position, 1 if ln[1] == 1 else -1)
+    limit = _agreement_limit(m.walk, n.walk)
+    verdicts = []
+    for direction in (1, -1):
+        for i in range(1, limit + 1):
+            x = sm(direction * i)
+            y = sn(direction * i)
+            if x is None and y is None:
+                break
+            if x is None or y is None:
+                break
+            if x != y:
+                if x[1] == y[1]:
+                    raise OrderError("split letters must take opposite directions")
+                verdicts.append(x[1] == 1)
+                break
+        # loop exhaustion = infinite periodic agreement: uninformative side
+    if not verdicts:
+        raise SameMarkedWalk("marked walks agree on both sides")
+    if len(verdicts) == 2 and verdicts[0] != verdicts[1]:
+        raise KissingPair("countercurrent order undefined: the walks kiss")
+    return verdicts[0]
 
 
 # ---------------------------------------------------------------------------

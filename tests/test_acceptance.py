@@ -27,6 +27,8 @@ from nonkissing.geometry import (
     build_associahedron,
     build_fan,
     dual_basis_check,
+    facet_matrices,
+    graph_matrices,
     sign_coherence_report,
     vec_dot,
 )
@@ -117,8 +119,8 @@ def test_criterion_7_vector_identities(built):
     ok = True
     for name, (q, bq, g, walks, complete) in built.items():
         for facet in g.facets:
-            ok &= dual_basis_check(bq, facet) == []
-        ok &= sign_coherence_report(bq, g) == []
+            ok &= dual_basis_check(facet_matrices(bq, facet)) == []
+        ok &= sign_coherence_report(g, graph_matrices(g)) == []
     # published example matrices as a fixture
     G = [(1, -1), (0, -1)]
     C = [(1, 0), (-1, -1)]

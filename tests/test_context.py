@@ -1,12 +1,9 @@
 """The per-quiver context: interned walks, memo tables and stored facet data."""
 
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import nonkissing
 from nonkissing import cli, facets as facets_module, quiver as quiver_module
 from nonkissing.errors import FacetError, FlipFailed
 from nonkissing.facets import (
@@ -22,9 +19,16 @@ from nonkissing.facets import (
     walks_through_cycles_check,
 )
 from nonkissing.families import a_path, corpus, double_cycle
-from nonkissing.geometry import build_associahedron, build_fan, sign_coherence_report
+from nonkissing.geometry import (
+    build_associahedron,
+    build_fan,
+    graph_matrices,
+    sign_coherence_report,
+)
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import enumerate_walks, kiss_count
+
+from pyrun import run_python
 
 FINITE = (
     "a2", "a3", "cambrian-FRF", "loop", "cycle2", "cycle3", "reversedpath2",
@@ -133,15 +137,7 @@ except FlipFailed as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_conflicting_reverse_flip_raises(flags):
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", CONFLICT],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["FlipFailed"]
+    assert run_python(CONFLICT, *flags) == ["FlipFailed"]
 
 
 def _stored_data_graphs():
@@ -232,7 +228,7 @@ def test_reports_read_the_context(monkeypatch):
     events = _record_blossoms(monkeypatch)
     assert verify_purity(g) == verify_thinness(g) == []
     assert verify_distinguished_census(g) == walks_through_cycles_check(g) == []
-    assert sign_coherence_report(g.ctx.bq, g) == []
+    assert sign_coherence_report(g, graph_matrices(g)) == []
     assert build_fan(g).report == ()
     build_associahedron(q, g, universe, complete)
     assert events == []
@@ -266,12 +262,4 @@ def test_corrupted_facet_raises_facet_error():
 
 
 def test_corrupted_facet_raises_facet_error_under_optimize():
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", CORRUPT],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["FlipFailed"]
+    assert run_python(CORRUPT, "-O") == ["FlipFailed"]

@@ -28,7 +28,15 @@ from nonkissing.facets import (
     verify_thinness,
     walks_through_cycles_check,
 )
-from nonkissing.families import a_path, corpus, cycle_quiver, loop_quiver, reversed_path
+from nonkissing.families import (
+    a_path,
+    corpus,
+    cycle_quiver,
+    double_cycle,
+    double_path,
+    loop_quiver,
+    reversed_path,
+)
 from nonkissing.quiver import blossom
 from nonkissing.walks import (
     deep_walk,
@@ -38,6 +46,8 @@ from nonkissing.walks import (
     primitive_cycles,
     walk_uses_cycle,
 )
+
+from oracles import reference_countercurrent_less
 
 # frozen facet counts: A2 and A3 as stated by the acceptance criteria, the
 # rest computed by the clique oracle and frozen
@@ -87,6 +97,44 @@ def test_countercurrent_is_a_strict_total_order(graphs):
                         bq, n, o, arrow
                     ):
                         assert countercurrent_less(bq, m, o, arrow)
+
+
+def _verdict(less, *args):
+    try:
+        return less(*args)
+    except (SameMarkedWalk, KissingPair) as exc:
+        return type(exc)
+
+
+def test_countercurrent_matches_the_letter_at_a_time_reference():
+    # every ordered pair of marks at every arrow in every facet, with the
+    # walk each flip brings in, which kisses the walk it replaces
+    finite = ("a2", "a3", "cambrian-FRF", "loop", "cycle2", "cycle3",
+              "reversedpath2", "reversedpath3")
+    graphs = [enumerate_facets(corpus()[name]) for name in finite]
+    graphs += [
+        enumerate_facets(q, max_facets=cap)
+        for q, cap in ((double_cycle(2), 40), (double_path(3), 40), (double_path(4), 20))
+    ]
+    verdicts = set()
+    for g in graphs:
+        ctx = g.ctx
+        ids = {key: i for i, key in enumerate(ctx.keys)}
+        groups = {g.ids[e.source] + g.straights + (ids[e.walk_in],) for e in g.edges}
+        pairs = {
+            (m, n, arrow)
+            for group in groups
+            for arrow in ctx.bq.quiver.arrow_ids
+            for m, n in itertools.product(
+                [(i, p) for i in group for p in ctx.marks[i].get(arrow, ())], repeat=2
+            )
+        }
+        for m, n, arrow in pairs:
+            args = (ctx.bq, ctx.marked(m), ctx.marked(n), arrow)
+            want = _verdict(reference_countercurrent_less, *args)
+            assert _verdict(countercurrent_less, *args) == want, (args, want)
+            verdicts.add(want)
+    assert verdicts == {True, False, SameMarkedWalk, KissingPair}
 
 
 def test_same_marked_walk_rejected():
@@ -202,7 +250,6 @@ def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
     monkeypatch.setattr(facets_module, "kiss_count", kissing_peaks)
     with pytest.raises(FlipCheckFailed):
         enumerate_facets(a_path(3))
-    assert enumerate_facets(a_path(3), check_flips=False).closed
 
 
 def test_flip_with_precomputed_data_matches(graphs):

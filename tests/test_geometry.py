@@ -24,6 +24,7 @@ from nonkissing.geometry import (
     dual_basis_check,
     facet_matrices,
     g_vector,
+    graph_matrices,
     sign_coherence_report,
     vec_dot,
 )
@@ -113,7 +114,7 @@ def test_dual_basis_identity_everywhere():
         bq = blossom(q)
         g = enumerate_facets(q)
         for facet in g.facets:
-            assert dual_basis_check(bq, facet) == []
+            assert dual_basis_check(facet_matrices(bq, facet)) == []
 
 
 def test_c_vector_rejects_straight_walks():
@@ -154,7 +155,7 @@ def test_sign_coherence_on_corpus():
     for q in (a_path(2), a_path(3), loop_quiver(), reversed_path(2), cycle_quiver(2)):
         bq = blossom(q)
         g = enumerate_facets(q)
-        assert sign_coherence_report(bq, g) == []
+        assert sign_coherence_report(g, graph_matrices(g)) == []
 
 
 def test_fan_a2_five_cones_complete():
@@ -359,8 +360,8 @@ def test_fan_reports_on_corpus(polytopes):
 
 
 def test_precomputed_matrices_change_nothing():
+    # the matrices read from the stored data equal the facet-by-facet ones
     for q in (a_path(3), cycle_quiver(2), loop_quiver()):
         bq = blossom(q)
-        for facet in enumerate_facets(q).facets:
-            matrices = facet_matrices(bq, facet)
-            assert dual_basis_check(bq, facet, matrices) == dual_basis_check(bq, facet)
+        g = enumerate_facets(q)
+        assert graph_matrices(g) == [facet_matrices(bq, f) for f in g.facets]

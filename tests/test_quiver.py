@@ -1,14 +1,10 @@
 """Validation, blossoming, pruning and Koszul duality."""
 
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nonkissing
 from nonkissing.errors import (
     DegreeViolation,
     GentleBranchViolation,
@@ -38,6 +34,7 @@ from nonkissing.quiver import (
 )
 
 from oracles import vf2_isomorphic
+from pyrun import run_python
 
 
 def test_a2_is_valid():
@@ -259,15 +256,7 @@ def test_blossom_raises_not_complete_under_optimize():
         "except NotComplete:\n"
         "    print('NotComplete')\n"
     )
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["NotComplete"]
+    assert run_python(script, "-O") == ["NotComplete"]
 
 
 def test_blossom_leaf_with_two_arrows_raises_not_complete_under_optimize():
@@ -282,12 +271,4 @@ def test_blossom_leaf_with_two_arrows_raises_not_complete_under_optimize():
         "except NotComplete:\n"
         "    print('NotComplete')\n"
     )
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["NotComplete"]
+    assert run_python(script, "-O") == ["NotComplete"]

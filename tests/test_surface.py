@@ -1,7 +1,9 @@
 """Surface construction, invariants, round trips and the curve dictionary."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,7 @@ from nonkissing.walks import (
 )
 
 from oracles import all_roots_surface_key, union_find_corner_classes
+from pyrun import run_python
 
 # (quiver, b, punctures, genus), straight from the worked example families
 INVARIANT_TABLE = [
@@ -295,6 +298,43 @@ def test_unreduced_crossing_rejected():
     )
     with pytest.raises(NotReducedCrossing):
         walk_of_curve(bq, bad)
+
+
+BAD_CURVES = """
+import dataclasses
+from nonkissing.errors import NotMaximal, NoUniqueWalk
+from nonkissing.families import a_path
+from nonkissing.quiver import blossom
+from nonkissing.surface import curve_of_walk, walk_of_curve
+from nonkissing.walks import Walk, peak_walk
+
+bq = blossom(a_path(3))
+w = peak_walk(bq, "v2")
+# walks built past canonicalize, each with one finite end short of its leaf
+for short in (Walk((), w.body[1:], ()), Walk((), w.body[:-1], ())):
+    try:
+        curve_of_walk(bq, short)
+    except NotMaximal:
+        print("NotMaximal")
+# the two leaves of the curve with no crossing between them spell no walk
+try:
+    walk_of_curve(bq, dataclasses.replace(curve_of_walk(bq, w), angles=()))
+except NoUniqueWalk:
+    print("NoUniqueWalk")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_bad_curves_raise_typed_errors(flags):
+    assert run_python(BAD_CURVES, *flags) == ["NotMaximal", "NotMaximal", "NoUniqueWalk"]
+
+
+def test_library_has_no_assert_statements():
+    # invariants raise typed errors from errors.py, which python -O keeps
+    for path in sorted(Path(nonkissing.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
 def test_surface_dump_stable():

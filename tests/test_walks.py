@@ -2,14 +2,10 @@
 
 import itertools
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nonkissing
 from nonkissing import walks as walks_module
 from nonkissing.errors import BoundError, IncompleteUniverse, NotMaximal, ParseError, RelationHit
 from nonkissing.families import (
@@ -51,6 +47,7 @@ from oracles import (
     reference_strip_minimal,
     window_scan_kiss_count,
 )
+from pyrun import run_python
 
 COMPLETE_INSTANCES = {
     # frozen walk counts, computed by the brute-force word oracle below and
@@ -364,15 +361,9 @@ def test_bad_walk_arguments_raise_typed_errors():
 
 
 def test_bad_walk_arguments_raise_typed_errors_under_optimize():
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", BAD_ARGUMENTS],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["BoundError", "ParseError", "ParseError", "ParseError"]
+    assert run_python(BAD_ARGUMENTS, "-O") == [
+        "BoundError", "ParseError", "ParseError", "ParseError"
+    ]
 
 
 def _enumeration_cases():
@@ -483,12 +474,4 @@ except GentleBranchViolation:
 
 
 def test_straight_walk_winding_from_a_leaf_raises_under_optimize():
-    src = str(Path(nonkissing.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", WINDING_LEAF],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        check=True,
-    )
-    assert out.stdout.split() == ["GentleBranchViolation"]
+    assert run_python(WINDING_LEAF, "-O") == ["GentleBranchViolation"]
