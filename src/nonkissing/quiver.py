@@ -126,6 +126,21 @@ class BlossomQuiver:
                 table[x] = tuple(sorted(m for m in options if pair_reason(self, x, m) is None))
         return table
 
+    @cached_property
+    def letter_text(self) -> dict[tuple[str, int], str]:
+        """walks.serialize_letter of each signed letter."""
+        from .walks import serialize_letter
+
+        return {x: serialize_letter(x) for x in self.successors}
+
+    @cached_property
+    def passed_tail_units(self) -> set[tuple[tuple[str, int], ...]]:
+        """Tail units that walks._check_tail_unit has accepted.
+
+        A unit that fails is never added, so it raises on every check.
+        """
+        return set()
+
     def is_blossom_vertex(self, v: str) -> bool:
         return v in self.blossom_vertices
 

@@ -86,7 +86,11 @@ def parse_letter(text: str) -> Letter:
 
 @dataclass(frozen=True)
 class Walk:
-    """Canonical undirected walk; construct only through canonicalize()."""
+    """Canonical undirected walk.
+
+    Built by canonicalize(), or by enumerate_walks() from the same choice
+    of directed form; a Walk built directly is not checked.
+    """
 
     ltail: tuple[Letter, ...]
     body: tuple[Letter, ...]
@@ -106,18 +110,23 @@ class Walk:
 
     @cached_property
     def _serialized(self) -> str:
-        parts = []
-        if self.ltail:
-            parts.append("( " + " ".join(map(serialize_letter, self.ltail)) + " )")
-            parts.append("|")
-        parts.extend(map(serialize_letter, self.body))
-        if self.rtail:
-            parts.append("|")
-            parts.append("( " + " ".join(map(serialize_letter, self.rtail)) + " )")
-        return " ".join(parts)
+        return _serialize_form(self.ltail, self.body, self.rtail, serialize_letter)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Walk[{self.serialize()}]"
+
+
+def _serialize_form(ltail, body, rtail, text) -> str:
+    """The serialization of (ltail, body, rtail), with text(letter) per letter."""
+    parts = []
+    if ltail:
+        parts.append("( " + " ".join(map(text, ltail)) + " )")
+        parts.append("|")
+    parts.extend(map(text, body))
+    if rtail:
+        parts.append("|")
+        parts.append("( " + " ".join(map(text, rtail)) + " )")
+    return " ".join(parts)
 
 
 def parse_walk(bq: BlossomQuiver, text: str) -> Walk:
@@ -161,6 +170,9 @@ def parse_walk(bq: BlossomQuiver, text: str) -> Walk:
 
 
 def _check_tail_unit(bq: BlossomQuiver, unit: tuple[Letter, ...]) -> None:
+    passed = bq.passed_tail_units
+    if unit in passed:
+        return
     signs = {s for _, s in unit}
     if len(signs) != 1:
         raise ParseError(f"tail unit {unit} is not uniformly signed")
@@ -173,16 +185,14 @@ def _check_tail_unit(bq: BlossomQuiver, unit: tuple[Letter, ...]) -> None:
     for i in range(k):
         if unit[(i + 1) % k] in succ.get(unit[i], ()):
             continue
-        reason = pair_reason(bq, unit[i], unit[(i + 1) % k])
-        if reason == "gap":
+        # the unit is uniformly signed, so the pair cannot cancel
+        if pair_reason(bq, unit[i], unit[(i + 1) % k]) == "gap":
             raise ParseError(f"tail unit {unit} is not a closed cycle")
-        if reason == "relation":
-            raise RelationHit(
-                f"tail cycle hits the ideal at {serialize_letter(unit[i])} "
-                f"{serialize_letter(unit[(i + 1) % k])}"
-            )
-        if reason == "unreduced":
-            raise NotReduced(f"tail unit {unit} is not reduced")
+        raise RelationHit(
+            f"tail cycle hits the ideal at {serialize_letter(unit[i])} "
+            f"{serialize_letter(unit[(i + 1) % k])}"
+        )
+    passed.add(unit)
 
 
 def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
@@ -262,10 +272,25 @@ def canonicalize(
 ) -> Walk:
     """Validate and normalize a walk given in any representation."""
     _validate_word(bq, ltail, body, rtail)
-    fwd = _directed_canonical(ltail, body, rtail)
-    bwd = _directed_canonical(rev_word(rtail), rev_word(body), rev_word(ltail))
-    wa, wb = Walk(*fwd), Walk(*bwd)
-    return wa if wa.serialize() <= wb.serialize() else wb
+    return _choose(
+        bq,
+        _directed_canonical(ltail, body, rtail),
+        _directed_canonical(rev_word(rtail), rev_word(body), rev_word(ltail)),
+    )
+
+
+def _choose(bq: BlossomQuiver, fwd: tuple, bwd: tuple) -> Walk:
+    """The Walk of the directed canonical form with the smaller serialization.
+
+    fwd and bwd are the directed canonical forms of one walk read forwards
+    and backwards.  Only the kept Walk is built, and it keeps its text.
+    """
+    text = bq.letter_text.__getitem__
+    fwd_text, bwd_text = _serialize_form(*fwd, text), _serialize_form(*bwd, text)
+    form, kept = (fwd, fwd_text) if fwd_text <= bwd_text else (bwd, bwd_text)
+    w = Walk(*form)
+    w.__dict__["_serialized"] = kept  # primes the cached property
+    return w
 
 
 def reverse_walk(w: Walk) -> tuple:
@@ -434,9 +459,11 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     clear the completeness flag.
 
     Each walk is grown from both of its ends.  Growth is a tree, so each
-    directed form is reached at most once; keeping the reverse directed
-    form of every walk canonicalized so far lets the arrival from the other
-    end skip `canonicalize`.
+    directed form is reached at most once.  The first arrival validates the
+    word once, normalizes each direction once and builds the one Walk that
+    `canonicalize` would return; the reverse directed form is kept until
+    the arrival from the other end, which it recognizes at the cost of one
+    normalization.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
@@ -445,17 +472,20 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     pending: set[tuple] = set()  # reverse directed forms not yet reached
     complete = True
     shared = {x: x for x in succ}  # one object per letter: stored forms copy none
+    inverse = {x: shared[x[0], -x[1]] for x in succ}
 
     def rev(word):
-        return tuple(shared[a, -s] for a, s in reversed(word))
+        return tuple(map(inverse.__getitem__, reversed(word)))
 
     def emit(ltail, body, rtail):
         fwd = _directed_canonical(ltail, body, rtail)
         if fwd in pending:
             pending.remove(fwd)
             return
-        w = canonicalize(bq, ltail, body, rtail)
-        pending.add(_directed_canonical(rev(rtail), rev(body), rev(ltail)))
+        _validate_word(bq, ltail, body, rtail)
+        bwd = _directed_canonical(rev(rtail), rev(body), rev(ltail))
+        pending.add(bwd)
+        w = _choose(bq, fwd, bwd)
         walks[w.serialize()] = w
 
     def grow(ltail, letters, run):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from nonkissing.families import (
 )
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import (
+    Walk,
     _strip_minimal,
     canonicalize,
     corner_profile,
@@ -388,16 +390,80 @@ def test_enumeration_matches_reference_oracle():
 
 
 def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
-    calls = []
+    # one pass per walk: validated once, each direction normalized once,
+    # one more normalization to recognize the arrival from the other end,
+    # and only the kept Walk built
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args)
-        return canonicalize(*args)
+    def count(name):
+        real = getattr(walks_module, name)
 
-    monkeypatch.setattr(walks_module, "canonicalize", counted)
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(walks_module, name, counted)
+
+    for name in ("_validate_word", "_directed_canonical", "Walk"):
+        count(name)
     walks, complete = enumerate_walks(blossom(parse_family("family:doublecycle:1")), 16)
     assert not complete
-    assert len(calls) == len(walks) == 3193
+    assert calls["_validate_word"] == calls["Walk"] == len(walks) == 3193
+    assert calls["_directed_canonical"] <= 3 * len(walks)
+    # the text a walk is given is the text it would build
+    monkeypatch.undo()
+    assert all(w.serialize() == Walk(w.ltail, w.body, w.rtail).serialize() for w in walks)
+
+
+# (family, walk, what parse_walk gives), each parsed twice on one blossoming
+# per family: a tail unit that fails is never remembered as passed, and
+# units that passed are remembered per blossoming
+TAIL_UNIT_CASES = (
+    ("doublecycle:1", "( a1+ a1+ ) | | ( a1+ a1+ )", "ParseError"),  # proper power
+    ("doublecycle:1", "( a1+ b1- ) | | ( a1+ b1- )", "ParseError"),  # mixed signs
+    ("doublecycle:1", "( a1+ b1+ a1+ ) | | ( a1+ b1+ a1+ )", "RelationHit"),
+    ("cycle:2", "( a1+ ) | | ( a1+ )", "ParseError"),  # not closed
+    ("cycle:1", "( a1+ ) | | ( a1+ )", "Walk"),
+    ("doublecycle:1", "( a1+ ) | | ( a1+ )", "RelationHit"),
+)
+
+TAIL_UNITS = f"""
+from nonkissing.errors import NonKissingError
+from nonkissing.families import parse_family
+from nonkissing.quiver import blossom
+from nonkissing.walks import parse_walk
+
+blossomings = {{}}
+for spec, text, _ in {TAIL_UNIT_CASES!r}:
+    if spec not in blossomings:
+        blossomings[spec] = blossom(parse_family("family:" + spec))
+    for _ in range(2):
+        try:
+            print(type(parse_walk(blossomings[spec], text)).__name__)
+        except NonKissingError as exc:
+            print(type(exc).__name__)
+"""
+
+
+TAIL_UNIT_RESULTS = [want for *_, want in TAIL_UNIT_CASES for _ in range(2)]
+
+
+def test_bad_tail_units_raise_typed_errors_every_time(capsys):
+    exec(TAIL_UNITS, {})
+    assert capsys.readouterr().out.split() == TAIL_UNIT_RESULTS
+
+
+def test_bad_tail_units_raise_typed_errors_every_time_under_optimize():
+    assert run_python(TAIL_UNITS, "-O") == TAIL_UNIT_RESULTS
+
+
+def test_passed_tail_units_are_remembered_per_blossoming():
+    loop, double = (blossom(parse_family(f"family:{spec}")) for spec in ("cycle:1", "doublecycle:1"))
+    parse_walk(loop, "( a1+ ) | | ( a1+ )")
+    with pytest.raises(RelationHit):
+        parse_walk(double, "( a1+ ) | | ( a1+ )")
+    assert loop.passed_tail_units == {(("a1", 1),)}
+    assert double.passed_tail_units == set()
 
 
 def test_successor_table_is_the_pair_rule():
