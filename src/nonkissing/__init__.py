@@ -33,9 +33,7 @@ from .facets import (
     QuiverContext,
     brute_force_facets,
     countercurrent_less,
-    distinguished_arrows,
     distinguished_data,
-    distinguished_walk,
     enumerate_facets,
     flip,
     maximal_cliques,
@@ -48,7 +46,6 @@ from .facets import (
 from .geometry import (
     build_associahedron,
     build_fan,
-    c_vector,
     d_vector,
     dual_basis_check,
     g_vector,

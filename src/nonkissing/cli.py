@@ -333,6 +333,14 @@ def cmd_selfcheck(args) -> int:
     return 0 if doc["ok"] else 2
 
 
+# the options a subcommand may take besides --out, which every one takes
+OPTIONS = {
+    "--max-facets": dict(type=int, default=10000),
+    "--body-bound": dict(type=int, default=64),
+    "--format": dict(choices=("json", "dot"), default="json"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
@@ -345,27 +353,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact non-kissing / non-crossing complex engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "validate": cmd_validate,
-        "blossom": cmd_blossom,
-        "dual": cmd_dual,
-        "walks": cmd_walks,
-        "facets": cmd_facets,
-        "flipgraph": cmd_flipgraph,
-        "vectors": cmd_vectors,
-        "fan": cmd_fan,
-        "polytope": cmd_polytope,
-        "surface": cmd_surface,
-        "roundtrip": cmd_roundtrip,
-        "selfcheck": cmd_selfcheck,
+    commands = {  # name -> (handler, the OPTIONS it reads)
+        "validate": (cmd_validate, ()),
+        "blossom": (cmd_blossom, ()),
+        "dual": (cmd_dual, ()),
+        "walks": (cmd_walks, ("--body-bound",)),
+        "facets": (cmd_facets, ("--max-facets",)),
+        "flipgraph": (cmd_flipgraph, ("--max-facets", "--format")),
+        "vectors": (cmd_vectors, ("--max-facets",)),
+        "fan": (cmd_fan, ("--max-facets",)),
+        "polytope": (cmd_polytope, ("--max-facets", "--body-bound")),
+        "surface": (cmd_surface, ("--format",)),
+        "roundtrip": (cmd_roundtrip, ()),
+        "selfcheck": (cmd_selfcheck, ()),
     }
-    for name, fn in commands.items():
+    for name, (fn, options) in commands.items():
         p = sub.add_parser(name)
         if name != "selfcheck":
             p.add_argument("input", help="quiver JSON path or family:NAME:ARG")
-        p.add_argument("--max-facets", type=int, default=10000)
-        p.add_argument("--body-bound", type=int, default=64)
-        p.add_argument("--format", choices=("json", "dot"), default="json")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     return parser
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_facets < 1 or args.body_bound < 1:
+    if any(getattr(args, bound, 1) < 1 for bound in ("max_facets", "body_bound")):
         print("error: bounds must be positive", file=sys.stderr)
         return 1
     try:

@@ -54,20 +54,6 @@ from .walks import (
 Mark = tuple[int, int]  # (walk id, global letter index) inside a QuiverContext
 
 
-def walk_letter(w: Walk, g: int) -> Letter | None:
-    b = len(w.body)
-    if 0 <= g < b:
-        return w.body[g]
-    if g >= b:
-        if not w.rtail:
-            return None
-        return w.rtail[(g - b) % len(w.rtail)]
-    if not w.ltail:
-        return None
-    p = len(w.ltail)
-    return w.ltail[p - 1 - ((-1 - g) % p)]
-
-
 def _marked_letters(w: Walk):
     """(position, letter) of the canonical marked occurrences, ascending.
 
@@ -80,11 +66,6 @@ def _marked_letters(w: Walk):
         enumerate(w.body),
         enumerate(w.rtail, len(w.body)),
     )
-
-
-def mark_positions(w: Walk, arrow: str) -> list[int]:
-    """Canonical marked occurrences of an arrow: body plus first tail periods."""
-    return [g for g, (a, _) in _marked_letters(w) if a == arrow]
 
 
 @dataclass(frozen=True)
@@ -120,6 +101,22 @@ def _ray(t: tuple, p: int, side: int, n: int) -> tuple:
     return run + (None,) * (n - len(run))
 
 
+def _rays(w: Walk, p: int, n: int) -> tuple:
+    """The letter at position p of w, and w's two rays from p on.
+
+    Each ray is the letter at p, then the n letters beyond it on one side,
+    with w read in the direction that letter takes forwards: the rays of
+    w's stored direction, swapped and inverted (lazily) when the letter
+    points backwards.
+    """
+    t = _oriented(w, 1)
+    ahead, back = _ray(t, p - 1, 1, n + 1), _ray(t, p + 1, -1, n + 1)
+    letter = ahead[0]
+    if letter is None or letter[1] == 1:
+        return letter, (ahead, back)
+    return letter, tuple((x and (x[0], -x[1]) for x in ray) for ray in (back, ahead))
+
+
 def countercurrent_less(
     bq: BlossomQuiver, m: MarkedWalk, n: MarkedWalk, arrow: str
 ) -> bool:
@@ -131,21 +128,18 @@ def countercurrent_less(
     At the first disagreement on either side exactly one of the two leaves
     with the flow of the arrow; that one is the smaller.
     """
-    lm = walk_letter(m.walk, m.position)
-    ln = walk_letter(n.walk, n.position)
+    limit = span(m.walk, n.walk)
+    lm, rays_m = _rays(m.walk, m.position, limit)
+    ln, rays_n = _rays(n.walk, n.position, limit)
     if lm is None or lm[0] != arrow:
         raise NotMarked(f"m is not marked at {arrow!r}")
     if ln is None or ln[0] != arrow:
         raise NotMarked(f"n is not marked at {arrow!r}")
     if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
-    tm, tn = _oriented(m.walk, lm[1]), _oriented(n.walk, ln[1])
-    pm = _oriented_position(m.walk, m.position, lm[1])
-    pn = _oriented_position(n.walk, n.position, ln[1])
-    limit = span(m.walk, n.walk)
     verdicts = []
-    for side in (1, -1):
-        for x, y in zip(_ray(tm, pm, side, limit), _ray(tn, pn, side, limit)):
+    for ray_m, ray_n in zip(rays_m, rays_n):
+        for x, y in zip(ray_m, ray_n):  # both start with the arrow taken forwards
             if x != y:
                 if x is not None and y is not None:
                     if x[1] == y[1]:
@@ -240,13 +234,7 @@ class QuiverContext:
         key = (wi, tuple(sorted(g for i, g in data.values() if i == wi)))
         hit = self._substrings.get(key)
         if hit is None:
-            w = self.walks[wi]
-            ds = _substring(self.bq, w, list(key[1]))
-            hit = self._substrings[key] = (
-                ds,
-                _companion(self.bq, walk_letter(w, ds.left), "left"),
-                _companion(self.bq, walk_letter(w, ds.right), "right"),
-            )
+            hit = self._substrings[key] = _substring(self.bq, self.walks[wi], key[1])
         return hit
 
     def build(self, wi: int, ds: DistinguishedString, mu: Mark, nu: Mark) -> int:
@@ -283,15 +271,6 @@ def _data(ctx: QuiverContext, ids) -> dict[str, Mark]:
     }
 
 
-def distinguished_walk(
-    bq: BlossomQuiver, walks, arrow: str
-) -> MarkedWalk | None:
-    """Max of the countercurrent order over all marked occurrences in walks."""
-    ctx = QuiverContext(bq)
-    marks = _marks_at(ctx, [ctx.intern(w) for w in walks], arrow)
-    return ctx.marked(_countercurrent_max(ctx, marks, arrow)) if marks else None
-
-
 # ---------------------------------------------------------------------------
 # facets
 
@@ -311,12 +290,6 @@ class Facet:
     def walks(self) -> tuple[Walk, ...]:
         return self.bending + self.straights
 
-    def replace(self, old: Walk, new: Walk) -> "Facet":
-        bending = tuple(
-            sorted((set(self.bending) - {old}) | {new}, key=Walk.serialize)
-        )
-        return Facet(bending=bending, straights=self.straights)
-
 
 def make_facet(bending, straights) -> Facet:
     return Facet(
@@ -332,16 +305,6 @@ def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, MarkedWalk]
     return {a: ctx.marked(m) for a, m in data.items()}
 
 
-def distinguished_arrows(
-    bq: BlossomQuiver, facet: Facet, w: Walk, data: dict[str, MarkedWalk] | None = None
-) -> list[str]:
-    if w not in facet.walks:
-        raise NotMember(f"walk {w.serialize()!r} is not in the facet")
-    if data is None:
-        data = distinguished_data(bq, facet)
-    return sorted(a for a, mw in data.items() if mw.walk == w)
-
-
 @dataclass(frozen=True)
 class DistinguishedString:
     """The substring of a bending walk between its two distinguished arrows."""
@@ -354,18 +317,11 @@ class DistinguishedString:
     vertices: tuple[str, ...]  # vertices of the substring, endpoints included
 
 
-def distinguished_substring(
-    bq: BlossomQuiver, facet: Facet, w: Walk, data: dict[str, MarkedWalk] | None = None
-) -> DistinguishedString:
-    if not is_bending(w):
-        raise NotBending(f"walk {w.serialize()!r} is straight")
-    if data is None:
-        data = distinguished_data(bq, facet)
-    return _substring(bq, w, [mw.position for mw in data.values() if mw.walk == w])
-
-
-def _substring(bq: BlossomQuiver, w: Walk, marks: list[int]) -> DistinguishedString:
-    """The distinguished substring of w, whose distinguished marks are at marks."""
+def _substring(
+    bq: BlossomQuiver, w: Walk, marks: tuple[int, ...]
+) -> tuple[DistinguishedString, str, str]:
+    """The distinguished substring of w, whose distinguished marks are at marks,
+    with the ideal partners of its left and right distinguished letters."""
     if len(marks) != 2:
         raise NotMaximalFacet(
             f"bending walk has {len(marks)} distinguished arrows, expected 2"
@@ -378,7 +334,8 @@ def _substring(bq: BlossomQuiver, w: Walk, marks: list[int]) -> DistinguishedStr
     on_top = l1[1] == -1 and l2[1] == 1
     letters = run[1:-1]
     vertices = tuple(letter_tgt(bq, x) for x in run[:-1])
-    return DistinguishedString(w, g1, g2, on_top, letters, vertices)
+    ds = DistinguishedString(w, g1, g2, on_top, letters, vertices)
+    return ds, _companion(bq, l1, "left"), _companion(bq, l2, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +399,8 @@ def flip(
         a: (ctx.intern(mw.walk), mw.position) for a, mw in data.items()
     }
     new, direction = _flip(ctx, ids, marks, ctx.intern(w), check)
-    return facet.replace(w, ctx.walks[new]), ctx.walks[new], direction
+    w2 = ctx.walks[new]
+    return make_facet(set(facet.bending) - {w} | {w2}, facet.straights), w2, direction
 
 
 def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
@@ -548,10 +506,6 @@ class FlipGraph:
         walks = self.ctx.walks
         straights = tuple(walks[i] for i in self.straights)
         return tuple(Facet(tuple(walks[i] for i in b), straights) for b in self.ids)
-
-    def marked_data(self, i: int) -> dict[str, MarkedWalk]:
-        """Facet i's distinguished data in the form `distinguished_data` returns."""
-        return {a: self.ctx.marked(m) for a, m in self.data[i].items()}
 
 
 def peak_facet(bq: BlossomQuiver) -> Facet:

@@ -9,28 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    IncompleteUniverse,
-    NotBending,
-    NotClosed,
-    NotMember,
-    VHMismatch,
-)
-from .facets import (
-    DistinguishedString,
-    Facet,
-    FlipGraph,
-    distinguished_data,
-    distinguished_substring,
-)
+from .errors import IncompleteUniverse, NotClosed, VHMismatch
+from .facets import Facet, FlipGraph, Mark, QuiverContext, _data
 from .quiver import BlossomQuiver, BoundQuiver
-from .walks import (
-    Walk,
-    corner_profile,
-    deep_walks,
-    is_bending,
-    kiss_count,
-)
+from .walks import Walk, corner_profile, deep_walks, kiss_count
 
 IntVector = tuple[int, ...]
 
@@ -74,25 +56,12 @@ def g_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
     return tuple(out)
 
 
-def c_vector(
-    bq: BlossomQuiver, facet: Facet, w: Walk, data=None
-) -> IntVector:
-    """Signed multiplicity vector of the distinguished substring of w in the facet."""
-    if not is_bending(w):
-        raise NotBending("c-vectors are attached to bending walks only")
-    if w not in facet.walks:
-        raise NotMember(f"walk {w.serialize()!r} is not in the facet")
-    return _signed_multiplicity(bq.base, distinguished_substring(bq, facet, w, data))
-
-
-def _signed_multiplicity(q: BoundQuiver, ds: DistinguishedString) -> IntVector:
-    vec = multiplicity_vector(q, ds.vertices)
+def _c_vector(ctx: QuiverContext, wi: int, data: dict[str, Mark]) -> IntVector:
+    """The c-vector of bending walk id wi in a facet whose distinguished data
+    is data: the signed multiplicity vector of its distinguished substring."""
+    ds = ctx.substring(wi, data)[0]
+    vec = multiplicity_vector(ctx.q, ds.vertices)
     return vec if ds.on_top else vec_scale(-1, vec)
-
-
-def _graph_c_vector(g: FlipGraph, i: int, w: int) -> IntVector:
-    """The c-vector of walk id w in facet i of g, from the stored data."""
-    return _signed_multiplicity(g.quiver, g.ctx.substring(w, g.data[i])[0])
 
 
 def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
@@ -108,11 +77,16 @@ def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
 
 
 def facet_matrices(bq: BlossomQuiver, facet: Facet):
-    """(walks, G, C) with matching column order over the bending walks."""
-    data = distinguished_data(bq, facet)
+    """(walks, G, C) with matching column order over the bending walks.
+
+    The facet's walks are interned into one new context.
+    """
+    ctx = QuiverContext(bq)
+    ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
+    data = _data(ctx, ids)
     walks = list(facet.bending)
     gs = [g_vector(bq, w) for w in walks]
-    cs = [c_vector(bq, facet, w, data) for w in walks]
+    cs = [_c_vector(ctx, i, data) for i in ids[: len(walks)]]
     return walks, gs, cs
 
 
@@ -142,7 +116,7 @@ def graph_matrices(g: FlipGraph) -> list:
         (
             [walks[w] for w in b],
             [gvecs[w] for w in b],
-            [_graph_c_vector(g, i, w) for w in b],
+            [_c_vector(g.ctx, w, g.data[i]) for w in b],
         )
         for i, b in enumerate(g.ids)
     ]
@@ -380,7 +354,7 @@ def build_associahedron(
             if wi not in kn_total:
                 report.append(f"facet walk {ctx.keys[wi]} missing from the universe")
                 continue
-            p = vec_add(p, vec_scale(kn_total[wi], _graph_c_vector(g, i, wi)))
+            p = vec_add(p, vec_scale(kn_total[wi], _c_vector(ctx, wi, g.data[i])))
         vertices.append(p)
     halfspaces = tuple(zip(normals, bounds))
     # V against H, recording the halfspaces each vertex meets with equality

@@ -314,32 +314,27 @@ def _matching_components(bq: BlossomQuiver) -> int:
     """
     from .walks import straight_next
 
-    edges = []
-    # matching 1: endpoints of maximal relation-free paths
-    for a, src, _ in bq.quiver.arrows:
-        if src in bq.blossom_vertices:
-            cur = a
-            while True:
-                nxt = straight_next(bq, cur)
-                if nxt is None:
-                    raise InconsistentEuler(f"straight path from leaf {src!r} stops inside")
-                cur = nxt
-                if bq.quiver.tgt[cur] in bq.blossom_vertices:
-                    break
-            edges.append((src, bq.quiver.tgt[cur]))
-    # matching 2: endpoints of maximal relation chains
+    def chain_end(a: str, src: str, step, what: str) -> str:
+        """The blossom leaf where the chain of arrows after a by step ends."""
+        cur = step(a)
+        while cur is not None and bq.quiver.tgt[cur] not in bq.blossom_vertices:
+            cur = step(cur)
+        if cur is None:
+            raise InconsistentEuler(f"{what} from leaf {src!r} stops inside")
+        return bq.quiver.tgt[cur]
+
+    # matching 1: endpoints of maximal relation-free paths; matching 2:
+    # endpoints of maximal relation chains
     rel_next = {x: y for x, y in bq.quiver.relations}
-    for a, src, _ in bq.quiver.arrows:
-        if src in bq.blossom_vertices:
-            cur = a
-            while True:
-                nxt = rel_next.get(cur)
-                if nxt is None:
-                    raise InconsistentEuler(f"relation chain from leaf {src!r} stops inside")
-                cur = nxt
-                if bq.quiver.tgt[cur] in bq.blossom_vertices:
-                    break
-            edges.append((src, bq.quiver.tgt[cur]))
+    edges = [
+        (src, chain_end(a, src, step, what))
+        for step, what in (
+            (lambda a: straight_next(bq, a), "straight path"),
+            (rel_next.get, "relation chain"),
+        )
+        for a, src, _ in bq.quiver.arrows
+        if src in bq.blossom_vertices
+    ]
     adj: dict = {}
     for x, y in edges:
         adj.setdefault(x, set()).add(y)

@@ -69,11 +69,6 @@ def pair_ok(bq: BlossomQuiver, l1: Letter, l2: Letter) -> bool:
     return pair_reason(bq, l1, l2) is None
 
 
-def continuations(bq: BlossomQuiver, letter: Letter) -> list[Letter]:
-    """Letters m with letter . m a legal factor; at most one of each sign."""
-    return list(bq.successors[letter])
-
-
 def serialize_letter(letter: Letter) -> str:
     return f"{letter[0]}{'+' if letter[1] > 0 else '-'}"
 

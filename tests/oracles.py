@@ -10,8 +10,8 @@ still take from production, exactly:
 * the walk-growth oracle (`reference_enumerate_walks`: plain growth that
   copies the letter list at every step, scans the whole list for a
   repeated letter and canonicalizes every arrival, so each walk twice)
-  uses the successor table through `continuations`, `primitive_cycles`
-  and `canonicalize`; `reference_strip_minimal` absorbs periodic body
+  uses the successor table `bq.successors`, `primitive_cycles` and
+  `canonicalize`; `reference_strip_minimal` absorbs periodic body
   letters into the tails one letter at a time, beside the index
   arithmetic of `walks._strip_minimal`;
 * the window-scan kissing oracles (`raw_window_kiss_count`,
@@ -23,10 +23,10 @@ still take from production, exactly:
   with the maximal-run scan of `kiss_count`.
 
 The countercurrent oracle (`reference_countercurrent_less`) reads both marked
-walks one letter at a time through `facets.walk_letter`, the global letter
+walks one letter at a time through its own `walk_letter`, by global letter
 index, inverting letters by hand when a walk is read backwards, for a length
 of its own (`_agreement_limit`); it shares no unrolling, orientation or
-length with the tuple-slice reader of `countercurrent_less`.
+length with the tuple-slice reader `_ray` of `countercurrent_less`.
 
 The geometry oracles take nothing from production: `fraction_rank`,
 `fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss
@@ -48,7 +48,7 @@ from fractions import Fraction
 import networkx as nx
 
 from nonkissing.errors import BoundError, KissingPair, NotMarked, OrderError, SameMarkedWalk
-from nonkissing.facets import MarkedWalk, walk_letter
+from nonkissing.facets import MarkedWalk
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
@@ -56,7 +56,6 @@ from nonkissing.walks import (
     Walk,
     Window,
     canonicalize,
-    continuations,
     inv,
     make_window,
     pair_ok,
@@ -152,7 +151,7 @@ def reference_enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         if len(letters) > body_bound:
             complete = False
             return
-        conts = continuations(bq, letters[-1])
+        conts = bq.successors[letters[-1]]
         if not conts:
             emit(ltail, letters, ())
             return
@@ -180,7 +179,7 @@ def reference_enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
             k = len(base)
             for phase in range(k):
                 unit = base[phase:] + base[:phase]
-                for m in continuations(bq, unit[-1]):
+                for m in bq.successors[unit[-1]]:
                     if m == unit[0]:
                         continue  # staying in the tail
                     seeds.append((unit, [m]))
@@ -259,6 +258,20 @@ def window_scan_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
 
 # ---------------------------------------------------------------------------
 # countercurrent order: a letter-at-a-time reading
+
+
+def walk_letter(w: Walk, g: int) -> Letter | None:
+    b = len(w.body)
+    if 0 <= g < b:
+        return w.body[g]
+    if g >= b:
+        if not w.rtail:
+            return None
+        return w.rtail[(g - b) % len(w.rtail)]
+    if not w.ltail:
+        return None
+    p = len(w.ltail)
+    return w.ltail[p - 1 - ((-1 - g) % p)]
 
 
 def _stream(w: Walk, g0: int, orient: int):

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import hashlib
+import importlib
 import json
 import random
+import runpy
 import sys
 from pathlib import Path
 
@@ -191,6 +193,20 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walks", "family:apath:2", "--max-facets", "5"],
+        ["validate", "family:apath:2", "--body-bound", "3"],
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_family_spec_errors():
     assert main(["validate", "family:nosuch:3"]) == 1
 
@@ -232,7 +248,22 @@ def test_unknown_flag_after_a_successful_call_is_usage_error(capsys):
     assert main(["validate", "family:apath:2"]) == 0
 
 
-GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps these by name, looked up as it does
+    tracing = runpy.run_path(str(BENCH / "tracing.py"))  # no bytecode cache
+    for layer, names in tracing["TRACED"].items():
+        module = importlib.import_module(f"nonkissing.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for layer, cls, name in tracing["METHODS"]:
+        module = importlib.import_module(f"nonkissing.{layer}")
+        assert name in vars(getattr(module, cls)), f"{layer}.{cls}.{name}"
+
+
+GOLDENS = BENCH / "goldens.json"
 FLIP_GOLDENS = {
     key: digest
     for key, digest in json.loads(GOLDENS.read_text()).items()

@@ -28,6 +28,7 @@ from nonkissing.geometry import (
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import enumerate_walks, kiss_count
 
+from oracles import walk_letter
 from pyrun import run_python
 
 FINITE = (
@@ -151,7 +152,8 @@ def test_stored_data_matches_fresh_distinguished_data():
     for g in _stored_data_graphs():
         assert len(g.data) == len(g.facets)
         for i, f in enumerate(g.facets):
-            assert g.marked_data(i) == distinguished_data(g.ctx.bq, f)
+            stored = {a: g.ctx.marked(m) for a, m in g.data[i].items()}
+            assert stored == distinguished_data(g.ctx.bq, f)
 
 
 def test_interned_walk_facts():
@@ -160,8 +162,14 @@ def test_interned_walk_facts():
     for i, w in enumerate(ctx.walks):
         assert ctx.intern(w) == i
         assert ctx.keys[i] == w.serialize()
-        for arrow, positions in ctx.marks[i].items():
-            assert list(positions) == facets_module.mark_positions(w, arrow)
+        # marked: the body and the first period of each tail, read letter by letter
+        marked = range(
+            0 if w.is_infinite_straight else -len(w.ltail), len(w.body) + len(w.rtail)
+        )
+        want: dict[str, list[int]] = {}
+        for p in marked:
+            want.setdefault(walk_letter(w, p)[0], []).append(p)
+        assert ctx.marks[i] == {a: tuple(ps) for a, ps in want.items()}
     assert [f.key for f in g.facets] == [
         tuple(ctx.keys[w] for w in ids) for ids in g.ids
     ]

@@ -7,20 +7,23 @@ import networkx as nx
 import pytest
 
 from nonkissing import facets as facets_module
-from nonkissing.errors import FlipCheckFailed, KissingPair, NotBending, SameMarkedWalk
+from nonkissing.errors import (
+    FlipCheckFailed,
+    KissingPair,
+    NotBending,
+    NotMember,
+    SameMarkedWalk,
+)
 from nonkissing.facets import (
+    Facet,
     MarkedWalk,
     QuiverContext,
     brute_force_facets,
     countercurrent_less,
     deep_facet,
-    distinguished_arrows,
     distinguished_data,
-    distinguished_substring,
-    distinguished_walk,
     enumerate_facets,
     flip,
-    mark_positions,
     maximal_cliques,
     peak_facet,
     verify_distinguished_census,
@@ -48,6 +51,7 @@ from nonkissing.walks import (
 )
 
 from oracles import reference_countercurrent_less
+from pyrun import run_python
 
 # frozen facet counts: A2 and A3 as stated by the acceptance criteria, the
 # rest computed by the clique oracle and frozen
@@ -79,15 +83,21 @@ def test_facet_counts_and_oracle_equivalence(graphs):
         assert sorted(f.key for f in g.facets) == sorted(f.key for f in oracle), name
 
 
+def _marked_walks(g, i, arrow):
+    """Every marked occurrence of the arrow in facet i of g."""
+    ctx = g.ctx
+    return [
+        ctx.marked((w, p))
+        for w in g.ids[i] + g.straights
+        for p in ctx.marks[w].get(arrow, ())
+    ]
+
+
 def test_countercurrent_is_a_strict_total_order(graphs):
     for name, (bq, g) in graphs.items():
-        for facet in g.facets:
+        for i in range(len(g.ids)):
             for arrow in bq.quiver.arrow_ids:
-                marks = [
-                    MarkedWalk(w, p)
-                    for w in facet.walks
-                    for p in mark_positions(w, arrow)
-                ]
+                marks = _marked_walks(g, i, arrow)
                 for m, n in itertools.permutations(marks, 2):
                     less = countercurrent_less(bq, m, n, arrow)
                     greater = countercurrent_less(bq, n, m, arrow)
@@ -160,35 +170,38 @@ def test_kissing_pair_rejected():
 
 def test_distinguished_walk_singleton_and_empty():
     bq = blossom(a_path(2))
-    facet = peak_facet(bq)
-    # a blossom arrow crossed by a single facet walk
-    only = distinguished_walk(bq, [peak_walk(bq, "v1")], "v1+out1")
-    assert only is not None and only.walk == peak_walk(bq, "v1")
-    assert distinguished_walk(bq, [peak_walk(bq, "v1")], "v2+out1") is None
+    # a blossom arrow crossed by a single walk
+    only = distinguished_data(bq, Facet((peak_walk(bq, "v1"),), ()))
+    assert only["v1+out1"].walk == peak_walk(bq, "v1")
+    assert "v2+out1" not in only
 
 
 def test_distinguished_data_matches_per_arrow_maximum(graphs):
     # one bucketing pass over the facet's letters picks the same winner as
     # the countercurrent maximum taken arrow by arrow
     for name, (bq, g) in graphs.items():
-        for facet in g.facets:
+        for i in range(len(g.ids)):
             want = {}
             for arrow in bq.quiver.arrow_ids:
-                mw = distinguished_walk(bq, facet.walks, arrow)
-                if mw is not None:
-                    want[arrow] = mw
-            assert distinguished_data(bq, facet) == want, name
+                marks = _marked_walks(g, i, arrow)
+                top = [
+                    m for m in marks
+                    if all(countercurrent_less(bq, n, m, arrow) for n in marks if n != m)
+                ]
+                if marks:
+                    (mw,) = top
+                    want[arrow] = (g.ctx.intern(mw.walk), mw.position)
+            assert g.data[i] == want, name
 
 
 def test_spiral_distinguished_at_pre_tail_occurrence(graphs):
     bq, g = graphs["loop"]
-    for facet in g.facets:
-        data = distinguished_data(bq, facet)
-        mw = data["a1"]
-        assert mw.walk in facet.bending
+    for i, bending in enumerate(g.ids):
+        wi, position = g.data[i]["a1"]
+        assert wi in bending
         # the marked occurrence is the tail period adjacent to the body
-        b = len(mw.walk.body)
-        assert mw.position in range(-len(mw.walk.ltail or ()), b + len(mw.walk.rtail or ()))
+        w = g.ctx.walks[wi]
+        assert position in range(-len(w.ltail or ()), len(w.body) + len(w.rtail or ()))
 
 
 def test_distinguished_census(graphs):
@@ -196,11 +209,11 @@ def test_distinguished_census(graphs):
         assert verify_distinguished_census(g) == [], name
 
 
-def test_distinguished_substring_of_peak_walk_is_top_vertex():
-    bq = blossom(a_path(2))
-    facet = peak_facet(bq)
+def test_distinguished_substring_of_peak_walk_is_top_vertex(graphs):
+    bq, g = graphs["a2"]
+    assert g.facets[0] == peak_facet(bq)
     for v in ("v1", "v2"):
-        ds = distinguished_substring(bq, facet, peak_walk(bq, v))
+        ds = g.ctx.substring(g.ctx.intern(peak_walk(bq, v)), g.data[0])[0]
         assert ds.on_top
         assert ds.letters == ()
         assert ds.vertices == (v,)
@@ -299,14 +312,16 @@ def test_increasing_flips_reach_deep_facet(graphs):
 
 
 def test_direction_law_sigma_top_of_old_bottom_of_new(graphs):
+    # a closed graph has an edge for every bending walk of every facet
     for name, (bq, g) in graphs.items():
-        for facet in g.facets:
-            for w in facet.bending:
-                ds = distinguished_substring(bq, facet, w)
-                f2, w2, d = flip(bq, facet, w)
-                assert (d == "increasing") == ds.on_top
-                ds2 = distinguished_substring(bq, f2, w2)
-                assert ds2.on_top != ds.on_top
+        ctx = g.ctx
+        ids = {key: i for i, key in enumerate(ctx.keys)}
+        assert len(g.edges) == sum(map(len, g.ids)), name
+        for e in g.edges:
+            ds = ctx.substring(ids[e.walk_out], g.data[e.source])[0]
+            assert (e.direction == "increasing") == ds.on_top
+            ds2 = ctx.substring(ids[e.walk_in], g.data[e.target])[0]
+            assert ds2.on_top != ds.on_top
 
 
 def test_purity(graphs):
@@ -351,14 +366,43 @@ def test_walks_through_cycles_vacuous_on_acyclic(graphs):
     assert walks_through_cycles_check(g) == []
 
 
-def test_distinguished_arrows_on_members_only(graphs):
-    bq, g = graphs["a2"]
-    from nonkissing.errors import NotMember
-
-    other = deep_walk(bq, "v1")
-    facet = peak_facet(bq)
+def test_flip_on_members_only():
+    bq = blossom(a_path(2))
     with pytest.raises(NotMember):
-        distinguished_arrows(bq, facet, other)
+        flip(bq, peak_facet(bq), deep_walk(bq, "v1"))
+
+
+# an unreduced walk, facet data missing one of a bending walk's two
+# distinguished arrows, and a flip of a walk outside the facet
+TYPED_ERRORS = """
+from nonkissing.errors import NonKissingError
+from nonkissing.facets import distinguished_data, flip, peak_facet
+from nonkissing.families import a_path
+from nonkissing.quiver import blossom
+from nonkissing.walks import deep_walk, parse_walk
+
+bq = blossom(a_path(2))
+facet = peak_facet(bq)
+w = facet.bending[0]
+data = distinguished_data(bq, facet)
+assert sum(mw.walk == w for mw in data.values()) == 2
+del data[min(a for a, mw in data.items() if mw.walk == w)]
+calls = (
+    lambda: parse_walk(bq, "v1+out1- a1+ a1- v1+out1+"),
+    lambda: flip(bq, facet, w, data=data),
+    lambda: flip(bq, facet, deep_walk(bq, "v1")),
+)
+for call in calls:
+    try:
+        call()
+    except NonKissingError as exc:
+        print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_typed_errors_raise_also_under_optimize(flags):
+    assert run_python(TYPED_ERRORS, *flags) == ["NotReduced", "NotMaximalFacet", "NotMember"]
 
 
 def test_truncated_enumeration_flags_not_closed():

@@ -422,5 +422,5 @@ def test_matching_check_is_a_typed_error(monkeypatch):
     # check must still raise, not vanish under python -O
     s = surface_from_quiver(a_path(2))
     monkeypatch.setattr(nonkissing.walks, "straight_next", lambda bq, a: None)
-    with pytest.raises(InconsistentEuler):
+    with pytest.raises(InconsistentEuler, match="straight path from leaf '.+' stops inside"):
         surface_invariants(s)
