@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import families
-from .errors import NonKissingError, ParseError, QuiverError
+from .errors import IncompleteUniverse, NonKissingError, NotClosed, ParseError, QuiverError
 from .facets import (
     FlipGraph,
     brute_force_facets,
@@ -215,7 +215,8 @@ def cmd_fan(args) -> int:
 def cmd_polytope(args) -> int:
     q = _load_quiver(args)
     g = enumerate_facets(q, max_facets=args.max_facets)
-    universe, complete = enumerate_walks(g.ctx.bq, args.body_bound)
+    # a capped graph is refused before the walk universe is grown
+    universe, complete = enumerate_walks(g.ctx.bq, args.body_bound) if g.closed else ([], False)
     poly = build_associahedron(q, g, universe, complete)
     _emit(
         {
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
     except QuiverError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except (NotClosed, IncompleteUniverse) as exc:  # a bound cut the input short
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except NonKissingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,38 +83,24 @@ def _oriented_position(w: Walk, g: int, o: int) -> int:
     return g if o == 1 else len(w.body) - 1 - g
 
 
+def _letter(t: tuple, g: int) -> Letter | None:
+    """The letter at global index g of the walk t = (ltail, body, rtail), or None."""
+    lt, bd, rt = t
+    if g < 0:
+        return lt[g % len(lt)] if lt else None
+    if g < len(bd):
+        return bd[g]
+    return rt[(g - len(bd)) % len(rt)] if rt else None
+
+
 def _ray(t: tuple, p: int, side: int, n: int) -> tuple:
     """The n letters of the walk t = (ltail, body, rtail) beside position p.
 
     side 1 reads the letters after p, side -1 those before it, nearest
-    first; None stands at each place past an end of the walk.  The letters
-    are a slice of one word unrolled just far enough into the tails.
+    first; None stands at each place past an end of the walk.  The tuple is
+    made from a list, which allocates it once at its size.
     """
-    lt, bd, rt = t
-    lo, hi = (p + 1, p + 1 + n) if side == 1 else (p - n, p)
-    left = -(lo // len(lt)) if lt and lo < 0 else 0
-    right = -(-(hi - len(bd)) // len(rt)) if rt and hi > len(bd) else 0
-    off = len(lt) * left
-    run = (lt * left + bd + rt * right)[max(off + lo, 0) : off + hi]
-    if side == -1:
-        run = run[::-1]
-    return run + (None,) * (n - len(run))
-
-
-def _rays(w: Walk, p: int, n: int) -> tuple:
-    """The letter at position p of w, and w's two rays from p on.
-
-    Each ray is the letter at p, then the n letters beyond it on one side,
-    with w read in the direction that letter takes forwards: the rays of
-    w's stored direction, swapped and inverted (lazily) when the letter
-    points backwards.
-    """
-    t = _oriented(w, 1)
-    ahead, back = _ray(t, p - 1, 1, n + 1), _ray(t, p + 1, -1, n + 1)
-    letter = ahead[0]
-    if letter is None or letter[1] == 1:
-        return letter, (ahead, back)
-    return letter, tuple((x and (x[0], -x[1]) for x in ray) for ray in (back, ahead))
+    return tuple([_letter(t, g) for g in range(p + side, p + side * (n + 1), side)])
 
 
 def countercurrent_less(
@@ -126,27 +112,31 @@ def countercurrent_less(
     arrow taken forwards, then compared letterwise outward from the mark
     for `span` letters per side; walks that agree that far agree forever.
     At the first disagreement on either side exactly one of the two leaves
-    with the flow of the arrow; that one is the smaller.
+    with the flow of the arrow; that one is the smaller.  Each side is read
+    one letter at a time and no further than its first disagreement.
     """
-    limit = span(m.walk, n.walk)
-    lm, rays_m = _rays(m.walk, m.position, limit)
-    ln, rays_n = _rays(n.walk, n.position, limit)
+    tm, tn = _oriented(m.walk, 1), _oriented(n.walk, 1)
+    lm, ln = _letter(tm, m.position), _letter(tn, n.position)
     if lm is None or lm[0] != arrow:
         raise NotMarked(f"m is not marked at {arrow!r}")
     if ln is None or ln[0] != arrow:
         raise NotMarked(f"n is not marked at {arrow!r}")
     if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
+    om, on = lm[1], ln[1]  # the stored directions that read the arrow forwards
+    limit = span(m.walk, n.walk)
     verdicts = []
-    for ray_m, ray_n in zip(rays_m, rays_n):
-        for x, y in zip(ray_m, ray_n):  # both start with the arrow taken forwards
-            if x != y:
-                if x is not None and y is not None:
-                    if x[1] == y[1]:
-                        raise OrderError("split letters must take opposite directions")
-                    verdicts.append(x[1] == 1)
-                break
-            if x is None:
+    for side in (1, -1):
+        for i in range(1, limit + 1):
+            x = _letter(tm, m.position + side * om * i)
+            y = _letter(tn, n.position + side * on * i)
+            if x is None or y is None:
+                break  # an end of the walks: no verdict on this side
+            sx, sy = x[1] * om, y[1] * on  # signs in the arrow's orientation
+            if x[0] != y[0] or sx != sy:
+                if sx == sy:
+                    raise OrderError("split letters must take opposite directions")
+                verdicts.append(sx == 1)
                 break
         # no disagreement: the walks agree forever on this side
     if not verdicts:

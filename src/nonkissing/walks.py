@@ -197,7 +197,8 @@ def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
         _check_tail_unit(bq, ltail)
     if rtail:
         _check_tail_unit(bq, rtail)
-    window = tuple(ltail) * 2 + tuple(body) + tuple(rtail) * 2
+    # _check_tail_unit has read each unit's pairs, across its wrap too
+    window = tuple(ltail[-1:]) + tuple(body) + tuple(rtail[:1])
     succ = bq.successors
     for x, y in zip(window, window[1:]):
         if y in succ.get(x, ()):
@@ -454,11 +455,13 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     clear the completeness flag.
 
     Each walk is grown from both of its ends.  Growth is a tree, so each
-    directed form is reached at most once.  The first arrival validates the
-    word once, normalizes each direction once and builds the one Walk that
-    `canonicalize` would return; the reverse directed form is kept until
-    the arrival from the other end, which it recognizes at the cost of one
-    normalization.
+    directed form is reached at most once, and it is directed canonical
+    read either way: a left-tail start leaves the tail at once and a right
+    tail closes at the only repeat inside a run of one sign, so no tail can
+    absorb a body letter.  The first arrival validates the word once and
+    builds the one Walk that `canonicalize` would return; the reverse form
+    waits for the arrival from the other end.  Only the reverse of each
+    fully periodic walk, which growth never reaches, is normalized.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
@@ -472,13 +475,13 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     def rev(word):
         return tuple(map(inverse.__getitem__, reversed(word)))
 
-    def emit(ltail, body, rtail):
-        fwd = _directed_canonical(ltail, body, rtail)
+    def emit(ltail, body, rtail, bwd=None):
+        fwd = (ltail, body, rtail)
         if fwd in pending:
             pending.remove(fwd)
             return
         _validate_word(bq, ltail, body, rtail)
-        bwd = _directed_canonical(rev(rtail), rev(body), rev(ltail))
+        bwd = bwd or (rev(rtail), rev(body), rev(ltail))
         pending.add(bwd)
         w = _choose(bq, fwd, bwd)
         walks[w.serialize()] = w
@@ -488,9 +491,6 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         # a letter of it closes a tail unit, and repeating an earlier letter
         # closes a unit of mixed signs, which is no tail
         nonlocal complete
-        if len(letters) > body_bound:
-            complete = False
-            return
         last = letters[-1]
         conts = succ[last]
         if not conts:
@@ -505,6 +505,9 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
                 if j >= run:
                     emit(ltail, tuple(letters[:j]), tuple(letters[j:]))
                     continue  # prune winding past a tail state
+            if n >= body_bound:
+                complete = False
+                continue
             letters.append(m)
             grow(ltail, letters, run if m[1] == last[1] else n)
             letters.pop()
@@ -513,14 +516,15 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         a = (bq.quiver.arrows_out[v] + bq.quiver.arrows_in[v])[0]
         grow((), [(a, 1) if bq.quiver.src[a] == v else (a, -1)], 0)
     for c in primitive_cycles(bq):
-        forward = tuple((a, 1) for a in c)
-        for base in (forward, rev_word(forward)):
+        forward = tuple((a, 1) for a in c)  # the lex-min rotation
+        back = rev(forward)
+        for base in (forward, back):
             for phase in range(len(base)):
                 unit = base[phase:] + base[:phase]
                 for m in succ[unit[-1]]:
                     if m != unit[0]:  # unit[0] stays in the tail
                         grow(unit, [m], 0)
-        emit(forward, (), forward)
+        emit(forward, (), forward, _directed_canonical(back, (), back))
     return [walks[k] for k in sorted(walks)], complete
 
 
@@ -576,12 +580,7 @@ def _tail_periods_for_pair(w1: Walk, w2: Walk, extra: int = 0) -> tuple[int, int
     def periods(unit):
         return max(2, -(-n // len(unit))) + extra if unit else 0
 
-    return (
-        periods(w1.ltail),
-        periods(w1.rtail),
-        periods(w2.ltail),
-        periods(w2.rtail),
-    )
+    return tuple(periods(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail))
 
 
 def _alignments(o1: tuple[int, int], o2: tuple[int, int], win1: Window, win2: Window):
@@ -633,20 +632,23 @@ def _is_pumpable(win1: Window, win2: Window, o1, o2) -> bool:
     return False
 
 
-def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...]):
+def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...], end1: int, end2: int):
     """Maximal common runs of x1 and x2 with boundary signs (-,+) and (+,-).
 
     Yields (i, j, k): x1[i:i+k] == x2[j:j+k], k >= 1, with x1[i-1], x1[i+k]
     of signs -1, +1 and x2[j-1], x2[j+k] of signs +1, -1.  The left boundary
-    letters differ in sign, so each start pair begins a maximal run; each
-    run is extended once, so the scan costs O(len(x1) * len(x2)).
+    letters differ in sign, so each start pair begins a maximal run, and
+    each run is extended once.  x1[end1:] and x2[end2:] are tails of one
+    sign that run on to the end of their windows: a run that starts after a
+    letter there could end only at a letter of the other sign, so it would
+    reach the window's end and is never yielded.  Such starts are skipped.
     """
     n1, n2 = len(x1), len(x2)
     starts: dict[Letter, list[int]] = {}
-    for j in range(1, n2 - 1):
+    for j in range(1, min(n2 - 1, end2 + 1)):
         if x2[j - 1][1] > 0:
             starts.setdefault(x2[j], []).append(j)
-    for i in range(1, n1 - 1):
+    for i in range(1, min(n1 - 1, end1 + 1)):
         if x1[i - 1][1] > 0:
             continue
         for j in starts.get(x1[i], ()):
@@ -657,8 +659,10 @@ def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...]):
                 yield i, j, k
 
 
-def _corner_vertices(bq: BlossomQuiver, x: tuple[Letter, ...], before: int) -> dict:
-    """Multiplicity of each vertex between letters of signs (before, -before)."""
+def _corner_vertices(bq: BlossomQuiver, w: Walk, before: int) -> dict:
+    """Multiplicity of each vertex of w between letters of signs (before, -before),
+    read off ltail[-1:] + body + rtail[:1], since tails are straight."""
+    x = w.ltail[-1:] + w.body + w.rtail[:1]
     out: dict[str, int] = {}
     for p, q in zip(x, x[1:]):
         if p[1] == before and q[1] == -before:
@@ -677,6 +681,11 @@ def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk, unroll_extra: int = 0) -> 
     window; the empty kiss is a peak of w1 and a deep of w2 at one vertex.
     Pairs absorbable into parallel tail periods of both walks are pruned so
     the count is finite and stable under window growth.
+
+    w1 and w2 must be canonical, as `canonicalize` builds them and a
+    `QuiverContext` interns them: the pumping rule reads the stored tail
+    zones, so another form of a walk (a tail period unrolled into the body,
+    say) can give another count.
     """
     if w1.is_straight or w2.is_straight:
         return 0  # a top or bottom occurrence needs a change of sign
@@ -684,13 +693,14 @@ def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk, unroll_extra: int = 0) -> 
     win1 = make_window(w1, p1l, p1r)
     win2 = make_window(w2, p2l, p2r)
     n2 = win2.n
-    peaks = _corner_vertices(bq, win1.letters, -1)
-    deeps = _corner_vertices(bq, win2.letters, 1)
+    peaks = _corner_vertices(bq, w1, -1)
+    deeps = _corner_vertices(bq, w2, 1)
     count = sum(m * deeps.get(v, 0) for v, m in peaks.items())
-    for i, j, k in _run_hits(win1.letters, win2.letters):
+    for i, j, k in _run_hits(win1.letters, win2.letters, win1.right, win2.right):
         if not _is_pumpable(win1, win2, (i, i + k), (j, j + k)):
             count += 1
-    for i, j, k in _run_hits(win1.letters, rev_word(win2.letters)):
+    reversed2 = rev_word(win2.letters)  # its tail to the end is w2's left tail
+    for i, j, k in _run_hits(win1.letters, reversed2, win1.right, n2 - win2.left):
         if not _is_pumpable(win1, win2, (i, i + k), (n2 - j - k, n2 - j)):
             count += 1
     return count
@@ -724,12 +734,7 @@ def corner_profile(bq: BlossomQuiver, w: Walk) -> list[tuple[str, str]]:
     Corners can only occur where the sign changes, hence in the body or at
     an empty-body tail junction; tails themselves are straight.
     """
-    seq: list[Letter] = []
-    if w.ltail:
-        seq.append(w.ltail[-1])
-    seq.extend(w.body)
-    if w.rtail:
-        seq.append(w.rtail[0])
+    seq = w.ltail[-1:] + w.body + w.rtail[:1]
     out = []
     for x, y in zip(seq, seq[1:]):
         if x[1] == -1 and y[1] == 1:

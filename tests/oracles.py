@@ -21,12 +21,18 @@ still take from production, exactly:
   its word keys are their own: every (a, b) factor of each window is listed
   and matched by its word up to reversal, an O(n^3) scan that shares nothing
   with the maximal-run scan of `kiss_count`.
+* the maximal-run oracle (`reference_kiss_count`) tries every start pair of
+  the two whole windows and counts peaks and deeps over the whole windows,
+  where `kiss_count` skips the start pairs that cannot end a run and reads
+  corners off the bodies; it uses the window size, the unrolling and the
+  pumping rule.
 
 The countercurrent oracle (`reference_countercurrent_less`) reads both marked
 walks one letter at a time through its own `walk_letter`, by global letter
 index, inverting letters by hand when a walk is read backwards, for a length
-of its own (`_agreement_limit`); it shares no unrolling, orientation or
-length with the tuple-slice reader `_ray` of `countercurrent_less`.
+of its own (`_agreement_limit`); it shares no code and no length with the
+engine's reader `_letter` of `countercurrent_less`, only the convention of
+global letter indices.
 
 The geometry oracles take nothing from production: `fraction_rank`,
 `fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss
@@ -57,6 +63,7 @@ from nonkissing.walks import (
     Window,
     canonicalize,
     inv,
+    letter_tgt,
     make_window,
     pair_ok,
     primitive_cycles,
@@ -254,6 +261,60 @@ def window_scan_kiss_count(bq: BlossomQuiver, w1, w2, extra: int = 0) -> int:
     """The raw window scan with the pumping rule of `kiss_count` applied."""
     win1, win2, pairs = matched_occurrences(bq, w1, w2, extra)
     return sum(not _is_pumpable(win1, win2, o1, o2) for o1, o2 in pairs)
+
+
+# ---------------------------------------------------------------------------
+# kissing: the maximal-run scan over every start pair of the whole windows
+
+
+def _all_run_hits(x1, x2):
+    """Maximal common runs of x1 and x2 with boundary signs (-,+) and (+,-),
+    every start pair of the two whole windows tried."""
+    n1, n2 = len(x1), len(x2)
+    starts: dict = {}
+    for j in range(1, n2 - 1):
+        if x2[j - 1][1] > 0:
+            starts.setdefault(x2[j], []).append(j)
+    for i in range(1, n1 - 1):
+        if x1[i - 1][1] > 0:
+            continue
+        for j in starts.get(x1[i], ()):
+            k = 1
+            while i + k < n1 and j + k < n2 and x1[i + k] == x2[j + k]:
+                k += 1
+            if i + k < n1 and j + k < n2 and x1[i + k][1] > 0 and x2[j + k][1] < 0:
+                yield i, j, k
+
+
+def _window_corners(bq: BlossomQuiver, x, before: int) -> dict:
+    """Multiplicity of each vertex between letters of signs (before, -before)."""
+    out: dict = {}
+    for p, q in zip(x, x[1:]):
+        if p[1] == before and q[1] == -before:
+            v = letter_tgt(bq, p)
+            out[v] = out.get(v, 0) + 1
+    return out
+
+
+def reference_kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk) -> int:
+    """kn(w1, w2) by the maximal-run scan over every start pair of the windows,
+    with peaks and deeps counted over the whole unrolled windows."""
+    if w1.is_straight or w2.is_straight:
+        return 0
+    p1l, p1r, p2l, p2r = _tail_periods_for_pair(w1, w2)
+    win1 = make_window(w1, p1l, p1r)
+    win2 = make_window(w2, p2l, p2r)
+    n2 = win2.n
+    peaks = _window_corners(bq, win1.letters, -1)
+    deeps = _window_corners(bq, win2.letters, 1)
+    count = sum(m * deeps.get(v, 0) for v, m in peaks.items())
+    for i, j, k in _all_run_hits(win1.letters, win2.letters):
+        if not _is_pumpable(win1, win2, (i, i + k), (j, j + k)):
+            count += 1
+    for i, j, k in _all_run_hits(win1.letters, rev_word(win2.letters)):
+        if not _is_pumpable(win1, win2, (i, i + k), (n2 - j - k, n2 - j)):
+            count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------

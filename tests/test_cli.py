@@ -6,6 +6,7 @@ import json
 import random
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,25 @@ def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
     code, out = run(capsys, "walks", str(path), "--body-bound", "3")
     assert code == 3
     assert json.loads(out)["complete"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("polytope", "family:doublecycle:2", "--max-facets", "20"), "a closed flip graph"),
+        (("fan", "family:doublecycle:2", "--max-facets", "5"), "a closed flip graph"),
+        (("polytope", "family:cycle:2", "--body-bound", "2"), "the complete walk set"),
+    ],
+)
+def test_geometry_of_a_capped_input_exits_3(capsys, argv, message):
+    # the polytope of a capped graph is refused before the walk universe is
+    # grown at the default body bound
+    start = time.perf_counter()
+    code = main(list(argv))
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: {argv[0]} construction needs {message}\n"
 
 
 def test_max_facets_truncation(capsys):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nonkissing import walks as walks_module
-from nonkissing.errors import BoundError, IncompleteUniverse, NotMaximal, ParseError, RelationHit
+from nonkissing.errors import (
+    BoundError,
+    IncompleteUniverse,
+    NotMaximal,
+    NotReduced,
+    ParseError,
+    RelationHit,
+)
+from nonkissing.facets import enumerate_facets
 from nonkissing.families import (
     a_path,
     cambrian,
@@ -22,6 +30,7 @@ from nonkissing.families import (
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import (
     Walk,
+    _directed_canonical,
     _strip_minimal,
     canonicalize,
     corner_profile,
@@ -46,10 +55,16 @@ from oracles import (
     matched_occurrences,
     raw_window_kiss_count,
     reference_enumerate_walks,
+    reference_kiss_count,
     reference_strip_minimal,
     window_scan_kiss_count,
 )
 from pyrun import run_python
+
+FINITE_CORPUS = (
+    "a2", "a3", "cambrian-FRF", "loop", "cycle2", "cycle3", "reversedpath2",
+    "reversedpath3",
+)
 
 COMPLETE_INSTANCES = {
     # frozen walk counts, computed by the brute-force word oracle below and
@@ -216,6 +231,37 @@ def test_kiss_count_equals_window_scan_oracle_on_long_walks():
                 w1.serialize(),
                 w2.serialize(),
             )
+
+
+def _interned_walks():
+    """(name, blossoming, walks) of the contexts of capped and closed flip graphs."""
+    graphs = [
+        (f"{spec}-{cap}", parse_family(f"family:{spec}"), cap)
+        for spec, cap in (("doublecycle:2", 80), ("doublepath:3", 40), ("doublepath:4", 20))
+    ]
+    graphs += [(name, corpus()[name], 10000) for name in FINITE_CORPUS]
+    graphs += [
+        (f"random{seed}", random_locally_gentle(random.Random(seed)), 20)
+        for seed in range(30)
+    ]
+    for name, q, cap in graphs:
+        ctx = enumerate_facets(q, cap).ctx
+        yield name, ctx.bq, ctx.walks
+
+
+def test_kiss_count_equals_the_whole_window_run_scan():
+    # the kernel skips start pairs that cannot end a run and reads corners
+    # off the bodies; the oracle tries every start pair of both windows
+    sizes = {}
+    for name, bq, walks in _interned_walks():
+        sizes[name] = len(walks)
+        for w1, w2 in itertools.product(walks, repeat=2):
+            assert kiss_count(bq, w1, w2) == reference_kiss_count(bq, w1, w2), (
+                name,
+                w1.serialize(),
+                w2.serialize(),
+            )
+    assert sizes["doublecycle:2-80"] == 85
 
 
 def _kiss_words(bq, w1, w2):
@@ -390,9 +436,9 @@ def test_enumeration_matches_reference_oracle():
 
 
 def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
-    # one pass per walk: validated once, each direction normalized once,
-    # one more normalization to recognize the arrival from the other end,
-    # and only the kept Walk built
+    # one pass per walk: validated once and only the kept Walk built; growth
+    # reaches directed canonical forms, so only the reverse of each fully
+    # periodic walk is normalized
     calls = Counter()
 
     def count(name):
@@ -406,13 +452,34 @@ def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
 
     for name in ("_validate_word", "_directed_canonical", "Walk"):
         count(name)
-    walks, complete = enumerate_walks(blossom(parse_family("family:doublecycle:1")), 16)
+    bq = blossom(parse_family("family:doublecycle:1"))
+    walks, complete = enumerate_walks(bq, 16)
     assert not complete
     assert calls["_validate_word"] == calls["Walk"] == len(walks) == 3193
-    assert calls["_directed_canonical"] <= 3 * len(walks)
+    assert calls["_directed_canonical"] <= len(primitive_cycles(bq)) == 1
     # the text a walk is given is the text it would build
     monkeypatch.undo()
     assert all(w.serialize() == Walk(w.ltail, w.body, w.rtail).serialize() for w in walks)
+
+
+# the body bounds of the benchmark's walk commands
+GROWN = (("doublecycle:1", 16), ("doublecycle:2", 12), ("doublepath:3", 16), ("doublepath:4", 14))
+
+
+def _assert_grown_forms_are_canonical(walks):
+    # a fully periodic walk is not grown, and its reverse is normalized
+    for w in walks:
+        forms = [(w.ltail, w.body, w.rtail)]
+        if not w.is_infinite_straight:
+            forms.append(reverse_walk(w))
+        for form in forms:
+            assert _directed_canonical(*form) == form, w.serialize()
+
+
+@pytest.mark.parametrize("spec, bound", GROWN)
+def test_growth_emits_directed_canonical_forms(spec, bound):
+    bq = blossom(parse_family(f"family:{spec}"))
+    _assert_grown_forms_are_canonical(enumerate_walks(bq, bound)[0])
 
 
 # (family, walk, what parse_walk gives), each parsed twice on one blossoming
@@ -466,6 +533,39 @@ def test_passed_tail_units_are_remembered_per_blossoming():
     assert double.passed_tail_units == set()
 
 
+# (family, walk, error, message): each junction of the window
+# ltail[-1:] + body + rtail[:1] with a gap, an unreduced factor and a
+# relation; tail units that fail their own check; open finite ends
+JUNCTION_CASES = (
+    ("cycle:1", "( a1+ ) | v1+in1+ v1+out1+", ParseError, "do not compose"),
+    ("cycle:1", "( a1+ ) | a1- v1+out1+", NotReduced, "cancels"),
+    ("cycle:1", "( a1+ ) | v1+out1+", RelationHit, "lies in the ideal"),
+    ("cycle:1", "v1+in1+ v1+out1+ | ( a1+ )", ParseError, "do not compose"),
+    ("cycle:1", "v1+in1+ a1- | ( a1+ )", NotReduced, "cancels"),
+    ("cycle:1", "v1+in1+ | ( a1+ )", RelationHit, "lies in the ideal"),
+    ("cycle:2", "( a1+ a2+ ) | | ( a2+ a1+ )", ParseError, "do not compose"),
+    ("cycle:2", "( a1+ a2+ ) | | ( a2- a1- )", NotReduced, "cancels"),
+    ("doublecycle:1", "( a1+ b1+ ) | | ( b1+ a1+ )", RelationHit, "lies in the ideal"),
+    ("cycle:2", "( a1+ ) | v1+in1-", ParseError, "not a closed cycle"),
+    ("cycle:2", "v1+in1+ | ( a2- )", ParseError, "not a closed cycle"),
+    ("doublecycle:1", "( a1+ b1+ a1+ b1+ ) | | ( a1+ b1+ )", ParseError, "proper power"),
+    ("doublecycle:1", "( a1+ b1+ ) | | ( a1+ b1+ a1+ b1+ )", ParseError, "proper power"),
+    ("cycle:1", "( a1+ a1- ) | v1+in1-", ParseError, "not uniformly signed"),
+    ("cycle:1", "v1+in1+ | ( a1- a1+ )", ParseError, "not uniformly signed"),
+    ("cycle:1", "a1- v1+out1+", NotMaximal, "left end"),
+    ("cycle:1", "v1+in1+ a1-", NotMaximal, "right end"),
+    ("cycle:2", "( a1+ a2+ ) | a1+", NotMaximal, "right end"),
+    ("cycle:2", "a2+ | ( a1+ a2+ )", NotMaximal, "left end"),
+)
+
+
+@pytest.mark.parametrize("spec, text, error, message", JUNCTION_CASES)
+def test_validation_errors_at_each_junction(spec, text, error, message):
+    bq = blossom(parse_family(f"family:{spec}"))
+    with pytest.raises(error, match=message):
+        parse_walk(bq, text)
+
+
 def test_successor_table_is_the_pair_rule():
     quivers = list(corpus().values())
     quivers += [random_locally_gentle(random.Random(seed)) for seed in range(30)]
@@ -510,6 +610,12 @@ def test_canonicalize_is_idempotent_and_reversal_invariant(seed):
         assert canonicalize(bq, *reverse_walk(w)) == w
         # one period of each tail unrolled into the body
         assert canonicalize(bq, w.ltail, w.ltail + w.body + w.rtail, w.rtail) == w
+
+
+@PROPERTY
+@given(SEEDS)
+def test_growth_emits_directed_canonical_forms_on_random_quivers(seed):
+    _assert_grown_forms_are_canonical(_random_universe(seed)[1])
 
 
 @PROPERTY
