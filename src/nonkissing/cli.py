@@ -215,8 +215,12 @@ def cmd_fan(args) -> int:
 def cmd_polytope(args) -> int:
     q = _load_quiver(args)
     g = enumerate_facets(q, max_facets=args.max_facets)
-    # a capped graph is refused before the walk universe is grown
-    universe, complete = enumerate_walks(g.ctx.bq, args.body_bound) if g.closed else ([], False)
+    # a capped graph is refused before the walk universe is grown.  Growth
+    # prunes a letter repeated in a run of one sign, so a body longer than
+    # the signed letters repeats one across a change of sign: a band, and
+    # then no bound completes the universe
+    bound = min(args.body_bound, len(g.ctx.bq.successors) + 1)
+    universe, complete = enumerate_walks(g.ctx.bq, bound) if g.closed else ([], False)
     poly = build_associahedron(q, g, universe, complete)
     _emit(
         {

@@ -52,6 +52,7 @@ from .walks import (
 )
 
 Mark = tuple[int, int]  # (walk id, global letter index) inside a QuiverContext
+Marked = tuple[Walk, int]  # (walk, global letter index on its stored direction)
 
 
 def _marked_letters(w: Walk):
@@ -66,12 +67,6 @@ def _marked_letters(w: Walk):
         enumerate(w.body),
         enumerate(w.rtail, len(w.body)),
     )
-
-
-@dataclass(frozen=True)
-class MarkedWalk:
-    walk: Walk
-    position: int  # global letter index on the stored direction
 
 
 def _oriented(w: Walk, o: int) -> tuple:
@@ -97,39 +92,45 @@ def _ray(t: tuple, p: int, side: int, n: int) -> tuple:
     """The n letters of the walk t = (ltail, body, rtail) beside position p.
 
     side 1 reads the letters after p, side -1 those before it, nearest
-    first; None stands at each place past an end of the walk.  The tuple is
-    made from a list, which allocates it once at its size.
+    first.  Past an end of the walk the ray stops with one None, so it is
+    shorter than n letters; every further place is past the end too.  The
+    tuple is made from a list, which allocates it once at its size.
     """
+    lt, bd, rt = t
+    if side == 1 and not rt:
+        n = min(n, len(bd) - p)  # the None at index len(bd)
+    elif side == -1 and not lt:
+        n = min(n, p + 1)  # the None at index -1
     return tuple([_letter(t, g) for g in range(p + side, p + side * (n + 1), side)])
 
 
-def countercurrent_less(
-    bq: BlossomQuiver, m: MarkedWalk, n: MarkedWalk, arrow: str
-) -> bool:
+def countercurrent_less(bq: BlossomQuiver, m: Marked, n: Marked, arrow: str) -> bool:
     """True iff m comes before n in the countercurrent order at the arrow.
 
-    Both marked walks are oriented so the marked occurrence reads as the
-    arrow taken forwards, then compared letterwise outward from the mark
-    for `span` letters per side; walks that agree that far agree forever.
+    m and n are (walk, position) pairs.  Both walks are oriented so the
+    marked occurrence reads as the arrow taken forwards, then compared
+    letterwise outward from the mark for `span` letters per side; walks
+    that agree that far agree forever.
     At the first disagreement on either side exactly one of the two leaves
     with the flow of the arrow; that one is the smaller.  Each side is read
     one letter at a time and no further than its first disagreement.
     """
-    tm, tn = _oriented(m.walk, 1), _oriented(n.walk, 1)
-    lm, ln = _letter(tm, m.position), _letter(tn, n.position)
+    (wm, pm), (wn, pn) = m, n
+    tm, tn = _oriented(wm, 1), _oriented(wn, 1)
+    lm, ln = _letter(tm, pm), _letter(tn, pn)
     if lm is None or lm[0] != arrow:
         raise NotMarked(f"m is not marked at {arrow!r}")
     if ln is None or ln[0] != arrow:
         raise NotMarked(f"n is not marked at {arrow!r}")
-    if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
+    if m == n or (wm == wn and wm.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
     om, on = lm[1], ln[1]  # the stored directions that read the arrow forwards
-    limit = span(m.walk, n.walk)
+    limit = span(wm, wn)
     verdicts = []
     for side in (1, -1):
         for i in range(1, limit + 1):
-            x = _letter(tm, m.position + side * om * i)
-            y = _letter(tn, n.position + side * on * i)
+            x = _letter(tm, pm + side * om * i)
+            y = _letter(tn, pn + side * on * i)
             if x is None or y is None:
                 break  # an end of the walks: no verdict on this side
             sx, sy = x[1] * om, y[1] * on  # signs in the arrow's orientation
@@ -208,12 +209,9 @@ class QuiverContext:
         v = self._less.get((m, n))
         if v is None:
             v = self._less[m, n] = countercurrent_less(
-                self.bq, self.marked(m), self.marked(n), arrow
+                self.bq, (self.walks[m[0]], m[1]), (self.walks[n[0]], n[1]), arrow
             )
         return v
-
-    def marked(self, m: Mark) -> MarkedWalk:
-        return MarkedWalk(self.walks[m[0]], m[1])
 
     def substring(self, wi: int, data: dict[str, Mark]):
         """(distinguished substring, left partner, right partner) of walk wi.
@@ -288,11 +286,11 @@ def make_facet(bending, straights) -> Facet:
     )
 
 
-def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, MarkedWalk]:
-    """The distinguished marked walk at every arrow of the blossoming quiver."""
+def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, Marked]:
+    """The distinguished (walk, position) at every arrow of the blossoming quiver."""
     ctx = QuiverContext(bq)
     data = _data(ctx, [ctx.intern(w) for w in facet.walks])
-    return {a: ctx.marked(m) for a, m in data.items()}
+    return {a: (ctx.walks[i], g) for a, (i, g) in data.items()}
 
 
 @dataclass(frozen=True)
@@ -371,7 +369,7 @@ def _orient_matching(w: Walk, position: int, expected: tuple, side: int):
 
 def flip(
     bq: BlossomQuiver, facet: Facet, w: Walk, check: bool = True,
-    data: dict[str, MarkedWalk] | None = None,
+    data: dict[str, Marked] | None = None,
 ):
     """Exchange the bending walk w, returning (new facet, new walk, direction).
 
@@ -386,7 +384,7 @@ def flip(
     ctx = QuiverContext(bq)
     ids = [ctx.intern(x) for x in facet.walks]
     marks = _data(ctx, ids) if data is None else {
-        a: (ctx.intern(mw.walk), mw.position) for a, mw in data.items()
+        a: (ctx.intern(x), g) for a, (x, g) in data.items()
     }
     new, direction = _flip(ctx, ids, marks, ctx.intern(w), check)
     w2 = ctx.walks[new]

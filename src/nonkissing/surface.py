@@ -39,6 +39,7 @@ from .walks import (
     pair_ok,
     pair_reason,
     rev_word,
+    tail_cycle,
 )
 
 KINDS = ("rs", "rt", "gt", "gs")
@@ -590,16 +591,6 @@ def _quiver_key(q: BoundQuiver) -> tuple:
     return (q.vertices, q.arrows, tuple(sorted(q.relations)))
 
 
-def _cycle_key(unit) -> tuple[tuple[str, ...], int]:
-    sign = unit[0][1]
-    arrows = tuple(a for a, _ in unit)
-    if sign < 0:
-        arrows = tuple(reversed(arrows))
-    k = len(arrows)
-    best = min(arrows[j:] + arrows[:j] for j in range(k))
-    return best, sign
-
-
 def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
     core = list(w.body)
     if not w.ltail:
@@ -608,7 +599,7 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
             raise NotMaximal(f"left end of {w.serialize()!r} is not at a blossom leaf")
         left = ("B", letter_src(bq, first))
     else:
-        cyc, sign = _cycle_key(w.ltail)
+        cyc, sign = tail_cycle(w.ltail)
         left = ("P", cyc, sign)
     if not w.rtail:
         last = core.pop()
@@ -616,7 +607,7 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
             raise NotMaximal(f"right end of {w.serialize()!r} is not at a blossom leaf")
         right = ("B", letter_tgt(bq, last))
     else:
-        cyc, sign = _cycle_key(w.rtail)
+        cyc, sign = tail_cycle(w.rtail)
         right = ("P", cyc, sign)
     if core:
         crossings = [letter_src(bq, core[0])]

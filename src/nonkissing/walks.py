@@ -529,38 +529,7 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
 
 
 # ---------------------------------------------------------------------------
-# windows and kissing
-
-
-@dataclass(frozen=True)
-class Window:
-    """A finite unrolling of a walk in its stored direction.
-
-    letters[:left] are left-tail periods, letters[left:right] the body and
-    letters[right:] right-tail periods.
-    """
-
-    walk: Walk
-    letters: tuple[Letter, ...]
-    left: int
-    right: int
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def tail(self, i: int) -> tuple[Letter, ...]:
-        """The tail unit that letter i unrolls; () for a body letter."""
-        if i < self.left:
-            return self.walk.ltail
-        return self.walk.rtail if i >= self.right else ()
-
-
-def make_window(w: Walk, lperiods: int, rperiods: int) -> Window:
-    left = len(w.ltail) * lperiods
-    return Window(
-        w, w.ltail * lperiods + w.body + w.rtail * rperiods, left, left + len(w.body)
-    )
+# kissing
 
 
 def span(w1: Walk, w2: Walk) -> int:
@@ -574,61 +543,35 @@ def span(w1: Walk, w2: Walk) -> int:
     return len(w1.body) + len(w2.body) + 4 * math.lcm(*units) + 6
 
 
-def _tail_periods_for_pair(w1: Walk, w2: Walk, extra: int = 0) -> tuple[int, int, int, int]:
-    n = span(w1, w2)
+def _unrolled(w: Walk, n: int):
+    """w's word with each tail unrolled to at least n letters and two periods.
 
-    def periods(unit):
-        return max(2, -(-n // len(unit))) + extra if unit else 0
-
-    return tuple(periods(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail))
-
-
-def _alignments(o1: tuple[int, int], o2: tuple[int, int], win1: Window, win2: Window):
-    """Index correspondences between matched content letters.
-
-    Yields lists of (i1, i2) 0-based window positions; one list for the
-    forward and possibly one for the reversed identification.
+    Returns (word, start, end): word[start:end] is the body, word[:start]
+    the left-tail periods and word[end:] the right-tail periods.
     """
-    a1, b1 = o1
-    a2, b2 = o2
-    w1 = win1.letters[a1:b1]
-    w2 = win2.letters[a2:b2]
-    if not w1:
-        yield []
-        return
-    if w1 == w2:
-        yield [(a1 + i, a2 + i) for i in range(len(w1))]
-    if w1 == rev_word(w2):
-        yield [(a1 + i, b2 - 1 - i) for i in range(len(w1))]
+    lp, rp = (max(2, -(-n // len(u))) if u else 0 for u in (w.ltail, w.rtail))
+    start = len(w.ltail) * lp
+    return w.ltail * lp + w.body + w.rtail * rp, start, start + len(w.body)
 
 
-def _is_pumpable(win1: Window, win2: Window, o1, o2) -> bool:
-    """True if the matched pair can absorb a full common tail period.
+def _tail_zones(w: Walk, size: int, start: int, end: int) -> list[tuple[int, int, int]]:
+    """(first, stop, period) of each tail zone of an unrolled word of w."""
+    zones = [(0, start, len(w.ltail)), (end, size, len(w.rtail))]
+    return [z for z in zones if z[2]]
 
-    A kiss pair whose alignment runs through tail zones of both walks for at
-    least lcm(period1, period2) consecutive letters recurs under tail
-    unrolling; such pairs are identified with their shorter representative
-    and not counted (see module docstring of the package README).
+
+def _pumped(i: int, j: int, k: int, zones1, zones2) -> bool:
+    """True if the run x1[i:i+k] == x2[j:j+k] can absorb a full common tail period.
+
+    It can when it lies, in step, inside a tail zone of each word for at
+    least the lcm of the two periods: such a run recurs under tail
+    unrolling, and is identified with its shorter representative.
     """
-    for pairs in _alignments(o1, o2, win1, win2):
-        if not pairs:
-            return False
-        run = 0
-        run_key = None
-        for i1, i2 in pairs:
-            u1, u2 = win1.tail(i1), win2.tail(i2)
-            if u1 and u2:
-                # a deletable stretch must stay inside a single tail per walk
-                key = (i1 < win1.left, len(u1), i2 < win2.left, len(u2))
-                if key != run_key:
-                    run = 0
-                    run_key = key
-                run += 1
-                if run >= math.lcm(len(u1), len(u2)):
-                    return True
-            else:
-                run = 0
-                run_key = None
+    d = i - j  # a position of x2 plus d is the matching position of x1
+    for a1, b1, p1 in zones1:
+        for a2, b2, p2 in zones2:
+            if min(i + k, b1, b2 + d) - max(i, a1, a2 + d) >= math.lcm(p1, p2):
+                return True
     return False
 
 
@@ -659,28 +602,17 @@ def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...], end1: int, end2: i
                 yield i, j, k
 
 
-def _corner_vertices(bq: BlossomQuiver, w: Walk, before: int) -> dict:
-    """Multiplicity of each vertex of w between letters of signs (before, -before),
-    read off ltail[-1:] + body + rtail[:1], since tails are straight."""
-    x = w.ltail[-1:] + w.body + w.rtail[:1]
-    out: dict[str, int] = {}
-    for p, q in zip(x, x[1:]):
-        if p[1] == before and q[1] == -before:
-            v = letter_tgt(bq, p)
-            out[v] = out.get(v, 0) + 1
-    return out
-
-
-def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk, unroll_extra: int = 0) -> int:
+def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk) -> int:
     """kn(w1, w2): kisses of w1 on w2, pump-periodic families counted once.
 
     A kiss is a common finite substring occurring on top of w1 and at the
     bottom of w2, counted per position pair.  Its boundary letters have
     opposite signs in the two walks, so a nonempty kiss is a maximal common
-    run of the unrolled windows, read forward or against the reversed second
-    window; the empty kiss is a peak of w1 and a deep of w2 at one vertex.
-    Pairs absorbable into parallel tail periods of both walks are pruned so
-    the count is finite and stable under window growth.
+    run of the unrolled words, read forward or against the reversed second
+    word; the empty kiss is a peak of w1 and a deep of w2 at one vertex.
+    A run that overlaps a tail zone of each word for at least the lcm of
+    their periods is pumped and not counted, so the count is finite and
+    stable under unrolling further.
 
     w1 and w2 must be canonical, as `canonicalize` builds them and a
     `QuiverContext` interns them: the pumping rule reads the stored tail
@@ -689,19 +621,21 @@ def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk, unroll_extra: int = 0) -> 
     """
     if w1.is_straight or w2.is_straight:
         return 0  # a top or bottom occurrence needs a change of sign
-    p1l, p1r, p2l, p2r = _tail_periods_for_pair(w1, w2, unroll_extra)
-    win1 = make_window(w1, p1l, p1r)
-    win2 = make_window(w2, p2l, p2r)
-    n2 = win2.n
-    peaks = _corner_vertices(bq, w1, -1)
-    deeps = _corner_vertices(bq, w2, 1)
-    count = sum(m * deeps.get(v, 0) for v, m in peaks.items())
-    for i, j, k in _run_hits(win1.letters, win2.letters, win1.right, win2.right):
-        if not _is_pumpable(win1, win2, (i, i + k), (j, j + k)):
+    n = span(w1, w2)
+    x1, start1, end1 = _unrolled(w1, n)
+    x2, start2, end2 = _unrolled(w2, n)
+    n2 = len(x2)
+    zones1 = _tail_zones(w1, len(x1), start1, end1)
+    zones2 = _tail_zones(w2, n2, start2, end2)
+    deeps = [v for kind, v in corner_profile(bq, w2) if kind == "deep"]
+    count = sum(deeps.count(v) for kind, v in corner_profile(bq, w1) if kind == "peak")
+    for i, j, k in _run_hits(x1, x2, end1, end2):
+        if not _pumped(i, j, k, zones1, zones2):
             count += 1
-    reversed2 = rev_word(win2.letters)  # its tail to the end is w2's left tail
-    for i, j, k in _run_hits(win1.letters, reversed2, win1.right, n2 - win2.left):
-        if not _is_pumpable(win1, win2, (i, i + k), (n2 - j - k, n2 - j)):
+    # read reversed, x2's tail zones swap ends and its left tail runs to the end
+    zones2 = [(n2 - b, n2 - a, p) for a, b, p in zones2]
+    for i, j, k in _run_hits(x1, rev_word(x2), end1, n2 - start2):
+        if not _pumped(i, j, k, zones1, zones2):
             count += 1
     return count
 
@@ -748,15 +682,16 @@ def is_bending(w: Walk) -> bool:
     return not w.is_straight
 
 
+def tail_cycle(unit: tuple[Letter, ...]) -> tuple[tuple[str, ...], int]:
+    """(cycle, sign) of a tail unit: its arrows read along the arrows, in
+    their lex-min rotation, as `primitive_cycles` gives them, and its sign."""
+    sign = unit[0][1]
+    arrows = tuple(a for a, _ in unit)
+    if sign < 0:
+        arrows = arrows[::-1]
+    return min(arrows[j:] + arrows[:j] for j in range(len(arrows))), sign
+
+
 def walk_uses_cycle(w: Walk, cycle: tuple[str, ...]) -> bool:
     """True if some tail of w spins the given primitive cycle."""
-    for unit in (w.ltail, w.rtail):
-        if not unit or len(unit) != len(cycle):
-            continue
-        arrows = tuple(a for a, _ in unit)
-        if unit[0][1] < 0:
-            arrows = tuple(reversed(arrows))
-        k = len(cycle)
-        if any(arrows[j:] + arrows[:j] == cycle for j in range(k)):
-            return True
-    return False
+    return any(unit and tail_cycle(unit)[0] == cycle for unit in (w.ltail, w.rtail))

@@ -14,20 +14,23 @@ still take from production, exactly:
   `canonicalize`; `reference_strip_minimal` absorbs periodic body
   letters into the tails one letter at a time, beside the index
   arithmetic of `walks._strip_minimal`;
-* the window-scan kissing oracles (`raw_window_kiss_count`,
-  `window_scan_kiss_count`) use the window size (`_tail_periods_for_pair`)
-  and the unrolling (`make_window`), and `window_scan_kiss_count` also the
-  pumping rule (`_is_pumpable`).  The occurrence scan (`Occurrences`) and
-  its word keys are their own: every (a, b) factor of each window is listed
-  and matched by its word up to reversal, an O(n^3) scan that shares nothing
-  with the maximal-run scan of `kiss_count`.
-* the maximal-run oracle (`reference_kiss_count`) tries every start pair of
-  the two whole windows and counts peaks and deeps over the whole windows,
-  where `kiss_count` skips the start pairs that cannot end a run and reads
-  corners off the bodies; it uses the window size, the unrolling and the
-  pumping rule.
+* the three kissing oracles (`raw_window_kiss_count`,
+  `window_scan_kiss_count`, `reference_kiss_count`) take only the length
+  `span` and the vertex lookup `letter_tgt` from production.  Their windows (`Window`, `make_window`, sized by
+  `_tail_periods_for_pair`, whose `extra` unrolls more periods) and the
+  pumping rule (`_is_pumpable`, which walks each matched pair of positions
+  letter by letter and works out the direction of the match from the words)
+  are their own, where `kiss_count` intersects the run with the tail zones
+  as intervals.  The occurrence scan (`Occurrences`) lists every (a, b)
+  factor of each window and matches it by its word up to reversal, an
+  O(n^3) scan that shares nothing with the maximal-run scan of
+  `kiss_count`.  The maximal-run oracle (`reference_kiss_count`) tries
+  every start pair of the two whole windows and counts peaks and deeps over
+  the whole windows, where `kiss_count` skips the start pairs that cannot
+  end a run and reads corners off the bodies (`corner_profile`).
 
-The countercurrent oracle (`reference_countercurrent_less`) reads both marked
+The countercurrent oracle (`reference_countercurrent_less`) takes two
+(walk, position) pairs, as `countercurrent_less` does, and reads both
 walks one letter at a time through its own `walk_letter`, by global letter
 index, inverting letters by hand when a walk is read backwards, for a length
 of its own (`_agreement_limit`); it shares no code and no length with the
@@ -53,22 +56,20 @@ from fractions import Fraction
 
 import networkx as nx
 
+from dataclasses import dataclass
+
 from nonkissing.errors import BoundError, KissingPair, NotMarked, OrderError, SameMarkedWalk
-from nonkissing.facets import MarkedWalk
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
     Letter,
     Walk,
-    Window,
     canonicalize,
     inv,
     letter_tgt,
-    make_window,
     pair_ok,
     primitive_cycles,
-    _is_pumpable,
-    _tail_periods_for_pair,
+    span,
 )
 
 
@@ -196,6 +197,98 @@ def reference_enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         grow(ltail, letters)
     return sorted(walks, key=Walk.serialize), complete
 
+
+# ---------------------------------------------------------------------------
+# kissing: windows and the letter-by-letter pumping rule
+
+
+@dataclass(frozen=True)
+class Window:
+    """A finite unrolling of a walk in its stored direction.
+
+    letters[:left] are left-tail periods, letters[left:right] the body and
+    letters[right:] right-tail periods.
+    """
+
+    walk: Walk
+    letters: tuple[Letter, ...]
+    left: int
+    right: int
+
+    @property
+    def n(self) -> int:
+        return len(self.letters)
+
+    def tail(self, i: int) -> tuple[Letter, ...]:
+        """The tail unit that letter i unrolls; () for a body letter."""
+        if i < self.left:
+            return self.walk.ltail
+        return self.walk.rtail if i >= self.right else ()
+
+
+def make_window(w: Walk, lperiods: int, rperiods: int) -> Window:
+    left = len(w.ltail) * lperiods
+    return Window(
+        w, w.ltail * lperiods + w.body + w.rtail * rperiods, left, left + len(w.body)
+    )
+
+
+def _tail_periods_for_pair(w1: Walk, w2: Walk, extra: int = 0) -> tuple[int, int, int, int]:
+    n = span(w1, w2)
+
+    def periods(unit):
+        return max(2, -(-n // len(unit))) + extra if unit else 0
+
+    return tuple(periods(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail))
+
+
+def _alignments(o1: tuple[int, int], o2: tuple[int, int], win1: Window, win2: Window):
+    """Index correspondences between matched content letters.
+
+    Yields lists of (i1, i2) 0-based window positions; one list for the
+    forward and possibly one for the reversed identification.
+    """
+    a1, b1 = o1
+    a2, b2 = o2
+    w1 = win1.letters[a1:b1]
+    w2 = win2.letters[a2:b2]
+    if not w1:
+        yield []
+        return
+    if w1 == w2:
+        yield [(a1 + i, a2 + i) for i in range(len(w1))]
+    if w1 == rev_word(w2):
+        yield [(a1 + i, b2 - 1 - i) for i in range(len(w1))]
+
+
+def _is_pumpable(win1: Window, win2: Window, o1, o2) -> bool:
+    """True if the matched pair can absorb a full common tail period.
+
+    A kiss pair whose alignment runs through tail zones of both walks for at
+    least lcm(period1, period2) consecutive letters recurs under tail
+    unrolling; such pairs are identified with their shorter representative
+    and not counted (see module docstring of the package README).
+    """
+    for pairs in _alignments(o1, o2, win1, win2):
+        if not pairs:
+            return False
+        run = 0
+        run_key = None
+        for i1, i2 in pairs:
+            u1, u2 = win1.tail(i1), win2.tail(i2)
+            if u1 and u2:
+                # a deletable stretch must stay inside a single tail per walk
+                key = (i1 < win1.left, len(u1), i2 < win2.left, len(u2))
+                if key != run_key:
+                    run = 0
+                    run_key = key
+                run += 1
+                if run >= math.lcm(len(u1), len(u2)):
+                    return True
+            else:
+                run = 0
+                run_key = None
+    return False
 
 
 def _occurrence_bounds(win: Window) -> tuple[int, int]:
@@ -353,27 +446,26 @@ def _agreement_limit(w1: Walk, w2: Walk) -> int:
     return len(w1.body) + len(w2.body) + 2 * lcm + 8
 
 
-def reference_countercurrent_less(
-    bq: BlossomQuiver, m: MarkedWalk, n: MarkedWalk, arrow: str
-) -> bool:
+def reference_countercurrent_less(bq: BlossomQuiver, m: tuple, n: tuple, arrow: str) -> bool:
     """True iff m comes before n in the countercurrent order at the arrow.
 
-    Both marked walks are oriented so the marked occurrence reads as the
+    m and n are (walk, position) pairs.  Both walks are oriented so the marked occurrence reads as the
     arrow taken forwards, then compared letterwise outward from the mark.
     At the first disagreement on either side exactly one of the two leaves
     with the flow of the arrow; that one is the smaller.
     """
-    lm = walk_letter(m.walk, m.position)
-    ln = walk_letter(n.walk, n.position)
+    (wm, pm), (wn, pn) = m, n
+    lm = walk_letter(wm, pm)
+    ln = walk_letter(wn, pn)
     if lm is None or lm[0] != arrow:
         raise NotMarked(f"m is not marked at {arrow!r}")
     if ln is None or ln[0] != arrow:
         raise NotMarked(f"n is not marked at {arrow!r}")
-    if m == n or (m.walk == n.walk and m.walk.is_infinite_straight):
+    if m == n or (wm == wn and wm.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
-    sm = _stream(m.walk, m.position, 1 if lm[1] == 1 else -1)
-    sn = _stream(n.walk, n.position, 1 if ln[1] == 1 else -1)
-    limit = _agreement_limit(m.walk, n.walk)
+    sm = _stream(wm, pm, 1 if lm[1] == 1 else -1)
+    sn = _stream(wn, pn, 1 if ln[1] == 1 else -1)
+    limit = _agreement_limit(wm, wn)
     verdicts = []
     for direction in (1, -1):
         for i in range(1, limit + 1):

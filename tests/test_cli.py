@@ -166,6 +166,9 @@ def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
         (("polytope", "family:doublecycle:2", "--max-facets", "20"), "a closed flip graph"),
         (("fan", "family:doublecycle:2", "--max-facets", "5"), "a closed flip graph"),
         (("polytope", "family:cycle:2", "--body-bound", "2"), "the complete walk set"),
+        # a closed flip graph whose walk universe has a band: growth stops at
+        # one letter more than the signed letters, not at the default bound
+        (("polytope", "family:doublecycle:1", "--max-facets", "20"), "the complete walk set"),
     ],
 )
 def test_geometry_of_a_capped_input_exits_3(capsys, argv, message):

@@ -152,7 +152,7 @@ def test_stored_data_matches_fresh_distinguished_data():
     for g in _stored_data_graphs():
         assert len(g.data) == len(g.facets)
         for i, f in enumerate(g.facets):
-            stored = {a: g.ctx.marked(m) for a, m in g.data[i].items()}
+            stored = {a: (g.ctx.walks[w], p) for a, (w, p) in g.data[i].items()}
             assert stored == distinguished_data(g.ctx.bq, f)
 
 

@@ -16,7 +16,6 @@ from nonkissing.errors import (
 )
 from nonkissing.facets import (
     Facet,
-    MarkedWalk,
     QuiverContext,
     brute_force_facets,
     countercurrent_less,
@@ -84,10 +83,10 @@ def test_facet_counts_and_oracle_equivalence(graphs):
 
 
 def _marked_walks(g, i, arrow):
-    """Every marked occurrence of the arrow in facet i of g."""
+    """Every marked occurrence of the arrow in facet i of g, as (walk, position)."""
     ctx = g.ctx
     return [
-        ctx.marked((w, p))
+        (ctx.walks[w], p)
         for w in g.ids[i] + g.straights
         for p in ctx.marks[w].get(arrow, ())
     ]
@@ -140,7 +139,7 @@ def test_countercurrent_matches_the_letter_at_a_time_reference():
             )
         }
         for m, n, arrow in pairs:
-            args = (ctx.bq, ctx.marked(m), ctx.marked(n), arrow)
+            args = (ctx.bq, (ctx.walks[m[0]], m[1]), (ctx.walks[n[0]], n[1]), arrow)
             want = _verdict(reference_countercurrent_less, *args)
             assert _verdict(countercurrent_less, *args) == want, (args, want)
             verdicts.add(want)
@@ -151,7 +150,7 @@ def test_same_marked_walk_rejected():
     bq = blossom(a_path(2))
     w = peak_walk(bq, "v1")
     arrow = w.body[1][0]
-    m = MarkedWalk(w, 1)
+    m = (w, 1)
     with pytest.raises(SameMarkedWalk):
         countercurrent_less(bq, m, m, arrow)
 
@@ -161,8 +160,8 @@ def test_kissing_pair_rejected():
     pw = peak_walk(bq, "v1")
     dw = deep_walk(bq, "v2")
     # both pass through the inner arrow a1 at position 1
-    m = MarkedWalk(pw, 1)
-    n = MarkedWalk(dw, 1)
+    m = (pw, 1)
+    n = (dw, 1)
     assert pw.body[1][0] == dw.body[1][0] == "a1"
     with pytest.raises(KissingPair):
         countercurrent_less(bq, m, n, "a1")
@@ -172,7 +171,7 @@ def test_distinguished_walk_singleton_and_empty():
     bq = blossom(a_path(2))
     # a blossom arrow crossed by a single walk
     only = distinguished_data(bq, Facet((peak_walk(bq, "v1"),), ()))
-    assert only["v1+out1"].walk == peak_walk(bq, "v1")
+    assert only["v1+out1"][0] == peak_walk(bq, "v1")
     assert "v2+out1" not in only
 
 
@@ -189,8 +188,8 @@ def test_distinguished_data_matches_per_arrow_maximum(graphs):
                     if all(countercurrent_less(bq, n, m, arrow) for n in marks if n != m)
                 ]
                 if marks:
-                    (mw,) = top
-                    want[arrow] = (g.ctx.intern(mw.walk), mw.position)
+                    ((w, p),) = top
+                    want[arrow] = (g.ctx.intern(w), p)
             assert g.data[i] == want, name
 
 
@@ -385,8 +384,8 @@ bq = blossom(a_path(2))
 facet = peak_facet(bq)
 w = facet.bending[0]
 data = distinguished_data(bq, facet)
-assert sum(mw.walk == w for mw in data.values()) == 2
-del data[min(a for a, mw in data.items() if mw.walk == w)]
+assert sum(x == w for x, _ in data.values()) == 2
+del data[min(a for a, (x, _) in data.items() if x == w)]
 calls = (
     lambda: parse_walk(bq, "v1+out1- a1+ a1- v1+out1+"),
     lambda: flip(bq, facet, w, data=data),
