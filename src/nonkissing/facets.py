@@ -40,7 +40,6 @@ from .walks import (
     canonicalize,
     enumerate_walks,
     deep_walk,
-    is_bending,
     kiss_count,
     letter_tgt,
     peak_walk,
@@ -191,7 +190,7 @@ class QuiverContext:
             for g, (a, _) in _marked_letters(w):
                 marks.setdefault(a, []).append(g)
             self.marks.append({a: tuple(gs) for a, gs in marks.items()})
-            self.bending.append(is_bending(w))
+            self.bending.append(not w.is_straight)
         return i
 
     def kn(self, i: int, j: int) -> int:
@@ -379,7 +378,7 @@ def flip(
     """
     if w not in facet.walks:
         raise NotMember(f"walk {w.serialize()!r} not in facet")
-    if not is_bending(w):
+    if w.is_straight:
         raise NotBending("only bending walks can be flipped")
     ctx = QuiverContext(bq)
     ids = [ctx.intern(x) for x in facet.walks]
@@ -625,22 +624,22 @@ def verify_purity(g: FlipGraph) -> list[str]:
     n0 = len(g.quiver.vertices)
     n1 = len(g.quiver.arrows)
     p = len(primitive_cycles(g.ctx.bq))
+    # every facet holds the same straight walks
+    inf = sum(g.ctx.walks[w].is_infinite_straight for w in g.straights)
+    fin = len(g.straights) - inf
     report = []
-    for i, f in enumerate(g.facets):
-        fin = [w for w in f.straights if not w.is_infinite_straight]
-        inf = [w for w in f.straights if w.is_infinite_straight]
-        if len(f.bending) != n0:
-            report.append(f"facet {i}: {len(f.bending)} bending walks, expected {n0}")
-        if len(fin) != 2 * n0 - n1:
+    for i, bending in enumerate(g.ids):
+        if len(bending) != n0:
+            report.append(f"facet {i}: {len(bending)} bending walks, expected {n0}")
+        if fin != 2 * n0 - n1:
             report.append(
-                f"facet {i}: {len(fin)} finite straight walks, expected {2 * n0 - n1}"
+                f"facet {i}: {fin} finite straight walks, expected {2 * n0 - n1}"
             )
-        if len(inf) != p:
-            report.append(f"facet {i}: {len(inf)} infinite straight walks, expected {p}")
-        if len(f.walks) != 3 * n0 - n1 + p:
-            report.append(
-                f"facet {i}: {len(f.walks)} walks total, expected {3 * n0 - n1 + p}"
-            )
+        if inf != p:
+            report.append(f"facet {i}: {inf} infinite straight walks, expected {p}")
+        total = len(bending) + len(g.straights)
+        if total != 3 * n0 - n1 + p:
+            report.append(f"facet {i}: {total} walks total, expected {3 * n0 - n1 + p}")
     return report
 
 
@@ -696,9 +695,10 @@ def verify_distinguished_census(g: FlipGraph) -> list[str]:
 
 def walks_through_cycles_check(g: FlipGraph) -> list[str]:
     cycles = primitive_cycles(g.ctx.bq)
+    walks = g.ctx.walks
     report = []
-    for i, f in enumerate(g.facets):
+    for i, bending in enumerate(g.ids):
         for c in cycles:
-            if not any(walk_uses_cycle(w, c) for w in f.bending):
+            if not any(walk_uses_cycle(walks[w], c) for w in bending):
                 report.append(f"facet {i}: no bending walk spirals into cycle {c}")
     return report

@@ -84,12 +84,16 @@ class SurfaceModel:
         corner at the end of t, so a point is an orbit of the partial
         rotation start(h) -> start(next_face(twin(h))), whose inverse is
         `rotate`.  An orbit is a cycle around an interior point or a chain
-        between two boundary sides, so each is found by walking back to its
-        chain head and then forward.  A class is named by its first corner
+        between two boundary sides, so each is walked once: back from its
+        first side to the chain head, or once round a cycle, and on from
+        that side to the chain's end.  A class is named by its first corner
         in half-edge order, and classes are listed in that order.
+        class_orbit keeps each orbit's half-edges in forward order, from the
+        chain head to the last side of a boundary point.
         """
         self.corner_class: dict = {}
         self.class_corners: dict = {}
+        self.class_orbit: dict = {}
         self.class_type: dict = {}
         self.boundary_classes: set = set()
         # black classes split into middle points (degree 4) and blossom points
@@ -100,22 +104,23 @@ class SurfaceModel:
             if root in self.corner_class:
                 continue
             # walk back to the chain head, or once round a cycle
-            head, back = h, self.rotate(h)
+            orbit = [h]
+            back = self.rotate(h)
             while back is not None and back != h:
-                head, back = back, self.rotate(back)
-            corners = set()
-            cur = head
-            while True:
-                corners.add(start_corner(cur))
-                t = self.twin[cur]
-                if t is None or next_face(t) == head:
-                    break
-                cur = next_face(t)
-            if t is None:
+                orbit.append(back)
+                back = self.rotate(back)
+            orbit.reverse()
+            if back is None:  # a chain: walk on from h to its last side
                 self.boundary_classes.add(root)
+                t = self.twin[h]
+                while t is not None:
+                    orbit.append(next_face(t))
+                    t = self.twin[orbit[-1]]
+            corners = {(q, _START_CORNER[k]) for q, k in orbit}
             for c in corners:
                 self.corner_class[c] = root
             self.class_corners[root] = corners
+            self.class_orbit[root] = orbit
             kinds = {c[1] for c in corners}
             if kinds == {"v"}:
                 self.class_type[root] = "green"
@@ -153,17 +158,19 @@ class SurfaceModel:
         return root not in self.boundary_classes
 
     def boundary_cycles(self):
-        """Boundary components as cycles of boundary half-edges."""
-        boundary = [h for h in self.halfedges if self.twin[h] is None]
+        """Boundary components as cycles of boundary half-edges.
+
+        The side after a boundary side h ends the chain headed by
+        next_face(h), the orbit of the point where h ends.
+        """
         nxt = {}
-        for h in boundary:
-            cur = next_face(h)
-            while self.twin[cur] is not None:
-                cur = next_face(self.twin[cur])
-            nxt[h] = cur
+        for h in self.halfedges:
+            if self.twin[h] is None:
+                root = self.corner_class[start_corner(next_face(h))]
+                nxt[h] = self.class_orbit[root][-1]
         cycles = []
         seen = set()
-        for h in sorted(boundary):
+        for h in sorted(nxt):
             if h in seen:
                 continue
             cyc = []
@@ -486,50 +493,21 @@ class GreenView:
 def strip_dual(s: SurfaceModel) -> GreenView:
     faces = []
     closed = []
-    marks = []
     for root in s.red_classes():
-        # orbit of the red rotation: quads around the red point
-        corners = sorted(s.class_corners[root])
-        start_he = (corners[0][0], "rt")
-        # walk backwards to a chain head if the face is not closed
-        seq = [start_he]
-        seen = {start_he}
-        cur = start_he
-        while True:
-            t = s.twin[(cur[0], "rs")]
-            if t is None:
-                break
-            prev = (t[0], "rt")
-            if prev in seen:
-                break
-            seq.insert(0, prev)
-            seen.add(prev)
-            cur = prev
-        head = seq[0]
-        is_closed = s.twin[(head[0], "rs")] is not None
-        cur = seq[-1]
-        while True:
-            t = s.twin[(cur[0], "rt")]
-            if t is None:
-                break
-            nxt = (t[0], "rt")
-            if nxt in seen:
-                break
-            seq.append(nxt)
-            seen.add(nxt)
-            cur = nxt
-        units = tuple(
-            (f"{q}:gs", f"{q}:gt") for q, _ in seq
-        )
-        faces.append(units)
-        closed.append(is_closed)
-        marks.append(1)
+        # the red point's orbit runs through the rt sides of its quads; a
+        # closed face is read ending at its least quad
+        seq = s.class_orbit[root]
+        closed.append(s.is_puncture(root))
+        if closed[-1]:
+            i = seq.index(min(seq)) + 1
+            seq = seq[i:] + seq[:i]
+        faces.append(tuple((f"{q}:gs", f"{q}:gt") for q, _ in seq))
     pairs = set()
     for h, t in s.twin.items():
         if t is None or h[1] not in ("gs", "gt"):
             continue
         pairs.add(frozenset((f"{h[0]}:{h[1]}", f"{t[0]}:{t[1]}")))
-    return GreenView(tuple(faces), tuple(closed), tuple(marks), frozenset(pairs))
+    return GreenView(tuple(faces), tuple(closed), (1,) * len(faces), frozenset(pairs))
 
 
 def dual_dissection(view: GreenView) -> SurfaceModel:

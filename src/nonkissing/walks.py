@@ -305,108 +305,55 @@ def straight_next(bq: BlossomQuiver, a: str) -> str | None:
     return None
 
 
-def straight_prev(bq: BlossomQuiver, a: str) -> str | None:
-    for b in bq.quiver.arrows_in[bq.quiver.src[a]]:
-        if (b, a) not in bq.quiver.relations:
-            return b
-    return None
+def _straight_ray(bq: BlossomQuiver, a: str, sign: int):
+    """The straight ray from letter (a, sign) on: (letters, unit).
+
+    Each step takes the one continuation of the same sign in the successor
+    table: the relation-free next arrow (sign 1) or previous arrow (sign -1).
+    letters is the ray up to its end, or up to the tail unit it spirals into.
+    """
+    succ = bq.successors
+    letters: list[Letter] = []
+    seen: dict[Letter, int] = {}
+    x: Letter | None = (a, sign)
+    while x not in seen:
+        seen[x] = len(letters)
+        letters.append(x)
+        x = next((m for m in succ[x] if m[1] == sign), None)
+        if x is None:
+            return tuple(letters), ()
+    j = seen[x]
+    return tuple(letters[:j]), tuple(letters[j:])
 
 
 def primitive_cycles(bq: BlossomQuiver) -> list[tuple[str, ...]]:
-    """Relation-free oriented cycles, one canonical rotation each."""
-    seen: set[str] = set()
-    cycles = []
+    """Relation-free oriented cycles, one canonical rotation each: the
+    units the straight rays spiral into (each cycle arrow starts one)."""
+    cycles = set()
     for a in bq.quiver.arrow_ids:
-        if a in seen or bq.is_blossom_arrow(a):
-            continue
-        orbit = [a]
-        cur = a
-        while True:
-            nxt = straight_next(bq, cur)
-            if nxt is None or bq.is_blossom_arrow(nxt):
-                orbit = None
-                break
-            if nxt == a:
-                break
-            if nxt in orbit:
-                orbit = None
-                break
-            orbit.append(nxt)
-            cur = nxt
-        if orbit is None:
-            continue
-        seen.update(orbit)
-        k = len(orbit)
-        best = min(tuple(orbit[j:] + orbit[:j]) for j in range(k))
-        cycles.append(best)
+        unit = _straight_ray(bq, a, 1)[1]
+        if unit:
+            cycles.add(tail_cycle(unit)[0])
     return sorted(cycles)
 
 
-def _forward_ray(bq: BlossomQuiver, a: str):
-    """Straight extension forward through arrow a: (letters, rtail unit)."""
-    letters: list[Letter] = []
-    seen: dict[str, int] = {}
-    cur = a
-    while True:
-        if cur in seen:
-            j = seen[cur]
-            unit = tuple(letters[j:])
-            return tuple(letters[:j]), unit
-        seen[cur] = len(letters)
-        letters.append((cur, 1))
-        nxt = straight_next(bq, cur)
-        if nxt is None:
-            return tuple(letters), ()
-        cur = nxt
-
-
-def _backward_ray(bq: BlossomQuiver, a: str):
-    """Straight extension backward through arrow a.
-
-    Returns (letters, lunit): letters in forward word order ending at a,
-    lunit the repeating unit when the extension spirals into a cycle.
-    """
-    found: list[str] = []  # arrows in backward discovery order
-    seen: dict[str, int] = {}
-    cur = a
-    while True:
-        if cur in seen:
-            j = seen[cur]
-            unit = tuple((x, 1) for x in reversed(found[j:]))
-            letters = tuple((x, 1) for x in reversed(found[:j]))
-            return letters, unit
-        seen[cur] = len(found)
-        found.append(cur)
-        prv = straight_prev(bq, cur)
-        if prv is None:
-            return tuple((x, 1) for x in reversed(found)), ()
-        cur = prv
+def _corner_walk(bq: BlossomQuiver, v: str, sign: int) -> Walk:
+    """The walk whose only corner is at v, with both rays of the given sign."""
+    if v not in bq.base.vertices:
+        raise ParseError(f"{v!r} is not an original vertex")
+    arrows = bq.quiver.arrows_out[v] if sign > 0 else bq.quiver.arrows_in[v]
+    (left, lunit), (right, runit) = (_straight_ray(bq, a, sign) for a in sorted(arrows))
+    return canonicalize(bq, rev_word(lunit), rev_word(left) + right, runit)
 
 
 def peak_walk(bq: BlossomQuiver, v: str) -> Walk:
     """The unique walk whose only corner is a peak at v (arrows leave v)."""
-    if v not in bq.base.vertices:
-        raise ParseError(f"{v!r} is not an original vertex")
-    o1, o2 = sorted(bq.quiver.arrows_out[v])
-    left_letters, left_unit = _forward_ray(bq, o1)
-    right_letters, right_unit = _forward_ray(bq, o2)
-    ltail = rev_word(left_unit) if left_unit else ()
-    body = rev_word(left_letters) + right_letters
-    rtail = right_unit
-    return canonicalize(bq, ltail, body, rtail)
+    return _corner_walk(bq, v, 1)
 
 
 def deep_walk(bq: BlossomQuiver, v: str) -> Walk:
     """The unique walk whose only corner is a deep at v (arrows enter v)."""
-    if v not in bq.base.vertices:
-        raise ParseError(f"{v!r} is not an original vertex")
-    i1, i2 = sorted(bq.quiver.arrows_in[v])
-    lpart, lunit = _backward_ray(bq, i1)
-    rpart_rev, runit_rev = _backward_ray(bq, i2)
-    body = lpart + rev_word(rpart_rev)
-    ltail = lunit
-    rtail = rev_word(runit_rev) if runit_rev else ()
-    return canonicalize(bq, ltail, body, rtail)
+    return _corner_walk(bq, v, -1)
 
 
 def deep_walks(bq: BlossomQuiver) -> dict[str, Walk]:
@@ -419,7 +366,7 @@ def finite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
     out = []
     for a, s, _ in bq.quiver.arrows:
         if s in bq.blossom_vertices:
-            letters, unit = _forward_ray(bq, a)
+            letters, unit = _straight_ray(bq, a, 1)
             if unit:
                 # a cycle arrow entered from the leaf path has two
                 # relation-free predecessors
@@ -678,13 +625,10 @@ def corner_profile(bq: BlossomQuiver, w: Walk) -> list[tuple[str, str]]:
     return out
 
 
-def is_bending(w: Walk) -> bool:
-    return not w.is_straight
-
-
 def tail_cycle(unit: tuple[Letter, ...]) -> tuple[tuple[str, ...], int]:
     """(cycle, sign) of a tail unit: its arrows read along the arrows, in
-    their lex-min rotation, as `primitive_cycles` gives them, and its sign."""
+    their lex-min rotation, and its sign.  `primitive_cycles` names each
+    cycle by this rotation of a straight ray's unit."""
     sign = unit[0][1]
     arrows = tuple(a for a, _ in unit)
     if sign < 0:

@@ -17,6 +17,8 @@ from nonkissing.errors import (
 from nonkissing.facets import (
     Facet,
     QuiverContext,
+    _exchange,
+    _flip,
     brute_force_facets,
     countercurrent_less,
     deep_facet,
@@ -37,13 +39,13 @@ from nonkissing.families import (
     double_cycle,
     double_path,
     loop_quiver,
+    random_locally_gentle,
     reversed_path,
 )
 from nonkissing.quiver import blossom
 from nonkissing.walks import (
     deep_walk,
     enumerate_walks,
-    is_bending,
     peak_walk,
     primitive_cycles,
     walk_uses_cycle,
@@ -229,6 +231,35 @@ def test_flip_is_an_involution_with_reversed_direction(graphs):
                 assert {d, d3} == {"increasing", "decreasing"}
 
 
+def _capped_graphs():
+    """Infinite-type instances at their caps and random seeds at cap 20."""
+    for q, cap in (
+        (double_cycle(1), 40), (double_cycle(2), 40), (double_cycle(3), 20),
+        (double_path(3), 40), (double_path(4), 20),
+    ):
+        yield enumerate_facets(q, max_facets=cap)
+    for seed in range(60):
+        yield enumerate_facets(random_locally_gentle(random.Random(seed)), max_facets=20)
+
+
+def test_flip_is_an_involution_on_capped_and_random_graphs():
+    # each edge's reverse flip is computed afresh from the target facet's
+    # own data, not taken from the record the BFS keeps
+    capped = 0
+    for g in _capped_graphs():
+        capped += not g.closed
+        ctx = g.ctx
+        by_key = {k: i for i, k in enumerate(ctx.keys)}
+        for e in g.edges:
+            old, new = by_key[e.walk_out], by_key[e.walk_in]
+            target = g.ids[e.target]
+            back, d = _flip(ctx, target + g.straights, g.data[e.target], new, True)
+            assert back == old
+            assert {d, e.direction} == {"increasing", "decreasing"}
+            assert _exchange(ctx, target, new, back) == g.ids[e.source]
+    assert capped
+
+
 def test_flip_rejects_straight_walks():
     bq = blossom(a_path(2))
     facet = peak_facet(bq)
@@ -356,7 +387,7 @@ def test_walks_through_cycles(graphs):
         for f in g.facets:
             for c in primitive_cycles(bq):
                 assert any(
-                    walk_uses_cycle(w, c) and is_bending(w) for w in f.bending
+                    walk_uses_cycle(w, c) and not w.is_straight for w in f.bending
                 )
 
 

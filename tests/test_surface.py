@@ -36,6 +36,7 @@ from nonkissing.surface import (
     crossing_count,
     curve_of_walk,
     dual_dissection,
+    next_face,
     quiver_from_surface,
     start_corner,
     strip_dual,
@@ -95,12 +96,15 @@ def test_reversed_path_puncture_split():
 
 
 def test_v_point_count_matches_straight_walks():
-    for q in corpus().values():
-        bq = blossom(q)
+    quivers = list(corpus().values())
+    quivers += [random_locally_gentle(random.Random(seed)) for seed in range(40)]
+    for q in quivers:
         s = surface_from_quiver(q)
-        p = len(primitive_cycles(bq))
+        # a green puncture is where an infinite straight walk spirals
+        p = sum(s.is_puncture(r) for r in s.green_classes())
+        assert p == len(primitive_cycles(s.bq))
         n0, n1 = len(q.vertices), len(q.arrows)
-        assert len(s.green_classes()) == 2 * n0 - n1 + p
+        assert len(s.green_classes()) == 2 * n0 - n1 + p == len(straight_walks(s.bq))
 
 
 def test_dissection_face_count_is_b_plus_dual_punctures():
@@ -378,14 +382,51 @@ def _corner_classes(s):
     }
 
 
+def _assert_orbits_run_forward(s):
+    for root, orbit in s.class_orbit.items():
+        assert set(map(start_corner, orbit)) == s.class_corners[root]
+        for h, nxt in zip(orbit, orbit[1:]):
+            assert next_face(s.twin[h]) == nxt
+        if root in s.boundary_classes:
+            # a chain runs from its head to the side it leaves the point by
+            assert s.rotate(orbit[0]) is None and s.twin[orbit[-1]] is None
+        else:
+            assert next_face(s.twin[orbit[-1]]) == orbit[0]
+
+
 def test_rotation_orbits_match_union_find_oracle():
     closed = chains = 0
     for s in _oracle_surfaces():
+        _assert_orbits_run_forward(s)
         classes = _corner_classes(s)
         assert classes == union_find_corner_classes(s)
         chains += sum(on_boundary for _, _, on_boundary in classes.values())
         closed += sum(not on_boundary for _, _, on_boundary in classes.values())
     assert closed and chains
+
+
+def test_boundary_cycles_join_each_boundary_side_to_the_next():
+    # one boundary side ends and one starts at each boundary point
+    for s in _oracle_surfaces():
+        cycles = s.boundary_cycles()
+        sides = [h for cyc in cycles for h in cyc]
+        assert sorted(sides) == sorted(h for h in s.halfedges if s.twin[h] is None)
+        for cyc in cycles:
+            for h, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                end = s.corner_class[start_corner(next_face(h))]
+                assert end == s.corner_class[start_corner(nxt)]
+
+
+def test_strip_dual_reads_the_same_faces_whatever_the_quad_order():
+    # a closed face is read ending at its least quad, not at its class root
+    closed = 0
+    for q in corpus().values():
+        s = surface_from_quiver(q)
+        view = strip_dual(s)
+        again = strip_dual(SurfaceModel(s.quads[::-1], s.twin))
+        assert sorted(zip(view.faces, view.closed)) == sorted(zip(again.faces, again.closed))
+        closed += sum(view.closed)
+    assert closed
 
 
 def test_pruned_key_matches_all_roots_oracle():

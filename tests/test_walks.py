@@ -145,14 +145,19 @@ def test_not_maximal_rejected():
         canonicalize(bq, (), (("a1", 1),), ())
 
 
+def _assert_single_corners(bq, walks=()):
+    """Each vertex's peak and deep walk has its one corner there, and it is
+    the only such walk among the given ones."""
+    for v in bq.base.vertices:
+        for kind, w in (("peak", peak_walk(bq, v)), ("deep", deep_walk(bq, v))):
+            assert corner_profile(bq, w) == [(kind, v)]
+            assert [x for x in walks if corner_profile(bq, x) == [(kind, v)]] in ([], [w])
+
+
 def test_peak_and_deep_walks_have_single_corner():
-    for q in (a_path(2), a_path(3), reversed_path(2)):
-        bq = blossom(q)
-        for v in q.vertices:
-            pw = peak_walk(bq, v)
-            assert corner_profile(bq, pw) == [("peak", v)]
-            dw = deep_walk(bq, v)
-            assert corner_profile(bq, dw) == [("deep", v)]
+    # the corpus has rays spiralling into cycles on either side of a corner
+    for q in corpus().values():
+        _assert_single_corners(blossom(q))
 
 
 def test_loop_peak_walk_is_enumerated(universes):
@@ -617,6 +622,12 @@ def test_canonicalize_is_idempotent_and_reversal_invariant(seed):
 @given(SEEDS)
 def test_growth_emits_directed_canonical_forms_on_random_quivers(seed):
     _assert_grown_forms_are_canonical(_random_universe(seed)[1])
+
+
+@PROPERTY
+@given(SEEDS)
+def test_peak_and_deep_walks_have_single_corner_on_random_quivers(seed):
+    _assert_single_corners(*_random_universe(seed))
 
 
 @PROPERTY
