@@ -26,6 +26,7 @@ from .walks import (
     primitive_cycles,
     straight_walks,
     total_kissing_number,
+    walk_universe,
 )
 from .facets import (
     Facet,

@@ -51,7 +51,7 @@ from .surface import (
     swap_dissections,
     walk_of_curve,
 )
-from .walks import enumerate_walks
+from .walks import enumerate_walks, walk_universe
 
 
 def _emit(doc, args) -> None:
@@ -60,8 +60,11 @@ def _emit(doc, args) -> None:
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -215,13 +218,7 @@ def cmd_fan(args) -> int:
 def cmd_polytope(args) -> int:
     q = _load_quiver(args)
     g = enumerate_facets(q, max_facets=args.max_facets)
-    # a capped graph is refused before the walk universe is grown.  Growth
-    # prunes a letter repeated in a run of one sign, so a body longer than
-    # the signed letters repeats one across a change of sign: a band, and
-    # then no bound completes the universe
-    bound = min(args.body_bound, len(g.ctx.bq.successors) + 1)
-    universe, complete = enumerate_walks(g.ctx.bq, bound) if g.closed else ([], False)
-    poly = build_associahedron(q, g, universe, complete)
+    poly = build_associahedron(g)
     _emit(
         {
             "coordinates": list(q.vertices),
@@ -254,9 +251,10 @@ def cmd_roundtrip(args) -> int:
     s = surface_from_quiver(q)
     key = s.canonical_key()
     key_dual = surface_from_quiver(koszul_dual(q)).canonical_key()
+    swapped = swap_dissections(s)
     ok1 = canonical_key(quiver_from_surface(s)) == key
-    ok2 = canonical_key(quiver_from_surface(s, "dual")) == key_dual
-    ok3 = swap_dissections(s).canonical_key() == key_dual
+    ok2 = canonical_key(quiver_from_surface(swapped)) == key_dual
+    ok3 = swapped.canonical_key() == key_dual
     ok4 = dual_dissection(strip_dual(s)).canonical_key() == key
     _emit(
         {
@@ -316,17 +314,15 @@ def _selfcheck() -> dict:
         keys = sorted(tuple(ctx.keys[w] for w in ids) for ids in g.ids)
         if keys != sorted(f.key for f in oracle):
             note(name, ["flip BFS facets differ from the clique oracle"])
-        walks, complete = enumerate_walks(ctx.bq)
-        for w in walks:
+        for w in walk_universe(ctx.bq, "the curve round trip"):
             if walk_of_curve(ctx.bq, curve_of_walk(ctx.bq, w)) != w:
                 note(name, [f"curve of {w.serialize()} reads back as another walk"])
     for name in geometry_instances:
         g = graphs[name]
         fan = build_fan(g)
         note(name, list(fan.report))
-        universe, complete = enumerate_walks(g.ctx.bq)
         try:
-            build_associahedron(corpus[name], g, universe, complete)
+            build_associahedron(g)
         except NonKissingError as exc:
             note(name, [f"polytope: {exc}"])
     return {"ok": not report, "violations": report}
@@ -367,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         "flipgraph": (cmd_flipgraph, ("--max-facets", "--format")),
         "vectors": (cmd_vectors, ("--max-facets",)),
         "fan": (cmd_fan, ("--max-facets",)),
-        "polytope": (cmd_polytope, ("--max-facets", "--body-bound")),
+        "polytope": (cmd_polytope, ("--max-facets",)),
         "surface": (cmd_surface, ("--format",)),
         "roundtrip": (cmd_roundtrip, ()),
         "selfcheck": (cmd_selfcheck, ()),

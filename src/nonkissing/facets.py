@@ -23,7 +23,6 @@ from .errors import (
     BoundError,
     FlipCheckFailed,
     FlipFailed,
-    IncompleteUniverse,
     KissingPair,
     NotBending,
     NotClosed,
@@ -38,8 +37,8 @@ from .walks import (
     Letter,
     Walk,
     canonicalize,
-    enumerate_walks,
     deep_walk,
+    inv,
     kiss_count,
     letter_tgt,
     peak_walk,
@@ -47,6 +46,7 @@ from .walks import (
     reverse_walk,
     span,
     straight_walks,
+    walk_universe,
     walk_uses_cycle,
 )
 
@@ -296,7 +296,6 @@ def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, Marked]:
 class DistinguishedString:
     """The substring of a bending walk between its two distinguished arrows."""
 
-    walk: Walk
     left: int  # global index of the left distinguished letter
     right: int
     on_top: bool
@@ -321,33 +320,26 @@ def _substring(
     on_top = l1[1] == -1 and l2[1] == 1
     letters = run[1:-1]
     vertices = tuple(letter_tgt(bq, x) for x in run[:-1])
-    ds = DistinguishedString(w, g1, g2, on_top, letters, vertices)
-    return ds, _companion(bq, l1, "left"), _companion(bq, l2, "right")
+    ds = DistinguishedString(g1, g2, on_top, letters, vertices)
+    return ds, _companion(bq, l1), _companion(bq, inv(l2))
 
 
 # ---------------------------------------------------------------------------
 # flips
 
 
-def _companion(bq: BlossomQuiver, letter: Letter, side: str) -> str:
-    """The ideal partner of a distinguished letter at its substring endpoint.
-
-    side 'left': the letter sits just left of the substring, its endpoint is
-    the letter target.  side 'right': endpoint is the letter source.
+def _companion(bq: BlossomQuiver, letter: Letter) -> str:
+    """The ideal partner of a letter at its target: the arrow c with a c in
+    the ideal when the letter reads arrow a forwards, c a when backwards.
+    A right distinguished letter starts its substring: pass its inverse.
     """
     a, s = letter
-    if side == "left":
-        v = bq.quiver.tgt[a] if s == 1 else bq.quiver.src[a]
-        if s == 1:
-            cands = [c for c in bq.quiver.arrows_out[v] if (a, c) in bq.quiver.relations]
-        else:
-            cands = [c for c in bq.quiver.arrows_in[v] if (c, a) in bq.quiver.relations]
+    q = bq.quiver
+    v = letter_tgt(bq, letter)
+    if s == 1:
+        cands = [c for c in q.arrows_out[v] if (a, c) in q.relations]
     else:
-        v = bq.quiver.src[a] if s == 1 else bq.quiver.tgt[a]
-        if s == 1:
-            cands = [c for c in bq.quiver.arrows_in[v] if (c, a) in bq.quiver.relations]
-        else:
-            cands = [c for c in bq.quiver.arrows_out[v] if (a, c) in bq.quiver.relations]
+        cands = [c for c in q.arrows_in[v] if (c, a) in q.relations]
     if len(cands) != 1:
         raise FlipFailed(f"expected a unique ideal partner for {letter}, got {cands}")
     return cands[0]
@@ -366,15 +358,12 @@ def _orient_matching(w: Walk, position: int, expected: tuple, side: int):
     return None
 
 
-def flip(
-    bq: BlossomQuiver, facet: Facet, w: Walk, check: bool = True,
-    data: dict[str, Marked] | None = None,
-):
+def flip(bq: BlossomQuiver, facet: Facet, w: Walk):
     """Exchange the bending walk w, returning (new facet, new walk, direction).
 
     direction is 'increasing' when the distinguished substring of w lies on
-    top of w, 'decreasing' otherwise.  data is the facet's distinguished
-    data, computed here when not given.
+    top of w, 'decreasing' otherwise.  The result is checked against the
+    facet, as the BFS checks it.
     """
     if w not in facet.walks:
         raise NotMember(f"walk {w.serialize()!r} not in facet")
@@ -382,10 +371,7 @@ def flip(
         raise NotBending("only bending walks can be flipped")
     ctx = QuiverContext(bq)
     ids = [ctx.intern(x) for x in facet.walks]
-    marks = _data(ctx, ids) if data is None else {
-        a: (ctx.intern(x), g) for a, (x, g) in data.items()
-    }
-    new, direction = _flip(ctx, ids, marks, ctx.intern(w), check)
+    new, direction = _flip(ctx, ids, _data(ctx, ids), ctx.intern(w), True)
     w2 = ctx.walks[new]
     return make_facet(set(facet.bending) - {w} | {w2}, facet.straights), w2, direction
 
@@ -588,9 +574,7 @@ def _bits(x: int):
         x ^= low
 
 
-def brute_force_facets(
-    q: BoundQuiver, body_bound: int = 64, ctx: QuiverContext | None = None
-) -> list[Facet]:
+def brute_force_facets(q: BoundQuiver, ctx: QuiverContext | None = None) -> list[Facet]:
     """Oracle: maximal cliques of the non-kissing compatibility graph.
 
     ctx is the quiver's context, whose kiss numbers are shared; a new one is
@@ -598,9 +582,7 @@ def brute_force_facets(
     """
     if ctx is None:
         ctx = QuiverContext(blossom(q))
-    walks, complete = enumerate_walks(ctx.bq, body_bound)
-    if not complete:
-        raise IncompleteUniverse("walk enumeration truncated; oracle unavailable")
+    walks = walk_universe(ctx.bq, "the clique oracle")
     bend = [i for i in map(ctx.intern, walks) if ctx.bending[i] and ctx.kn(i, i) == 0]
     rows = [0] * len(bend)
     for a in range(len(bend)):

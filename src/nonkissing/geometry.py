@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompleteUniverse, NotClosed, VHMismatch
+from .errors import NotClosed, VHMismatch
 from .facets import Facet, FlipGraph, Mark, QuiverContext, _data
 from .quiver import BlossomQuiver, BoundQuiver
-from .walks import Walk, corner_profile, deep_walks, kiss_count
+from .walks import Walk, corner_profile, deep_walks, kiss_count, walk_universe
 
 IntVector = tuple[int, ...]
 
@@ -64,12 +64,10 @@ def _c_vector(ctx: QuiverContext, wi: int, data: dict[str, Mark]) -> IntVector:
     return vec if ds.on_top else vec_scale(-1, vec)
 
 
-def d_vector(bq: BlossomQuiver, w: Walk, deeps: dict[str, Walk]) -> IntVector:
-    """Minus a basis vector on deep walks, else kiss counts against deep walks.
-
-    deeps is `deep_walks(bq)`.
-    """
+def d_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
+    """Minus a basis vector on deep walks, else kiss counts against deep walks."""
     q = bq.base
+    deeps = deep_walks(bq)
     for v, dw in deeps.items():
         if w == dw:
             return basis_vector(q, v, -1)
@@ -319,13 +317,11 @@ class Polytope:
     defining: tuple[tuple[IntVector, int], ...]
 
 
-def build_associahedron(
-    q: BoundQuiver, g: FlipGraph, universe: list[Walk], complete: bool = True
-) -> Polytope:
+def build_associahedron(g: FlipGraph) -> Polytope:
     """Exact V- and H-descriptions of the associahedron, cross-validated.
 
     Vertices: sum over the facet of total-kissing-number times c-vector.
-    Halfspaces: <g(w), x> <= KN(w) over the whole walk universe.
+    Halfspaces: <g(w), x> <= KN(w) over the complete `walk_universe`.
 
     The edges are certified locally, as for any simple d-polytope: every
     vertex lies on exactly d facet-defining halfspaces with independent
@@ -336,10 +332,9 @@ def build_associahedron(
     """
     if not g.closed:
         raise NotClosed("polytope construction needs a closed flip graph")
-    if not complete:
-        raise IncompleteUniverse("polytope construction needs the complete walk set")
     ctx = g.ctx
-    bq = ctx.bq
+    bq, q = ctx.bq, ctx.q
+    universe = walk_universe(bq, "polytope construction")
     d = len(q.vertices)
     uids = [ctx.intern(w) for w in universe]
     normals = [g_vector(bq, w) for w in universe]

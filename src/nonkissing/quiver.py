@@ -161,6 +161,9 @@ def quiver_from_dict(data: object) -> BoundQuiver:
         raw_relations = data.get("relations", [])
     except KeyError as exc:
         raise ParseError(f"missing field {exc}") from exc
+    for field in ("vertices", "arrows", "relations"):
+        if not isinstance(data.get(field, []), list):
+            raise ParseError(f"{field} must be a list, got {data[field]!r}")
     vertices = []
     seen = set()
     for v in raw_vertices:
@@ -178,15 +181,16 @@ def quiver_from_dict(data: object) -> BoundQuiver:
         if a in aseen:
             raise ParseError(f"duplicate arrow id {a!r}")
         aseen.add(a)
-        if item["src"] not in seen or item["tgt"] not in seen:
+        src, tgt = item["src"], item["tgt"]
+        if not (isinstance(src, str) and isinstance(tgt, str) and src in seen and tgt in seen):
             raise ParseError(f"arrow {a!r} references unknown vertex")
-        arrows.append((a, item["src"], item["tgt"]))
+        arrows.append((a, src, tgt))
     relations = set()
     for pair in raw_relations:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ParseError(f"relation entries must be pairs, got {pair!r}")
         a, b = pair
-        if a not in aseen or b not in aseen:
+        if not (isinstance(a, str) and isinstance(b, str) and a in aseen and b in aseen):
             raise ParseError(f"relation {pair!r} references unknown arrow")
         relations.add((a, b))
     q = BoundQuiver(

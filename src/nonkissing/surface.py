@@ -26,7 +26,6 @@ from .errors import (
     NotMaximal,
     NotReducedCrossing,
     NoUniqueWalk,
-    ParseError,
 )
 from .quiver import BlossomQuiver, BoundQuiver, blossom, validate_locally_gentle
 from .walks import (
@@ -405,16 +404,14 @@ def surface_invariants(s: SurfaceModel) -> dict:
 # surface -> quiver
 
 
-def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
-    """Read a bound quiver off the chosen dissection of the surface, and validate it.
+def quiver_from_surface(s: SurfaceModel) -> BoundQuiver:
+    """Read a bound quiver off the green dissection of the surface, and validate it.
 
     Vertices are the interior dissection edges (middle black points), arrows
     the quads whose two black corners are both interior, relations the
-    relation-side gluings between such quads.  which = 'primary' reads the
-    green dissection, 'dual' the red one (giving the Koszul dual).
+    relation-side gluings between such quads.  The red dissection reads as
+    `quiver_from_surface(swap_dissections(s))`, the Koszul dual.
     """
-    if which not in ("primary", "dual"):
-        raise ParseError("which must be 'primary' or 'dual'")
     middle = set(s.middle_classes())
     vertices = sorted(s.black_name[r] for r in middle)
     arrows = []
@@ -424,22 +421,15 @@ def quiver_from_surface(s: SurfaceModel, which: str = "primary") -> BoundQuiver:
         ct = s.corner_class[(q, "t")]
         if cs in middle and ct in middle:
             interior.append(q)
-            if which == "primary":
-                arrows.append((q, s.black_name[cs], s.black_name[ct]))
-            else:
-                arrows.append((q, s.black_name[ct], s.black_name[cs]))
+            arrows.append((q, s.black_name[cs], s.black_name[ct]))
     interior_set = set(interior)
     relations = set()
-    glue_kind = ("rt", "rs") if which == "primary" else ("gt", "gs")
     for q in interior:
-        t = s.twin[(q, glue_kind[0])]
+        t = s.twin[(q, "rt")]
         if t is not None and t[0] in interior_set:
-            if t[1] != glue_kind[1]:
-                raise NotCellular(f"side {q}:{glue_kind[0]} is glued to {t[0]}:{t[1]}")
-            if which == "primary":
-                relations.add((q, t[0]))
-            else:
-                relations.add((t[0], q))
+            if t[1] != "rs":
+                raise NotCellular(f"side {q}:rt is glued to {t[0]}:{t[1]}")
+            relations.add((q, t[0]))
     out = BoundQuiver(
         vertices=tuple(vertices),
         arrows=tuple(sorted(arrows)),

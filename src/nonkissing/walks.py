@@ -475,6 +475,19 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     return [walks[k] for k in sorted(walks)], complete
 
 
+def walk_universe(bq: BlossomQuiver, who: str) -> list[Walk]:
+    """The complete walk set, or IncompleteUniverse naming the caller who.
+
+    Growth drops a letter repeated within a run of one sign, so a longer
+    body than the signed letters repeats one across a change of sign: a
+    band, and then no body bound completes the universe.
+    """
+    walks, complete = enumerate_walks(bq, len(bq.successors) + 1)
+    if not complete:
+        raise IncompleteUniverse(f"{who} needs the complete walk set")
+    return walks
+
+
 # ---------------------------------------------------------------------------
 # kissing
 
@@ -596,13 +609,9 @@ def kn_pair(bq: BlossomQuiver, w1: Walk, w2: Walk) -> int:
     return kiss_count(bq, w1, w2) + kiss_count(bq, w2, w1)
 
 
-def total_kissing_number(
-    bq: BlossomQuiver, w: Walk, universe: list[Walk], complete: bool = True
-) -> int:
+def total_kissing_number(bq: BlossomQuiver, w: Walk) -> int:
     """KN(w): sum of KN(w, w') over the complete walk universe, w' = w included."""
-    if not complete:
-        raise IncompleteUniverse("total kissing number needs the complete walk set")
-    return sum(kn_pair(bq, w, other) for other in universe)
+    return sum(kn_pair(bq, w, other) for other in walk_universe(bq, "total kissing number"))
 
 
 # ---------------------------------------------------------------------------

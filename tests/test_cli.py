@@ -16,7 +16,8 @@ from nonkissing import surface as surface_module
 from nonkissing import walks as walks_module
 from nonkissing.cli import build_parser, main
 from nonkissing.families import a_path, random_locally_gentle
-from nonkissing.quiver import blossom, koszul_dual
+from nonkissing.errors import ParseError
+from nonkissing.quiver import blossom, koszul_dual, quiver_from_dict
 from nonkissing.walks import peak_walk
 
 
@@ -130,6 +131,34 @@ INVALID_QUIVERS = {
 }
 
 
+# JSON documents of the wrong shape: each is a parse error, not a traceback
+MALFORMED_QUIVERS = {
+    "endpoint-list": {"vertices": ["1", "2"], "arrows": [{"id": "a", "src": ["1"], "tgt": "2"}]},
+    "relation-member-list": {
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "1", "tgt": "2"}, {"id": "b", "src": "2", "tgt": "3"}],
+        "relations": [[["a"], "b"]],
+    },
+    "vertices-int": {"vertices": 5, "arrows": []},
+    "vertices-string": {"vertices": "12", "arrows": []},
+    "arrows-object": {"vertices": ["1"], "arrows": {"id": "a", "src": "1", "tgt": "1"}},
+    "relations-string": {"vertices": ["1"], "arrows": [], "relations": "ab"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_QUIVERS))
+def test_malformed_quiver_is_a_parse_error(capsys, tmp_path, kind):
+    doc = MALFORMED_QUIVERS[kind]
+    with pytest.raises(ParseError):
+        quiver_from_dict(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", sorted(INVALID_QUIVERS))
 @pytest.mark.parametrize("command", INPUT_COMMANDS)
 def test_validation_error_exit_2(capsys, tmp_path, command, kind):
@@ -165,15 +194,15 @@ def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
     [
         (("polytope", "family:doublecycle:2", "--max-facets", "20"), "a closed flip graph"),
         (("fan", "family:doublecycle:2", "--max-facets", "5"), "a closed flip graph"),
-        (("polytope", "family:cycle:2", "--body-bound", "2"), "the complete walk set"),
         # a closed flip graph whose walk universe has a band: growth stops at
-        # one letter more than the signed letters, not at the default bound
+        # one letter more than the signed letters
+        (("polytope", "family:doublecycle:1"), "the complete walk set"),
         (("polytope", "family:doublecycle:1", "--max-facets", "20"), "the complete walk set"),
     ],
 )
 def test_geometry_of_a_capped_input_exits_3(capsys, argv, message):
     # the polytope of a capped graph is refused before the walk universe is
-    # grown at the default body bound
+    # grown
     start = time.perf_counter()
     code = main(list(argv))
     assert time.perf_counter() - start < 5
@@ -206,6 +235,15 @@ def test_out_flag_writes_file(tmp_path, a2_file):
     assert doc["simplicial_complete"] is True
 
 
+def test_unwritable_out_is_a_parse_error(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    assert main(["validate", "family:apath:2", "--out", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: cannot write {target!r}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_bounds_exit_1():
     assert main(["facets", "family:apath:2", "--max-facets", "0"]) == 1
 
@@ -221,6 +259,7 @@ def test_unknown_flag_is_usage_error():
     [
         ["walks", "family:apath:2", "--max-facets", "5"],
         ["validate", "family:apath:2", "--body-bound", "3"],
+        ["polytope", "family:apath:2", "--body-bound", "2"],
     ],
 )
 def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):

@@ -26,7 +26,7 @@ from nonkissing.geometry import (
     sign_coherence_report,
 )
 from nonkissing.quiver import blossom, make_quiver
-from nonkissing.walks import enumerate_walks, kiss_count
+from nonkissing.walks import kiss_count
 
 from oracles import walk_letter
 from pyrun import run_python
@@ -232,13 +232,12 @@ def test_selfcheck_blossoms_no_quiver_with_a_context(monkeypatch, capsys):
 def test_reports_read_the_context(monkeypatch):
     q = a_path(3)
     g = enumerate_facets(q)
-    universe, complete = enumerate_walks(g.ctx.bq)
     events = _record_blossoms(monkeypatch)
     assert verify_purity(g) == verify_thinness(g) == []
     assert verify_distinguished_census(g) == walks_through_cycles_check(g) == []
     assert sign_coherence_report(g, graph_matrices(g)) == []
     assert build_fan(g).report == ()
-    build_associahedron(q, g, universe, complete)
+    build_associahedron(g)
     assert events == []
 
 

@@ -17,6 +17,7 @@ from nonkissing.errors import (
 from nonkissing.facets import (
     Facet,
     QuiverContext,
+    _data,
     _exchange,
     _flip,
     brute_force_facets,
@@ -277,7 +278,9 @@ def test_flip_check_raises_when_kissing_disagrees(monkeypatch, wrong):
     monkeypatch.setattr(facets_module, "kiss_count", lambda bq, w1, w2: int(wrong))
     with pytest.raises(FlipCheckFailed):
         flip(bq, facet, facet.bending[0])
-    flip(bq, facet, facet.bending[0], check=False)
+    ctx = QuiverContext(bq)
+    ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
+    _flip(ctx, ids, _data(ctx, ids), ids[0], False)
 
 
 def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
@@ -296,11 +299,14 @@ def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
 
 
 def test_flip_with_precomputed_data_matches(graphs):
+    # the BFS flips from each facet's stored data; `flip` computes it afresh
     for name, (bq, g) in graphs.items():
-        for facet in g.facets:
-            data = distinguished_data(bq, facet)
-            for w in facet.bending:
-                assert flip(bq, facet, w, data=data) == flip(bq, facet, w), name
+        ctx = g.ctx
+        for i, facet in enumerate(g.facets):
+            ids = g.ids[i] + g.straights
+            for w, wi in zip(facet.bending, g.ids[i]):
+                new, direction = _flip(ctx, ids, g.data[i], wi, True)
+                assert flip(bq, facet, w)[1:] == (ctx.walks[new], direction), name
 
 
 def test_pentagon_structure(graphs):
@@ -376,8 +382,8 @@ def test_brute_force_needs_complete_universe():
     from nonkissing.families import double_cycle
 
     # the one-vertex double cycle carries a band, so enumeration never closes
-    with pytest.raises(IncompleteUniverse):
-        brute_force_facets(double_cycle(1), body_bound=12)
+    with pytest.raises(IncompleteUniverse, match="the clique oracle needs the complete walk set"):
+        brute_force_facets(double_cycle(1))
 
 
 def test_walks_through_cycles(graphs):
@@ -406,20 +412,22 @@ def test_flip_on_members_only():
 # distinguished arrows, and a flip of a walk outside the facet
 TYPED_ERRORS = """
 from nonkissing.errors import NonKissingError
-from nonkissing.facets import distinguished_data, flip, peak_facet
+from nonkissing.facets import QuiverContext, _data, _flip, flip, peak_facet
 from nonkissing.families import a_path
 from nonkissing.quiver import blossom
 from nonkissing.walks import deep_walk, parse_walk
 
 bq = blossom(a_path(2))
 facet = peak_facet(bq)
-w = facet.bending[0]
-data = distinguished_data(bq, facet)
-assert sum(x == w for x, _ in data.values()) == 2
-del data[min(a for a, (x, _) in data.items() if x == w)]
+ctx = QuiverContext(bq)
+ids = [ctx.intern(x) for x in facet.walks]
+w = ids[0]
+data = _data(ctx, ids)
+assert sum(i == w for i, _ in data.values()) == 2
+del data[min(a for a, (i, _) in data.items() if i == w)]
 calls = (
     lambda: parse_walk(bq, "v1+out1- a1+ a1- v1+out1+"),
-    lambda: flip(bq, facet, w, data=data),
+    lambda: _flip(ctx, ids, data, w, True),
     lambda: flip(bq, facet, deep_walk(bq, "v1")),
 )
 for call in calls:

@@ -11,6 +11,7 @@ from nonkissing.families import (
     a_path,
     cambrian,
     cycle_quiver,
+    double_cycle,
     loop_quiver,
     reversed_path,
 )
@@ -30,8 +31,6 @@ from nonkissing.geometry import (
 from nonkissing.quiver import blossom
 from nonkissing.walks import (
     deep_walk,
-    deep_walks,
-    enumerate_walks,
     peak_walk,
     straight_walks,
 )
@@ -62,8 +61,7 @@ def polytopes():
     out = {}
     for name, q in POLYTOPE_CORPUS.items():
         g = enumerate_facets(q)
-        universe, complete = enumerate_walks(blossom(q))
-        out[name] = (q, g, universe, build_associahedron(q, g, universe, complete))
+        out[name] = (g, build_associahedron(g))
     return out
 
 
@@ -121,7 +119,7 @@ def test_deep_walk_d_vector_is_negative_basis():
     for q in (a_path(2), a_path(3), loop_quiver()):
         bq = blossom(q)
         for i, v in enumerate(q.vertices):
-            d = d_vector(bq, deep_walk(bq, v), deep_walks(bq))
+            d = d_vector(bq, deep_walk(bq, v))
             assert d == tuple(-1 if j == i else 0 for j in range(len(q.vertices)))
 
 
@@ -132,14 +130,13 @@ def test_a2_d_vectors_are_cluster_denominators():
     bq = blossom(q)
     g = enumerate_facets(q)
     walks = {w for f in g.facets for w in f.bending}
-    deeps = deep_walks(bq)
-    ds = sorted(d_vector(bq, w, deeps) for w in walks)
+    ds = sorted(d_vector(bq, w) for w in walks)
     assert ds == [(-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 def test_loop_peak_d_vector_is_positive_basis():
     bq = blossom(loop_quiver())
-    assert d_vector(bq, peak_walk(bq, "v1"), deep_walks(bq)) == (1,)
+    assert d_vector(bq, peak_walk(bq, "v1")) == (1,)
 
 
 def test_sign_coherence_on_corpus():
@@ -184,14 +181,12 @@ def test_g_vectors_sign_coherent_per_facet():
 
 
 def _polytope(q):
-    bq = blossom(q)
     g = enumerate_facets(q)
-    universe, complete = enumerate_walks(bq)
-    return bq, g, universe, build_associahedron(q, g, universe, complete)
+    return blossom(q), g, build_associahedron(g)
 
 
 def test_a2_associahedron_is_a_pentagon():
-    bq, g, universe, poly = _polytope(a_path(2))
+    bq, g, poly = _polytope(a_path(2))
     verts = {tuple(int(x) for x in v) for v in poly.vertices}
     assert verts == {(2, 2), (-2, 2), (2, 0), (-2, -2), (0, -2)}
     assert len(poly.defining) == 5
@@ -202,7 +197,7 @@ def test_a2_associahedron_is_a_pentagon():
 
 
 def test_loop_associahedron_is_a_segment():
-    bq, g, universe, poly = _polytope(loop_quiver())
+    bq, g, poly = _polytope(loop_quiver())
     verts = sorted(tuple(int(x) for x in v) for v in poly.vertices)
     assert verts == [(-2,), (2,)]
     assert sorted(poly.defining) == [((-1,), 2), ((1,), 2)]
@@ -210,24 +205,24 @@ def test_loop_associahedron_is_a_segment():
 
 def test_polytope_vertices_lie_on_their_facet_bounds():
     for q in (a_path(2), loop_quiver(), reversed_path(2)):
-        bq, g, universe, poly = _polytope(q)
+        bq, g, poly = _polytope(q)
         from nonkissing.walks import total_kissing_number
 
         for i, facet in enumerate(g.facets):
             for w in facet.walks:
-                bound = total_kissing_number(bq, w, universe)
+                bound = total_kissing_number(bq, w)
                 assert vec_dot(g_vector(bq, w), poly.vertices[i]) == bound
 
 
 def test_polytope_needs_complete_universe():
     from nonkissing.errors import IncompleteUniverse
 
-    q = a_path(2)
-    bq = blossom(q)
-    g = enumerate_facets(q)
-    universe, _ = enumerate_walks(bq)
-    with pytest.raises(IncompleteUniverse):
-        build_associahedron(q, g, universe, complete=False)
+    # the one-vertex double cycle has a closed flip graph and a band, so
+    # its walk enumeration never closes
+    g = enumerate_facets(double_cycle(1))
+    assert g.closed
+    with pytest.raises(IncompleteUniverse, match="polytope construction needs the complete walk set"):
+        build_associahedron(g)
 
 
 def _random_matrix(rng, rows, cols):
@@ -277,7 +272,7 @@ def test_wall_normal_matches_fraction_nullspace():
 
 
 def test_edge_certificate_agrees_with_pairwise_oracle(polytopes):
-    for name, (q, g, universe, poly) in polytopes.items():
+    for name, (g, poly) in polytopes.items():
         assert pairwise_edge_report(poly.vertices, poly.halfspaces, g) == [], name
         assert len(poly.vertices) == len(g.facets), name
         assert all(isinstance(x, int) for v in poly.vertices for x in v), name
@@ -297,13 +292,13 @@ def _add_flip(g, i, j):
 
 def test_mutated_flip_graph_raises_vh_mismatch(polytopes):
     for name in ("apath3", "cambrian-FRF", "cycle2", "loop"):
-        q, g, universe, poly = polytopes[name]
+        g, poly = polytopes[name]
         adjacent = {frozenset((e.source, e.target)) for e in g.edges}
         e = g.edges[0]
         dropped = _drop_flip(g, e.source, e.target)
         assert pairwise_edge_report(poly.vertices, poly.halfspaces, dropped), name
         with pytest.raises(VHMismatch):
-            build_associahedron(q, dropped, universe)
+            build_associahedron(dropped)
         far = [
             (i, j)
             for i in range(len(g.facets))
@@ -315,13 +310,13 @@ def test_mutated_flip_graph_raises_vh_mismatch(polytopes):
         added = _add_flip(g, *far[0])
         assert pairwise_edge_report(poly.vertices, poly.halfspaces, added), name
         with pytest.raises(VHMismatch):
-            build_associahedron(q, added, universe)
+            build_associahedron(added)
 
 
 def test_degree_preserving_edge_swap_raises_vh_mismatch(polytopes):
     # {a,b}, {c,e} -> {a,c}, {b,e}: every flip degree stays d, so only the
     # rank test on the common tight normals of an edge can catch it
-    q, g, universe, poly = polytopes["apath3"]
+    g, poly = polytopes["apath3"]
     adjacent = sorted(
         tuple(sorted((e.source, e.target))) for e in g.edges if e.source < e.target
     )
@@ -336,15 +331,15 @@ def test_degree_preserving_edge_swap_raises_vh_mismatch(polytopes):
     swapped = _add_flip(_add_flip(_drop_flip(_drop_flip(g, a, b), c, e), a, c), b, e)
     assert pairwise_edge_report(poly.vertices, poly.halfspaces, swapped)
     with pytest.raises(VHMismatch, match="disagrees with the flip graph"):
-        build_associahedron(q, swapped, universe)
+        build_associahedron(swapped)
 
 
 def test_fan_reports_on_corpus(polytopes):
-    for name, (q, g, universe, poly) in polytopes.items():
+    for name, (g, poly) in polytopes.items():
         fan = build_fan(g)
         assert fan.report == (), name
         assert len(fan.cones) == len(g.facets), name
-    q, g, universe, poly = polytopes["apath3"]
+    g, poly = polytopes["apath3"]
     e = g.edges[0]
     fan = build_fan(_drop_flip(g, e.source, e.target))
     assert fan.report == ("fan walls do not match the flip graph edges",)

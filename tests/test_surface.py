@@ -155,8 +155,8 @@ def test_boundary_alternation():
 def test_quiver_roundtrip_on_corpus():
     for name, q in corpus().items():
         s = surface_from_quiver(q)
-        assert is_isomorphic(quiver_from_surface(s, "primary"), q), name
-        assert is_isomorphic(quiver_from_surface(s, "dual"), koszul_dual(q)), name
+        assert is_isomorphic(quiver_from_surface(s), q), name
+        assert is_isomorphic(quiver_from_surface(swap_dissections(s)), koszul_dual(q)), name
 
 
 def test_swap_equals_dual_surface():

@@ -48,6 +48,7 @@ from nonkissing.walks import (
     rev_word,
     straight_walks,
     total_kissing_number,
+    walk_universe,
 )
 
 from oracles import (
@@ -337,7 +338,7 @@ def test_non_self_kissing_bodies_avoid_full_cycles(universes):
 def test_total_kissing_numbers_a2(universes):
     bq, walks = universes["a2"]
     for w in walks:
-        kn = total_kissing_number(bq, w, walks)
+        kn = total_kissing_number(bq, w)
         if w.is_straight:
             assert kn == 0
         else:
@@ -353,10 +354,35 @@ def test_self_kisser_counted_twice(universes):
 
 
 def test_incomplete_universe_refused():
-    bq = blossom(a_path(2))
-    walks, _ = enumerate_walks(bq)
+    # the one-vertex double cycle carries a band, so enumeration never closes
+    bq = blossom(parse_family("family:doublecycle:1"))
+    with pytest.raises(IncompleteUniverse, match="total kissing number needs the complete walk set"):
+        total_kissing_number(bq, peak_walk(bq, "v1"))
+
+
+def test_walk_universe_closes_at_the_blossoming_bound():
+    # growth drops a letter repeated within a run of one sign, so an
+    # enumeration that closes at one letter more than the signed letters
+    # has found every walk: twice that bound finds no more.  A band quiver
+    # grows exponentially many walks up to the bound, so the random quivers
+    # have at most 3 vertices; 18 of these 60 carry a band
+    quivers = [q for name, q in corpus().items() if not name.startswith("double")]
+    quivers += [random_locally_gentle(random.Random(seed), 3) for seed in range(60)]
+    closed = 0
+    for q in quivers:
+        bq = blossom(q)
+        bound = len(bq.successors) + 1
+        walks, complete = enumerate_walks(bq, bound)
+        if complete:
+            closed += 1
+            assert enumerate_walks(bq, 2 * bound) == (walks, True), q
+            assert walk_universe(bq, "test") == walks
+        else:
+            with pytest.raises(IncompleteUniverse, match="^test needs the complete walk set$"):
+                walk_universe(bq, "test")
+    assert closed >= 40
     with pytest.raises(IncompleteUniverse):
-        total_kissing_number(bq, walks[0], walks, complete=False)
+        walk_universe(blossom(parse_family("family:doublecycle:1")), "test")
 
 
 def test_winding_quiver_truncates_at_small_bound():
