@@ -3,8 +3,9 @@
 Marked occurrences use a global letter index on the stored direction of a
 walk: body letters are 0..B-1, right-tail letters B, B+1, ... periodically,
 left-tail letters -1, -2, ... periodically.  Only occurrences in the body
-and the first period of each tail are ever marked; the occurrence closest to
-the body dominates the deeper periodic copies in the countercurrent order.
+and the first period of each tail are ever marked, and `_at` raises
+NotMarked for any other index; the occurrence closest to the body dominates
+the deeper periodic copies in the countercurrent order.
 
 The flip engine works on a `QuiverContext`, one per quiver.  Inside it a
 walk is an int id, a mark is a (walk id, position) pair and a facet is the
@@ -36,6 +37,7 @@ from .quiver import BlossomQuiver, BoundQuiver, blossom
 from .walks import (
     Letter,
     Walk,
+    _unrolled,
     canonicalize,
     deep_walk,
     inv,
@@ -43,7 +45,7 @@ from .walks import (
     letter_tgt,
     peak_walk,
     primitive_cycles,
-    reverse_walk,
+    rev_word,
     span,
     straight_walks,
     walk_universe,
@@ -68,70 +70,58 @@ def _marked_letters(w: Walk):
     )
 
 
-def _oriented(w: Walk, o: int) -> tuple:
-    """(ltail, body, rtail) of w read forwards (o = 1) or backwards (o = -1)."""
-    return (w.ltail, w.body, w.rtail) if o == 1 else reverse_walk(w)
+def _at(w: Walk, g: int, n: int) -> tuple[tuple[Letter, ...], int]:
+    """(word, i): w's word unrolled by `_unrolled` so that n letters or more
+    lie past every marked position, and the index i of position g in it.
 
-
-def _oriented_position(w: Walk, g: int, o: int) -> int:
-    return g if o == 1 else len(w.body) - 1 - g
-
-
-def _letter(t: tuple, g: int) -> Letter | None:
-    """The letter at global index g of the walk t = (ltail, body, rtail), or None."""
-    lt, bd, rt = t
-    if g < 0:
-        return lt[g % len(lt)] if lt else None
-    if g < len(bd):
-        return bd[g]
-    return rt[(g - len(bd)) % len(rt)] if rt else None
-
-
-def _ray(t: tuple, p: int, side: int, n: int) -> tuple:
-    """The n letters of the walk t = (ltail, body, rtail) beside position p.
-
-    side 1 reads the letters after p, side -1 those before it, nearest
-    first.  Past an end of the walk the ray stops with one None, so it is
-    shorter than n letters; every further place is past the end too.  The
-    tuple is made from a list, which allocates it once at its size.
+    Only the body and the first period of each tail are marked: NotMarked
+    for any other g.
     """
-    lt, bd, rt = t
-    if side == 1 and not rt:
-        n = min(n, len(bd) - p)  # the None at index len(bd)
-    elif side == -1 and not lt:
-        n = min(n, p + 1)  # the None at index -1
-    return tuple([_letter(t, g) for g in range(p + side, p + side * (n + 1), side)])
+    lt, rt = len(w.ltail), len(w.rtail)
+    if not -lt <= g < len(w.body) + rt:
+        raise NotMarked(f"position {g} of {w.serialize()} is not marked")
+    word, start, _ = _unrolled(w, n + max(lt, rt))
+    return word, start + g
+
+
+def _side(word: tuple[Letter, ...], i: int, step: int, n: int) -> tuple:
+    """The n letters of word beside index i, nearest first: after i for
+    step 1, before it for step -1.  Fewer at an end of the word, which on
+    a word from `_at` is an end of the walk."""
+    return word[i + 1 : i + 1 + n] if step == 1 else word[max(i - n, 0) : i][::-1]
 
 
 def countercurrent_less(bq: BlossomQuiver, m: Marked, n: Marked, arrow: str) -> bool:
     """True iff m comes before n in the countercurrent order at the arrow.
 
-    m and n are (walk, position) pairs.  Both walks are oriented so the
-    marked occurrence reads as the arrow taken forwards, then compared
-    letterwise outward from the mark for `span` letters per side; walks
-    that agree that far agree forever.
-    At the first disagreement on either side exactly one of the two leaves
-    with the flow of the arrow; that one is the smaller.  Each side is read
-    one letter at a time and no further than its first disagreement.
+    m and n are (walk, position) pairs.  Both walks are read so the marked
+    occurrence reads as the arrow taken forwards, then compared letterwise
+    outward from the mark for `span` letters per side; walks that agree
+    that far agree forever.  Each walk is read off its stored unrolled
+    word (`_at`), stepping backwards with signs flipped when the marked
+    letter points backwards.  At the first disagreement on either side
+    exactly one of the two leaves with the flow of the arrow; that one is
+    the smaller.
     """
     (wm, pm), (wn, pn) = m, n
-    tm, tn = _oriented(wm, 1), _oriented(wn, 1)
-    lm, ln = _letter(tm, pm), _letter(tn, pn)
-    if lm is None or lm[0] != arrow:
+    limit = span(wm, wn)
+    xm, i = _at(wm, pm, limit)
+    xn, j = _at(wn, pn, limit)
+    if xm[i][0] != arrow:
         raise NotMarked(f"m is not marked at {arrow!r}")
-    if ln is None or ln[0] != arrow:
+    if xn[j][0] != arrow:
         raise NotMarked(f"n is not marked at {arrow!r}")
     if m == n or (wm == wn and wm.is_infinite_straight):
         raise SameMarkedWalk(f"cannot compare a marked walk with itself at {arrow!r}")
-    om, on = lm[1], ln[1]  # the stored directions that read the arrow forwards
-    limit = span(wm, wn)
+    om, on = xm[i][1], xn[j][1]  # the stored directions that read the arrow forwards
     verdicts = []
     for side in (1, -1):
-        for i in range(1, limit + 1):
-            x = _letter(tm, pm + side * om * i)
-            y = _letter(tn, pn + side * on * i)
-            if x is None or y is None:
-                break  # an end of the walks: no verdict on this side
+        sm, sn = side * om, side * on  # steps along the stored words
+        # letters left on each word; where a walk ends first, no verdict
+        left_m = len(xm) - 1 - i if sm == 1 else i
+        left_n = len(xn) - 1 - j if sn == 1 else j
+        for t in range(1, min(limit, left_m, left_n) + 1):
+            x, y = xm[i + sm * t], xn[j + sn * t]
             sx, sy = x[1] * om, y[1] * on  # signs in the arrow's orientation
             if x[0] != y[0] or sx != sy:
                 if sx == sy:
@@ -313,9 +303,12 @@ def _substring(
             f"bending walk has {len(marks)} distinguished arrows, expected 2"
         )
     g1, g2 = sorted(marks)
-    run = _ray(_oriented(w, 1), g1 - 1, 1, g2 - g1 + 1)  # letters g1..g2
+    # letters g1..g2, a slice of the one-period word: marks lie in the body
+    # or a first tail period
+    lt = len(w.ltail)
+    run = (w.ltail + w.body + w.rtail)[lt + g1 : lt + g2 + 1]
     l1, l2 = run[0], run[-1]
-    if l1 is None or l2 is None or l1[1] == l2[1]:
+    if l1[1] == l2[1]:
         raise NotMaximalFacet("distinguished arrows must point in opposite directions")
     on_top = l1[1] == -1 and l2[1] == 1
     letters = run[1:-1]
@@ -343,19 +336,6 @@ def _companion(bq: BlossomQuiver, letter: Letter) -> str:
     if len(cands) != 1:
         raise FlipFailed(f"expected a unique ideal partner for {letter}, got {cands}")
     return cands[0]
-
-
-def _orient_matching(w: Walk, position: int, expected: tuple, side: int):
-    """Orientation of w whose letters match expected on the given side of a mark.
-
-    side 1 compares the letters after the mark, side -1 those before it; a
-    None in expected demands the walk end there too.
-    """
-    for o in (1, -1):
-        p = _oriented_position(w, position, o)
-        if _ray(_oriented(w, o), p, side, len(expected)) == expected:
-            return o
-    return None
 
 
 def flip(bq: BlossomQuiver, facet: Facet, w: Walk):
@@ -410,25 +390,37 @@ def _construct(
     w = ctx.walks[wi]
     (mu_id, mu_g), (nu_id, nu_g) = mu_mark, nu_mark
     mu, nu = ctx.walks[mu_id], ctx.walks[nu_id]
-    tw = _oriented(w, 1)
     n = len(ds.letters) + max(span(w, mu), span(w, nu))
+    xw, i = _at(w, ds.left, n)
+    xm, im = _at(mu, mu_g, n)
+    xn, jn = _at(nu, nu_g, n)
+    # the sign rule: mu is read so its marked letter points forwards when
+    # the substring is on top, backwards at the bottom; nu the opposite way
+    top = 1 if ds.on_top else -1
+    o_mu, o_nu = xm[im][1] * top, -xn[jn][1] * top
     # mu = rho' sigma tau: after mu's mark come sigma then w's letters from
     # its right distinguished letter on, which is w read after its left one
-    o_mu = _orient_matching(mu, mu_g, _ray(tw, ds.left, 1, n), side=1)
-    if o_mu is None:
+    after = _side(xw, i, 1, n)
+    if _side(xm, im, o_mu, n) != (after if o_mu == 1 else tuple(map(inv, after))):
         raise FlipFailed("distinguished walk does not split along sigma tau")
     # nu = rho sigma tau': before nu's mark comes w read before its right
     # distinguished letter
-    o_nu = _orient_matching(nu, nu_g, _ray(tw, ds.right, -1, n), side=-1)
-    if o_nu is None:
+    before = _side(xw, i + ds.right - ds.left, -1, n)
+    if _side(xn, jn, -o_nu, n) != (before if o_nu == 1 else tuple(map(inv, before))):
         raise FlipFailed("distinguished walk does not split along rho sigma")
     # rho runs through mu's mark and tau on from nu's mark: slices of the
-    # one-period words of the oriented walks (marks lie in the body or a
-    # first tail period), whose extra tail periods canonicalize absorbs
-    lt, mu_body, mu_rt = _oriented(mu, o_mu)
-    nu_lt, nu_body, rt = _oriented(nu, o_nu)
-    rho = (lt + mu_body + mu_rt)[: len(lt) + _oriented_position(mu, mu_g, o_mu) + 1]
-    tau = (nu_lt + nu_body + rt)[len(nu_lt) + _oriented_position(nu, nu_g, o_nu) :]
+    # one-period words of the read walks (marks lie in the body or a first
+    # tail period), whose extra tail periods canonicalize absorbs
+    mu_word, nu_word = mu.ltail + mu.body + mu.rtail, nu.ltail + nu.body + nu.rtail
+    pm, pn = len(mu.ltail) + mu_g, len(nu.ltail) + nu_g
+    if o_mu == 1:
+        lt, rho = mu.ltail, mu_word[: pm + 1]
+    else:
+        lt, rho = rev_word(mu.rtail), rev_word(mu_word[pm:])
+    if o_nu == 1:
+        rt, tau = nu.rtail, nu_word[pn:]
+    else:
+        rt, tau = rev_word(nu.ltail), rev_word(nu_word[: pn + 1])
     new = ctx.intern(canonicalize(ctx.bq, lt, rho + ds.letters + tau, rt))
     if new == wi:
         raise FlipFailed("flip produced the same walk")

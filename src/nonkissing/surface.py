@@ -425,10 +425,8 @@ def quiver_from_surface(s: SurfaceModel) -> BoundQuiver:
     interior_set = set(interior)
     relations = set()
     for q in interior:
-        t = s.twin[(q, "rt")]
+        t = s.twin[(q, "rt")]  # the constructor glues an rt side only to an rs side
         if t is not None and t[0] in interior_set:
-            if t[1] != "rs":
-                raise NotCellular(f"side {q}:rt is glued to {t[0]}:{t[1]}")
             relations.add((q, t[0]))
     out = BoundQuiver(
         vertices=tuple(vertices),

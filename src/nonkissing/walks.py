@@ -509,9 +509,11 @@ def _unrolled(w: Walk, n: int):
     Returns (word, start, end): word[start:end] is the body, word[:start]
     the left-tail periods and word[end:] the right-tail periods.
     """
-    lp, rp = (max(2, -(-n // len(u))) if u else 0 for u in (w.ltail, w.rtail))
-    start = len(w.ltail) * lp
-    return w.ltail * lp + w.body + w.rtail * rp, start, start + len(w.body)
+    lt, rt = w.ltail, w.rtail
+    lp = max(2, -(-n // len(lt))) if lt else 0
+    rp = max(2, -(-n // len(rt))) if rt else 0
+    start = len(lt) * lp
+    return lt * lp + w.body + rt * rp, start, start + len(w.body)
 
 
 def _tail_zones(w: Walk, size: int, start: int, end: int) -> list[tuple[int, int, int]]:

@@ -33,9 +33,11 @@ The countercurrent oracle (`reference_countercurrent_less`) takes two
 (walk, position) pairs, as `countercurrent_less` does, and reads both
 walks one letter at a time through its own `walk_letter`, by global letter
 index, inverting letters by hand when a walk is read backwards, for a length
-of its own (`_agreement_limit`); it shares no code and no length with the
-engine's reader `_letter` of `countercurrent_less`, only the convention of
-global letter indices.
+of its own (`_agreement_limit`); it shares no code and no length with
+`countercurrent_less`, which reads the unrolled words of `walks._unrolled`,
+only the convention of global letter indices.  It reads tails modulo their
+periods, so it accepts positions in deeper tail periods that
+`countercurrent_less` rejects as not marked.
 
 The geometry oracles take nothing from production: `fraction_rank`,
 `fraction_det` and `fraction_wall_normal` stand beside the integer Bareiss

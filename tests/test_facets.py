@@ -11,6 +11,7 @@ from nonkissing.errors import (
     FlipCheckFailed,
     KissingPair,
     NotBending,
+    NotMarked,
     NotMember,
     SameMarkedWalk,
 )
@@ -168,6 +169,24 @@ def test_kissing_pair_rejected():
     assert pw.body[1][0] == dw.body[1][0] == "a1"
     with pytest.raises(KissingPair):
         countercurrent_less(bq, m, n, "a1")
+
+
+def test_unmarked_positions_rejected():
+    # only the body and the first period of each tail are marked
+    bq = blossom(a_path(2))
+    pw, dw = peak_walk(bq, "v1"), deep_walk(bq, "v2")
+    assert pw.body[0][0] != "a1" and not dw.rtail
+    with pytest.raises(NotMarked, match="m is not marked at 'a1'"):
+        countercurrent_less(bq, (pw, 0), (dw, 1), "a1")  # another arrow
+    with pytest.raises(NotMarked):
+        countercurrent_less(bq, (pw, 1), (dw, len(dw.body)), "a1")  # past the end
+    bq = blossom(cycle_quiver(2))
+    pw, dw = peak_walk(bq, "v1"), deep_walk(bq, "v1")
+    # position -3 reads a1 in the second period of pw's left tail (a2- a1-)
+    assert pw.ltail == (("a2", -1), ("a1", -1)) and dw.ltail[0][0] == "a1"
+    assert _verdict(countercurrent_less, bq, (pw, -1), (dw, -2), "a1") is KissingPair
+    with pytest.raises(NotMarked, match="position -3 of"):
+        countercurrent_less(bq, (pw, -3), (dw, -2), "a1")
 
 
 def test_distinguished_walk_singleton_and_empty():
