@@ -45,6 +45,7 @@ KINDS = ("rs", "rt", "gt", "gs")
 _NEXT = {"rs": "rt", "rt": "gt", "gt": "gs", "gs": "rs"}
 _PREV = {v: k for k, v in _NEXT.items()}
 _START_CORNER = {"rs": "s", "rt": "f", "gt": "t", "gs": "v"}
+_KIND_LETTER = {"green": "V", "red": "F", "middle": "B", "blossom": "L"}
 
 
 def next_face(h):
@@ -88,15 +89,14 @@ class SurfaceModel:
         that side to the chain's end.  A class is named by its first corner
         in half-edge order, and classes are listed in that order.
         class_orbit keeps each orbit's half-edges in forward order, from the
-        chain head to the last side of a boundary point.
+        chain head to the last side of a boundary point; each side stands
+        for the corner it starts at.  class_kind is green or red for a
+        marked point, and for a black point middle (four corners, the middle
+        of a dissection edge) or blossom (one corner, a blossom leaf).
         """
         self.corner_class: dict = {}
-        self.class_corners: dict = {}
         self.class_orbit: dict = {}
-        self.class_type: dict = {}
-        self.boundary_classes: set = set()
-        # black classes split into middle points (degree 4) and blossom points
-        self.black_kind: dict = {}
+        self.class_kind: dict = {}
         self.black_name: dict = {}
         for h in self.halfedges:
             root = start_corner(h)
@@ -110,30 +110,26 @@ class SurfaceModel:
                 back = self.rotate(back)
             orbit.reverse()
             if back is None:  # a chain: walk on from h to its last side
-                self.boundary_classes.add(root)
                 t = self.twin[h]
                 while t is not None:
                     orbit.append(next_face(t))
                     t = self.twin[orbit[-1]]
-            corners = {(q, _START_CORNER[k]) for q, k in orbit}
-            for c in corners:
+            for c in map(start_corner, orbit):
                 self.corner_class[c] = root
-            self.class_corners[root] = corners
             self.class_orbit[root] = orbit
-            kinds = {c[1] for c in corners}
+            kinds = {_START_CORNER[k] for _, k in orbit}
             if kinds == {"v"}:
-                self.class_type[root] = "green"
+                self.class_kind[root] = "green"
             elif kinds == {"f"}:
-                self.class_type[root] = "red"
+                self.class_kind[root] = "red"
             elif not kinds <= {"s", "t"}:
                 raise NotCellular(f"vertex class mixes corner kinds {kinds}")
-            elif len(corners) in (1, 4):
-                self.class_type[root] = "black"
-                self.black_kind[root] = "middle" if len(corners) == 4 else "blossom"
+            elif len(orbit) in (1, 4):
+                self.class_kind[root] = "middle" if len(orbit) == 4 else "blossom"
                 self.black_name[root] = f"x{len(self.black_name)}"
             else:
                 raise NotCellular(
-                    f"black point with {len(corners)} corners; dissections not dual"
+                    f"black point with {len(orbit)} corners; dissections not dual"
                 )
 
     # -- basic queries --------------------------------------------------------
@@ -142,19 +138,13 @@ class SurfaceModel:
         """Next half-edge counterclockwise around the start vertex of h."""
         return self.twin[prev_face(h)]
 
-    def green_classes(self):
-        return sorted(
-            r for r, t in self.class_type.items() if t == "green"
-        )
-
-    def red_classes(self):
-        return sorted(r for r, t in self.class_type.items() if t == "red")
-
-    def middle_classes(self):
-        return sorted(r for r, k in self.black_kind.items() if k == "middle")
+    def classes(self, kind):
+        """The roots of the points of one kind (green, red, middle, blossom)."""
+        return sorted(r for r, k in self.class_kind.items() if k == kind)
 
     def is_puncture(self, root) -> bool:
-        return root not in self.boundary_classes
+        """Whether the point is interior: its orbit has no chain head."""
+        return self.rotate(self.class_orbit[root][0]) is not None
 
     def boundary_cycles(self):
         """Boundary components as cycles of boundary half-edges.
@@ -182,7 +172,7 @@ class SurfaceModel:
         return cycles
 
     def euler_characteristic(self) -> int:
-        n_v = len(self.class_corners)
+        n_v = len(self.class_orbit)
         sides = set()
         for h in self.halfedges:
             t = self.twin[h]
@@ -210,13 +200,11 @@ class SurfaceModel:
         # half-edge i is side i % 4 of quad i // 4, sides in KINDS (face) order
         twin = [index.get(self.twin[h], -1) for h in self.halfedges]
         nxt = [i + 1 if i % 4 < 3 else i - 3 for i in range(len(twin))]
-        class_letter = {}
-        for root, typ in self.class_type.items():
-            if typ == "black":
-                class_letter[root] = "B" if self.black_kind[root] == "middle" else "L"
-            else:
-                class_letter[root] = "V" if typ == "green" else "F"
-        letter = [class_letter[self.corner_class[start_corner(h)]] for h in self.halfedges]
+        letter = [""] * len(twin)
+        for root, orbit in self.class_orbit.items():
+            c = _KIND_LETTER[self.class_kind[root]]
+            for h in orbit:
+                letter[index[h]] = c
         seen = [False] * len(twin)
         keys = []
         for r in range(0, len(twin), 4):
@@ -293,13 +281,12 @@ def surface_from_quiver(q: BoundQuiver) -> SurfaceModel:
                 twin[(b, "gs")] = (a, "gt")
     model = SurfaceModel(bq.quiver.arrow_ids, twin, bq)
     names = {}
-    # name black classes by the quiver vertex they come from
-    for root, corners in model.class_corners.items():
-        if model.class_type[root] != "black":
-            continue
+    # name black points by the quiver vertex they come from: an rs side
+    # starts at its arrow's source, a gt side at its target
+    for root in model.black_name:
         verts = {
-            bq.quiver.src[a] if kind == "s" else bq.quiver.tgt[a]
-            for a, kind in corners
+            bq.quiver.src[a] if k == "rs" else bq.quiver.tgt[a]
+            for a, k in model.class_orbit[root]
         }
         if len(verts) != 1:
             raise NotCellular(f"black class mixes quiver vertices {sorted(verts)}")
@@ -366,14 +353,14 @@ def _matching_components(bq: BlossomQuiver) -> int:
 def surface_invariants(s: SurfaceModel) -> dict:
     """Boundary count, punctures, genus, Euler characteristic, cross-checked."""
     b_cycles = len(s.boundary_cycles())
-    p = sum(1 for r in s.green_classes() if s.is_puncture(r))
-    p_dual = sum(1 for r in s.red_classes() if s.is_puncture(r))
-    n0 = len(s.middle_classes())
+    p = sum(1 for r in s.classes("green") if s.is_puncture(r))
+    p_dual = sum(1 for r in s.classes("red") if s.is_puncture(r))
+    n0 = len(s.classes("middle"))
     n1 = sum(
         1
         for q in s.quads
-        if s.black_kind[s.corner_class[(q, "s")]] == "middle"
-        and s.black_kind[s.corner_class[(q, "t")]] == "middle"
+        if s.class_kind[s.corner_class[(q, "s")]] == "middle"
+        and s.class_kind[s.corner_class[(q, "t")]] == "middle"
     )
     genus2 = n1 - n0 - b_cycles - p - p_dual + 2
     if genus2 % 2 != 0:
@@ -412,7 +399,7 @@ def quiver_from_surface(s: SurfaceModel) -> BoundQuiver:
     relation-side gluings between such quads.  The red dissection reads as
     `quiver_from_surface(swap_dissections(s))`, the Koszul dual.
     """
-    middle = set(s.middle_classes())
+    middle = set(s.classes("middle"))
     vertices = sorted(s.black_name[r] for r in middle)
     arrows = []
     interior = []
@@ -446,14 +433,11 @@ def swap_dissections(s: SurfaceModel) -> SurfaceModel:
         else:
             twin[(q, kind_map[k])] = (t[0], kind_map[t[1]])
     model = SurfaceModel(s.quads, twin)
-    # new s-corners were old t-corners and vice versa; carry the names over
+    # new rs sides were old gt sides and vice versa; carry the names over
     names = {}
-    for root, corners in model.class_corners.items():
-        if model.class_type[root] != "black":
-            continue
-        q0, k0 = sorted(corners)[0]
-        old_root = s.corner_class[(q0, "t" if k0 == "s" else "s")]
-        names[root] = s.black_name[old_root]
+    for root in model.black_name:
+        q, k = model.class_orbit[root][0]
+        names[root] = s.black_name[s.corner_class[(q, "t" if k == "rs" else "s")]]
     model.black_name = names
     return model
 
@@ -481,7 +465,7 @@ class GreenView:
 def strip_dual(s: SurfaceModel) -> GreenView:
     faces = []
     closed = []
-    for root in s.red_classes():
+    for root in s.classes("red"):
         # the red point's orbit runs through the rt sides of its quads; a
         # closed face is read ending at its least quad
         seq = s.class_orbit[root]
@@ -654,11 +638,10 @@ def surface_dump(s: SurfaceModel) -> dict:
         return f"{h[0]}:{h[1]}" if h is not None else None
 
     class_label = {}
-    counters = {"green": 0, "red": 0, "middle": 0, "blossom": 0}
-    prefixes = {"green": "V", "red": "V*", "middle": "M", "blossom": "B"}
-    for root in sorted(s.class_corners, key=lambda r: sorted(s.class_corners[r])):
-        typ = s.class_type[root]
-        kind = typ if typ != "black" else s.black_kind[root]
+    counters = {"green": 0, "red": 0, "blossom": 0}
+    prefixes = {"green": "V", "red": "V*", "blossom": "B"}
+    for root in sorted(s.class_orbit, key=lambda r: min(map(start_corner, s.class_orbit[r]))):
+        kind = s.class_kind[root]
         if kind == "middle":
             class_label[root] = f"M:{s.black_name[root]}"
             continue
@@ -676,8 +659,8 @@ def surface_dump(s: SurfaceModel) -> dict:
         },
         "punctures": sorted(
             class_label[r]
-            for r in s.class_corners
-            if s.class_type[r] in ("green", "red") and s.is_puncture(r)
+            for r in s.class_orbit
+            if s.class_kind[r] in ("green", "red") and s.is_puncture(r)
         ),
     }
 

@@ -125,39 +125,28 @@ def _serialize_form(ltail, body, rtail, text) -> str:
 
 
 def parse_walk(bq: BlossomQuiver, text: str) -> Walk:
-    toks = text.split()
-    ltail: list[Letter] = []
-    body: list[Letter] = []
-    rtail: list[Letter] = []
-    mode = "start"
-    cur = body
-    tails_seen = 0
-    for tok in toks:
-        if tok == "(":
-            if mode not in ("start", "after-bar"):
-                raise ParseError("unexpected ( in walk")
-            cur = ltail if tails_seen == 0 and not body and mode == "start" else rtail
-            mode = "tail"
-        elif tok == ")":
-            if mode != "tail":
-                raise ParseError("unexpected ) in walk")
-            tails_seen += 1
-            mode = "after-tail"
-        elif tok == "|":
-            if mode not in ("after-tail", "body", "after-bar"):
-                raise ParseError("unexpected | in walk")
-            cur = body
-            mode = "after-bar"
+    """Read `[TAIL "|"] LETTER* ["|" TAIL]`: a bar stands only beside a tail."""
+    parts: list[list[str]] = [[]]
+    for tok in text.split():
+        if tok == "|":
+            parts.append([])
         else:
-            letter = parse_letter(tok)
-            if mode in ("start", "after-bar", "body"):
-                body.append(letter)
-                mode = "body"
-            elif mode == "tail":
-                cur.append(letter)
-            else:
-                raise ParseError(f"unexpected token {tok!r}")
-    return canonicalize(bq, tuple(ltail), tuple(body), tuple(rtail))
+            parts[-1].append(tok)
+    if len(parts) > 3:
+        raise ParseError(f"more than two | in walk {text!r}")
+    ltail = rtail = ()
+    if len(parts) == 3 or (len(parts) == 2 and parts[0][:1] == ["("]):
+        ltail = _parse_tail(parts.pop(0))
+    if len(parts) == 2:
+        rtail = _parse_tail(parts.pop())
+    (body,) = parts
+    return canonicalize(bq, ltail, tuple(map(parse_letter, body)), rtail)
+
+
+def _parse_tail(toks: list[str]) -> tuple[Letter, ...]:
+    if len(toks) < 3 or toks[0] != "(" or toks[-1] != ")":
+        raise ParseError(f"expected a tail ( LETTER+ ) beside |, got {' '.join(toks)!r}")
+    return tuple(map(parse_letter, toks[1:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -632,9 +632,9 @@ def _end_corner(h):
 def union_find_corner_classes(s) -> dict:
     """The points of a surface model from union-find over its gluings.
 
-    Maps each class, a frozenset of corners, to (type, black kind, on the
-    boundary): type is black, green or red, black kind middle, blossom or
-    None for a non-black class.
+    Maps each class, a frozenset of corners, to (kind, on the boundary):
+    kind is green or red for v or f corners, and middle or blossom for a
+    black class of four or one s and t corners.
     """
     parent: dict = {}
 
@@ -662,24 +662,21 @@ def union_find_corner_classes(s) -> dict:
     for root, corners in members.items():
         kinds = {c[1] for c in corners}
         if kinds <= {"s", "t"}:
-            typ = "black"
             kind = {4: "middle", 1: "blossom"}[len(corners)]
         else:
             (letter,) = kinds
-            typ, kind = {"v": "green", "f": "red"}[letter], None
-        out[frozenset(corners)] = (typ, kind, root in boundary)
+            kind = {"v": "green", "f": "red"}[letter]
+        out[frozenset(corners)] = (kind, root in boundary)
     return out
 
 
 def all_roots_surface_key(s) -> tuple:
     """The surface key from a full breadth-first encoding at every rs root."""
+    kind_letter = {"green": "V", "red": "F", "middle": "B", "blossom": "L"}
     letter = {}
-    for corners, (typ, kind, _) in union_find_corner_classes(s).items():
+    for corners, (kind, _) in union_find_corner_classes(s).items():
         for c in corners:
-            if typ == "black":
-                letter[c] = "B" if kind == "middle" else "L"
-            else:
-                letter[c] = "V" if typ == "green" else "F"
+            letter[c] = kind_letter[kind]
     seen: set = set()
     keys = []
     for h in s.halfedges:

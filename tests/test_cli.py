@@ -20,6 +20,8 @@ from nonkissing.errors import ParseError
 from nonkissing.quiver import blossom, koszul_dual, quiver_from_dict
 from nonkissing.walks import peak_walk
 
+from pyrun import run_python
+
 
 @pytest.fixture()
 def a2_file(tmp_path):
@@ -339,6 +341,48 @@ def test_flip_outputs_match_benchmark_goldens(capsys, key):
     main(key.split())
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FLIP_GOLDENS[key]
+
+
+def test_iso_surface_outputs_match_benchmark_goldens(capsys, tmp_path):
+    # the benchmark's random quivers through validate, dual, surface and
+    # roundtrip; prepare writes the quiver files under tmp_path
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))  # no bytecode cache
+    goldens = json.loads(GOLDENS.read_text())
+    wrong = []
+    for cmd in workloads["prepare"]("iso-surface", 0, tmp_path):
+        code = main(list(cmd.argv))
+        out = capsys.readouterr().out
+        if code != cmd.expect_exit or hashlib.sha256(out.encode()).hexdigest()[:16] != goldens[cmd.key]:
+            wrong.append(cmd.key)
+    assert wrong == []
+
+
+HASH_SEED_COMMANDS = """
+import contextlib, hashlib, io
+from nonkissing.cli import main
+
+for argv in (
+    ["surface", "family:doublecycle:2", "--format", "json"],
+    ["roundtrip", "family:doublepath:3"],
+    ["flipgraph", "family:cycle:2"],
+    ["polytope", "family:apath:3"],
+    ["facets", "family:doublepath:3", "--max-facets", "40"],
+    ["selfcheck"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(monkeypatch):
+    outputs = []
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        outputs.append(run_python(HASH_SEED_COMMANDS))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][::2] == ["0", "0", "0", "0", "3", "0"]  # exit codes
 
 
 def _patch_everywhere(monkeypatch, original, replacement):

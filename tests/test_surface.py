@@ -101,10 +101,10 @@ def test_v_point_count_matches_straight_walks():
     for q in quivers:
         s = surface_from_quiver(q)
         # a green puncture is where an infinite straight walk spirals
-        p = sum(s.is_puncture(r) for r in s.green_classes())
+        p = sum(s.is_puncture(r) for r in s.classes("green"))
         assert p == len(primitive_cycles(s.bq))
         n0, n1 = len(q.vertices), len(q.arrows)
-        assert len(s.green_classes()) == 2 * n0 - n1 + p == len(straight_walks(s.bq))
+        assert len(s.classes("green")) == 2 * n0 - n1 + p == len(straight_walks(s.bq))
 
 
 def test_dissection_face_count_is_b_plus_dual_punctures():
@@ -115,13 +115,13 @@ def test_dissection_face_count_is_b_plus_dual_punctures():
     for q in corpus().values():
         s = surface_from_quiver(q)
         inv = surface_invariants(s)
-        interior = sum(1 for r in s.red_classes() if s.is_puncture(r))
+        interior = sum(1 for r in s.classes("red") if s.is_puncture(r))
         filled_faces = interior + len(s.boundary_cycles())
         assert filled_faces == inv["b"] + inv["p_dual"]
         # and every boundary circle carries at least one red point
         for cyc in s.boundary_cycles():
             kinds = {
-                s.class_type[s.corner_class[start_corner(h)]] for h in cyc
+                s.class_kind[s.corner_class[start_corner(h)]] for h in cyc
             }
             assert "red" in kinds
 
@@ -133,15 +133,9 @@ def test_boundary_alternation():
         s = surface_from_quiver(q)
         from nonkissing.surface import start_corner
 
+        letter = {"green": "V", "red": "F", "middle": "B", "blossom": "B"}
         for cyc in s.boundary_cycles():
-            kinds = []
-            for h in cyc:
-                root = s.corner_class[start_corner(h)]
-                typ = s.class_type[root]
-                if typ == "black":
-                    kinds.append("B")
-                else:
-                    kinds.append("V" if typ == "green" else "F")
+            kinds = [letter[s.class_kind[s.corner_class[start_corner(h)]]] for h in cyc]
             n = len(kinds)
             for i, k in enumerate(kinds):
                 if k == "B":
@@ -191,8 +185,8 @@ def test_triangle_face_reconstruction_detail():
     view = strip_dual(s)
     rebuilt = dual_dissection(view)
     assert len(rebuilt.quads) == len(s.quads)
-    assert sorted(map(len, rebuilt.class_corners.values())) == sorted(
-        map(len, s.class_corners.values())
+    assert sorted(map(len, rebuilt.class_orbit.values())) == sorted(
+        map(len, s.class_orbit.values())
     )
 
 
@@ -259,7 +253,7 @@ def test_peak_curve_is_the_rotated_edge():
                 root = s.corner_class[(beta, "v")]
                 if s.is_puncture(root):
                     # the slid endpoint spirals around the puncture
-                    chain = tuple(sorted(a for a, _ in s.class_corners[root]))
+                    chain = tuple(sorted(a for a, _ in s.class_orbit[root]))
                     spiral_cycles.add(frozenset(chain))
                     continue
                 # rotation order around the endpoint follows the green chain
@@ -269,7 +263,7 @@ def test_peak_curve_is_the_rotated_edge():
                     if side is None:
                         break
                     black = s.corner_class[(side[0], "s")]
-                    if s.black_kind[black] == "middle":
+                    if s.class_kind[black] == "middle":
                         expected.add(s.black_name[black])
             assert crossings == expected, (v, crossings, expected)
             markers = {
@@ -370,26 +364,23 @@ def _oracle_surfaces():
 
 def _corner_classes(s):
     assert len(s.corner_class) == 4 * len(s.quads)
-    for c, root in s.corner_class.items():
-        assert c in s.class_corners[root]
-    return {
-        frozenset(corners): (
-            s.class_type[root],
-            s.black_kind.get(root),
-            root in s.boundary_classes,
-        )
-        for root, corners in s.class_corners.items()
-    }
+    assert s.class_kind.keys() == s.class_orbit.keys()
+    classes = {}
+    for root, orbit in s.class_orbit.items():
+        corners = frozenset(map(start_corner, orbit))
+        assert len(corners) == len(orbit) and root in corners
+        assert all(s.corner_class[c] == root for c in corners)
+        classes[corners] = (s.class_kind[root], not s.is_puncture(root))
+    return classes
 
 
 def _assert_orbits_run_forward(s):
     for root, orbit in s.class_orbit.items():
-        assert set(map(start_corner, orbit)) == s.class_corners[root]
         for h, nxt in zip(orbit, orbit[1:]):
             assert next_face(s.twin[h]) == nxt
-        if root in s.boundary_classes:
+        if not s.is_puncture(root):
             # a chain runs from its head to the side it leaves the point by
-            assert s.rotate(orbit[0]) is None and s.twin[orbit[-1]] is None
+            assert s.twin[orbit[-1]] is None
         else:
             assert next_face(s.twin[orbit[-1]]) == orbit[0]
 
@@ -400,8 +391,8 @@ def test_rotation_orbits_match_union_find_oracle():
         _assert_orbits_run_forward(s)
         classes = _corner_classes(s)
         assert classes == union_find_corner_classes(s)
-        chains += sum(on_boundary for _, _, on_boundary in classes.values())
-        closed += sum(not on_boundary for _, _, on_boundary in classes.values())
+        chains += sum(on_boundary for _, on_boundary in classes.values())
+        closed += sum(not on_boundary for _, on_boundary in classes.values())
     assert closed and chains
 
 
@@ -440,7 +431,7 @@ def test_unnamed_black_points_are_numbered_in_corner_order():
 
     s = build()
     position = {start_corner(h): i for i, h in enumerate(s.halfedges)}
-    blacks = [r for r in s.class_corners if s.class_type[r] == "black"]
+    blacks = [r for r in s.class_orbit if s.class_kind[r] in ("middle", "blossom")]
     assert blacks == sorted(blacks, key=position.get)
     assert [s.black_name[r] for r in blacks] == [f"x{i}" for i in range(len(blacks))]
     assert build().black_name == s.black_name

@@ -591,7 +591,18 @@ JUNCTION_CASES = (
 )
 
 
-@pytest.mark.parametrize("spec, text, error, message", JUNCTION_CASES)
+# texts outside `[TAIL "|"] LETTER* ["|" TAIL]`: a bar stands only beside a
+# tail, and a tail only beside a bar
+GRAMMAR_CASES = (
+    ("apath:2", "v1+out1- | a1+ v2+out2+", ParseError, "expected a tail"),
+    ("apath:2", "v1+out1- a1+ v2+out2+ |", ParseError, "expected a tail"),
+    ("cycle:1", "( a1+ ) | ( a1+ )", ParseError, "bad letter"),
+    ("cycle:1", "( a1+ ) | | | ( a1+ )", ParseError, "more than two"),
+    ("cycle:1", "( a1+ )", ParseError, "bad letter"),
+)
+
+
+@pytest.mark.parametrize("spec, text, error, message", JUNCTION_CASES + GRAMMAR_CASES)
 def test_validation_errors_at_each_junction(spec, text, error, message):
     bq = blossom(parse_family(f"family:{spec}"))
     with pytest.raises(error, match=message):
