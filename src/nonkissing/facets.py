@@ -248,6 +248,29 @@ def _data(ctx: QuiverContext, ids) -> dict[str, Mark]:
     }
 
 
+def _derived_data(
+    ctx: QuiverContext, ids, parent: dict[str, Mark], old: int, new: int
+) -> dict[str, Mark]:
+    """`_data` of the facet whose walks are ids, reached by exchanging walk
+    old for new in a facet whose distinguished data is parent.
+
+    The countercurrent order is total on a facet's walks, so at an arrow
+    whose parent mark is not on old the maximum is that of the parent's
+    mark and new's marks there.  Only the arrows whose parent mark was on old
+    are scanned over ids again; where the parent has no mark, only new can.
+    """
+    data = {}
+    for a in ctx.bq.quiver.arrow_ids:
+        m = parent.get(a)
+        if m is not None and m[0] != old:
+            marks = [m, *_marks_at(ctx, (new,), a)]
+        else:
+            marks = _marks_at(ctx, ids if m else (new,), a)
+        if marks:
+            data[a] = _countercurrent_max(ctx, marks, a)
+    return data
+
+
 # ---------------------------------------------------------------------------
 # facets
 
@@ -360,13 +383,19 @@ def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
     """`flip` on ids: exchange walk wi of the facet whose walks are ids.
 
     data is the facet's distinguished data; returns (new walk id, direction).
-    The distinguished marks mu and nu at the partner arrows are taken over
-    this facet; the walk built from them is memoized on the context.
+    The distinguished marks mu and nu at the partner arrows are the
+    countercurrent maxima over the facet's other walks: data's marks there
+    when they are not on wi, else a scan of the other walks.  The walk built
+    from them is memoized on the context.
     """
     ds, alpha_p, beta_p = ctx.substring(wi, data)
     rest = [x for x in ids if x != wi]
-    mu_marks = _marks_at(ctx, rest, alpha_p)
-    nu_marks = _marks_at(ctx, rest, beta_p)
+    # data holds the maximum over all the facet's walks: off wi, it is the
+    # maximum over rest
+    mu_marks, nu_marks = (
+        [data[a]] if a in data and data[a][0] != wi else _marks_at(ctx, rest, a)
+        for a in (alpha_p, beta_p)
+    )
     if not mu_marks or not nu_marks:
         raise FlipFailed("companion arrows must be covered")
     mu = _countercurrent_max(ctx, mu_marks, alpha_p)
@@ -451,8 +480,9 @@ class FlipGraph:
 
     ids[i] are facet i's bending walk ids in serialization order and
     straights the ids of the straight walks every facet holds.  data[i] is
-    facet i's distinguished data, arrow -> mark, computed once when the
-    facet was expanded.
+    facet i's distinguished data, arrow -> mark: computed afresh for the
+    start facet and, for every other facet, derived from the data of the
+    facet whose flip first reached it.
     """
 
     ctx: QuiverContext
@@ -494,7 +524,9 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     giving w back with the direction reversed, and F' uses the record
     instead of flipping again.  The start facet is checked pairwise and
     every computed flip against its facet, which covers the pairs of every
-    facet reached.
+    facet reached.  Only the start facet's distinguished data is computed
+    afresh: every other facet's is derived from the data of the facet whose
+    flip first reached it, which differs in one walk (`_derived_data`).
     """
     if max_facets < 1:
         raise BoundError("max_facets must be at least 1")
@@ -509,10 +541,17 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     edges: list[FlipEdge] = []
     # (facet index, walk id) -> (new walk id, direction), known from the reverse flip
     reverse: dict[tuple[int, int], tuple[int, str]] = {}
+    # facet index -> (index of the facet whose flip first reached it, walk id
+    # flipped out, walk id flipped in)
+    reached: dict[int, tuple[int, int, int]] = {}
     closed = True
     for head, bending in enumerate(facets):  # facets grows as the BFS runs
         ids = bending + straights
-        marks = _data(ctx, ids)
+        if head:
+            parent, old, new = reached.pop(head)
+            marks = _derived_data(ctx, ids, data[parent], old, new)
+        else:
+            marks = _data(ctx, ids)
         data.append(marks)
         for w in bending:
             recorded = reverse.pop((head, w), None)
@@ -525,6 +564,7 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
                     continue
                 j = index[target] = len(facets)
                 facets.append(target)
+                reached[j] = (head, w, new)
             if j > head:
                 back = (w, _REVERSED[direction])
                 if reverse.setdefault((j, new), back) != back:

@@ -1,5 +1,6 @@
 """The per-quiver context: interned walks, memo tables and stored facet data."""
 
+import random
 import sys
 
 import pytest
@@ -18,7 +19,13 @@ from nonkissing.facets import (
     verify_thinness,
     walks_through_cycles_check,
 )
-from nonkissing.families import a_path, corpus, double_cycle
+from nonkissing.families import (
+    a_path,
+    corpus,
+    double_cycle,
+    double_path,
+    random_locally_gentle,
+)
 from nonkissing.geometry import (
     build_associahedron,
     build_fan,
@@ -28,7 +35,7 @@ from nonkissing.geometry import (
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import kiss_count
 
-from oracles import walk_letter
+from oracles import reference_countercurrent_less, walk_letter
 from pyrun import run_python
 
 FINITE = (
@@ -54,9 +61,10 @@ def test_contexts_keep_their_own_kiss_numbers():
     ), "a memo shared by id would go unnoticed here"
 
 
-def test_kernels_run_once_per_distinct_argument(monkeypatch):
-    calls = {"kiss_count": 0, "countercurrent_less": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls of the named functions of the facets module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         kernel = getattr(facets_module, name)
 
         def counted(*args, _kernel=kernel, _name=name):
@@ -64,10 +72,25 @@ def test_kernels_run_once_per_distinct_argument(monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(facets_module, name, counted)
+    return calls
+
+
+def test_kernels_run_once_per_distinct_argument(monkeypatch):
+    calls = _count_calls(monkeypatch, "kiss_count", "countercurrent_less", "_data")
     g = enumerate_facets(a_path(6))
     assert len(g.facets) == 429 and g.closed
     assert calls["kiss_count"] <= 1080
-    assert calls["countercurrent_less"] <= 419
+    assert calls["countercurrent_less"] <= 410
+    # only the start facet's data is computed afresh; the others' are derived
+    assert calls["_data"] == 1
+
+
+def test_capped_graph_derives_its_data(monkeypatch):
+    calls = _count_calls(monkeypatch, "countercurrent_less", "_data")
+    g = enumerate_facets(double_cycle(2), max_facets=40)
+    assert len(g.facets) == 40 and not g.closed
+    assert calls["countercurrent_less"] <= 1042
+    assert calls["_data"] == 1
 
 
 def test_each_edge_is_flipped_once(monkeypatch):
@@ -141,19 +164,62 @@ def test_conflicting_reverse_flip_raises(flags):
     assert run_python(CONFLICT, *flags) == ["FlipFailed"]
 
 
-def _stored_data_graphs():
+@pytest.fixture(scope="module")
+def derived_data_graphs():
+    """Closed graphs of the finite corpus and apath:1..6, capped infinite-type
+    graphs and 30 random seeds: every facet but the first has derived data."""
     graphs = [enumerate_facets(corpus()[name]) for name in FINITE]
-    capped = enumerate_facets(double_cycle(2), max_facets=40)
-    assert not capped.closed
-    return graphs + [capped]
+    graphs += [enumerate_facets(a_path(n)) for n in range(1, 7)]
+    capped = [
+        enumerate_facets(q, max_facets=cap)
+        for q, cap in (
+            (double_cycle(2), 40), (double_cycle(2), 160),
+            (double_path(3), 40), (double_path(4), 20),
+        )
+    ]
+    assert not any(g.closed for g in capped)
+    randoms = [
+        enumerate_facets(random_locally_gentle(random.Random(seed), 6), max_facets=40)
+        for seed in range(30)
+    ]
+    return graphs + capped + randoms
 
 
-def test_stored_data_matches_fresh_distinguished_data():
-    for g in _stored_data_graphs():
+def test_stored_data_matches_fresh_distinguished_data(derived_data_graphs):
+    for g in derived_data_graphs:
         assert len(g.data) == len(g.facets)
         for i, f in enumerate(g.facets):
             stored = {a: (g.ctx.walks[w], p) for a, (w, p) in g.data[i].items()}
             assert stored == distinguished_data(g.ctx.bq, f)
+
+
+def test_flip_partners_are_the_maxima_over_the_other_walks(
+    monkeypatch, derived_data_graphs
+):
+    # `_flip` reads mu and nu off the facet's data where that data's mark is
+    # not on the flipped walk; the oracle order must put each of them above
+    # every other mark at its partner arrow on the facet's other walks
+    flips, seen = 0, []
+    for g in derived_data_graphs:
+        ctx = g.ctx
+        monkeypatch.setattr(ctx, "build", lambda wi, ds, mu, nu: seen.append((mu, nu)))
+        for i, bending in enumerate(g.ids):
+            ids = bending + g.straights
+            for wi in bending:
+                _, alpha_p, beta_p = ctx.substring(wi, g.data[i])
+                facets_module._flip(ctx, ids, g.data[i], wi, False)
+                for (x, p), arrow in zip(seen.pop(), (alpha_p, beta_p)):
+                    best = (ctx.walks[x], p)
+                    assert x in ids and x != wi and p in ctx.marks[x][arrow]
+                    for other in ids:
+                        for q in ctx.marks[other].get(arrow, ()):
+                            if other != wi and (other, q) != (x, p):
+                                mark = (ctx.walks[other], q)
+                                assert reference_countercurrent_less(
+                                    ctx.bq, mark, best, arrow
+                                )
+                flips += 1
+    assert flips > 3000
 
 
 def test_interned_walk_facts():
