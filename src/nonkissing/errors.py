@@ -49,6 +49,12 @@ class NotMaximal(WalkError):
     """A finite end of a word could still be extended."""
 
 
+class NotCanonical(WalkError):
+    """A walk's stored form is not directed canonical, so the kiss and
+    countercurrent kernels cannot read it: a tail period lies in its body,
+    say."""
+
+
 class IncompleteUniverse(NonKissingError):
     """An operation needed the complete walk set but enumeration was truncated."""
 

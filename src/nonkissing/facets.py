@@ -37,7 +37,6 @@ from .quiver import BlossomQuiver, BoundQuiver, blossom
 from .walks import (
     Letter,
     Walk,
-    _unrolled,
     canonicalize,
     deep_walk,
     inv,
@@ -71,8 +70,8 @@ def _marked_letters(w: Walk):
 
 
 def _at(w: Walk, g: int, n: int) -> tuple[tuple[Letter, ...], int]:
-    """(word, i): w's word unrolled by `_unrolled` so that n letters or more
-    lie past every marked position, and the index i of position g in it.
+    """(word, i): w's window word (`Walk.window`) with n letters or more
+    past every marked position, and the index i of position g in it.
 
     Only the body and the first period of each tail are marked: NotMarked
     for any other g.
@@ -80,8 +79,8 @@ def _at(w: Walk, g: int, n: int) -> tuple[tuple[Letter, ...], int]:
     lt, rt = len(w.ltail), len(w.rtail)
     if not -lt <= g < len(w.body) + rt:
         raise NotMarked(f"position {g} of {w.serialize()} is not marked")
-    word, start, _ = _unrolled(w, n + max(lt, rt))
-    return word, start + g
+    win = w.window(n + max(lt, rt))
+    return win.word, win.start + g
 
 
 def _side(word: tuple[Letter, ...], i: int, step: int, n: int) -> tuple:
@@ -254,13 +253,16 @@ def _derived_data(
     """`_data` of the facet whose walks are ids, reached by exchanging walk
     old for new in a facet whose distinguished data is parent.
 
-    The countercurrent order is total on a facet's walks, so at an arrow
-    whose parent mark is not on old the maximum is that of the parent's
-    mark and new's marks there.  Only the arrows whose parent mark was on old
-    are scanned over ids again; where the parent has no mark, only new can.
+    Only the arrows that old or new marks can change: elsewhere the
+    parent's mark is not on old and new adds none.  The countercurrent
+    order is total on a facet's walks, so at an arrow whose parent mark is
+    not on old the maximum is that of the parent's mark and new's marks
+    there.  Where the parent's mark was on old the arrow is scanned over
+    ids again, and where the parent has no mark only new can mark it.  An
+    arrow that no walk marks any more is dropped.
     """
-    data = {}
-    for a in ctx.bq.quiver.arrow_ids:
+    data = dict(parent)
+    for a in ctx.marks[old] | ctx.marks[new]:
         m = parent.get(a)
         if m is not None and m[0] != old:
             marks = [m, *_marks_at(ctx, (new,), a)]
@@ -268,6 +270,8 @@ def _derived_data(
             marks = _marks_at(ctx, ids if m else (new,), a)
         if marks:
             data[a] = _countercurrent_max(ctx, marks, a)
+        else:
+            data.pop(a, None)
     return data
 
 

@@ -24,6 +24,7 @@ from .errors import (
     BoundError,
     GentleBranchViolation,
     IncompleteUniverse,
+    NotCanonical,
     NotMaximal,
     NotReduced,
     ParseError,
@@ -99,6 +100,46 @@ class Walk:
     @cached_property
     def is_infinite_straight(self) -> bool:
         return bool(self.ltail) and not self.body and self.ltail == self.rtail
+
+    @cached_property
+    def corners(self) -> tuple[tuple[str, Letter], ...]:
+        """(kind, letter) at each corner, kind 'peak' or 'deep' and letter the
+        one that enters it, whose target is the corner's vertex.
+
+        Corners can only occur where the sign changes, hence in the body or
+        at an empty-body tail junction; tails themselves are straight.
+        """
+        seq = self.ltail[-1:] + self.body + self.rtail[:1]
+        out = []
+        for x, y in zip(seq, seq[1:]):
+            if x[1] == -1 and y[1] == 1:
+                out.append(("peak", x))
+            elif x[1] == 1 and y[1] == -1:
+                out.append(("deep", x))
+        return tuple(out)
+
+    @cached_property
+    def period(self) -> int:
+        """The lcm of the tail periods, 1 for a tail-free walk."""
+        return math.lcm(*(len(u) for u in (self.ltail, self.rtail) if u))
+
+    def window(self, n: int) -> Window:
+        """The word unrolled for window length n (`_unrolled`), built once
+        per length and kept on the walk; a tail-free walk has one window for
+        every length."""
+        key = n if self.ltail or self.rtail else 0
+        win = self._windows.get(key)
+        if win is None:
+            win = self._windows[key] = Window(self, n)
+        return win
+
+    @cached_property
+    def _windows(self) -> dict[int, Window]:
+        # checked once per walk: the kernels read the stored tail zones
+        form = (self.ltail, self.body, self.rtail)
+        if _directed_canonical(*form) != form:
+            raise NotCanonical(f"{self.serialize()} is not in directed canonical form")
+        return {}
 
     def serialize(self) -> str:
         return self._serialized
@@ -488,8 +529,7 @@ def span(w1: Walk, w2: Walk) -> int:
     walks read side by side only repeat what was read; this sizes the kiss
     windows, the countercurrent comparison and the flip's split matching.
     """
-    units = [len(u) for u in (w1.ltail, w1.rtail, w2.ltail, w2.rtail) if u]
-    return len(w1.body) + len(w2.body) + 4 * math.lcm(*units) + 6
+    return len(w1.body) + len(w2.body) + 4 * math.lcm(w1.period, w2.period) + 6
 
 
 def _unrolled(w: Walk, n: int):
@@ -505,10 +545,64 @@ def _unrolled(w: Walk, n: int):
     return lt * lp + w.body + rt * rp, start, start + len(w.body)
 
 
-def _tail_zones(w: Walk, size: int, start: int, end: int) -> list[tuple[int, int, int]]:
-    """(first, stop, period) of each tail zone of an unrolled word of w."""
-    zones = [(0, start, len(w.ltail)), (end, size, len(w.rtail))]
-    return [z for z in zones if z[2]]
+def _run_starts(x: tuple[Letter, ...], end: int) -> dict[Letter, list[int]]:
+    """Letter -> the positions j of x where a run can start as the second
+    word: after a letter of sign +1, and not after a letter of x[end:]."""
+    starts: dict[Letter, list[int]] = {}
+    for j in range(1, min(len(x) - 1, end + 1)):
+        if x[j - 1][1] > 0:
+            starts.setdefault(x[j], []).append(j)
+    return starts
+
+
+class Window:
+    """A walk's word unrolled for one window length, as `_unrolled` returns
+    it, with its tail zones, (first, stop, period) each; `Walk.window`
+    keeps one per length.
+
+    The readings `kiss_count` scans are built on first use: the run starts
+    of the word as the first word (`firsts`), and the word read forwards
+    and reversed as the second word (`seconds`).  None depends on the
+    blossoming.
+    """
+
+    __slots__ = ("word", "start", "end", "periods", "zones", "_firsts", "_seconds")
+
+    def __init__(self, w: Walk, n: int):
+        self.word, self.start, self.end = _unrolled(w, n)
+        self.periods = len(w.ltail), len(w.rtail)
+        zones = [(0, self.start, self.periods[0]), (self.end, len(self.word), self.periods[1])]
+        self.zones = [z for z in zones if z[2]]
+        self._firsts = self._seconds = None
+
+    def firsts(self) -> list[int]:
+        """The positions where a run can start as the first word: after a
+        letter of sign -1, and not after a letter of the right tail."""
+        if self._firsts is None:
+            x = self.word
+            stop = min(len(x) - 1, self.end + 1)
+            self._firsts = [i for i in range(1, stop) if x[i - 1][1] < 0]
+        return self._firsts
+
+    def seconds(self) -> tuple[tuple, tuple]:
+        """(word, run-start dict, zones) of the word read forwards and of the
+        word reversed, as the second word.  Reversed, the tail zones swap
+        ends and the left tail runs on to the end."""
+        if self._seconds is None:
+            x, start, end = self.word, self.start, self.end
+            (lp, rp), size = self.periods, len(x)
+            rx = _rev_periods(x[end:], rp) + rev_word(x[start:end]) + _rev_periods(x[:start], lp)
+            rzones = [(size - b, size - a, p) for a, b, p in self.zones]
+            self._seconds = (
+                (x, _run_starts(x, end), self.zones),
+                (rx, _run_starts(rx, size - start), rzones),
+            )
+        return self._seconds
+
+
+def _rev_periods(x: tuple[Letter, ...], p: int) -> tuple[Letter, ...]:
+    """rev_word of x, whole periods of length p: its first period reversed, repeated."""
+    return rev_word(x[:p]) * (len(x) // p) if p else ()
 
 
 def _pumped(i: int, j: int, k: int, zones1, zones2) -> bool:
@@ -526,25 +620,21 @@ def _pumped(i: int, j: int, k: int, zones1, zones2) -> bool:
     return False
 
 
-def _run_hits(x1: tuple[Letter, ...], x2: tuple[Letter, ...], end1: int, end2: int):
+def _run_hits(x1: tuple[Letter, ...], firsts, x2: tuple[Letter, ...], starts):
     """Maximal common runs of x1 and x2 with boundary signs (-,+) and (+,-).
 
-    Yields (i, j, k): x1[i:i+k] == x2[j:j+k], k >= 1, with x1[i-1], x1[i+k]
-    of signs -1, +1 and x2[j-1], x2[j+k] of signs +1, -1.  The left boundary
-    letters differ in sign, so each start pair begins a maximal run, and
-    each run is extended once.  x1[end1:] and x2[end2:] are tails of one
-    sign that run on to the end of their windows: a run that starts after a
-    letter there could end only at a letter of the other sign, so it would
-    reach the window's end and is never yielded.  Such starts are skipped.
+    firsts are x1's start positions (`Window.firsts`) and starts x2's
+    run-start dict (`_run_starts`).  Yields (i, j, k):
+    x1[i:i+k] == x2[j:j+k], k >= 1, with x1[i-1], x1[i+k] of signs -1, +1
+    and x2[j-1], x2[j+k] of signs +1, -1.  The left boundary letters differ
+    in sign, so each start pair begins a maximal run, and each run is
+    extended once.  A run that starts after a letter of a tail of one sign
+    running on to the end of its window could end only at a letter of the
+    other sign, so it would reach the window's end and is never yielded:
+    neither start list holds such starts.
     """
     n1, n2 = len(x1), len(x2)
-    starts: dict[Letter, list[int]] = {}
-    for j in range(1, min(n2 - 1, end2 + 1)):
-        if x2[j - 1][1] > 0:
-            starts.setdefault(x2[j], []).append(j)
-    for i in range(1, min(n1 - 1, end1 + 1)):
-        if x1[i - 1][1] > 0:
-            continue
+    for i in firsts:
         for j in starts.get(x1[i], ()):
             k = 1
             while i + k < n1 and j + k < n2 and x1[i + k] == x2[j + k]:
@@ -563,31 +653,26 @@ def kiss_count(bq: BlossomQuiver, w1: Walk, w2: Walk) -> int:
     word; the empty kiss is a peak of w1 and a deep of w2 at one vertex.
     A run that overlaps a tail zone of each word for at least the lcm of
     their periods is pumped and not counted, so the count is finite and
-    stable under unrolling further.
+    stable under unrolling further.  Both words are read off the walks'
+    windows (`Walk.window`).
 
-    w1 and w2 must be canonical, as `canonicalize` builds them and a
-    `QuiverContext` interns them: the pumping rule reads the stored tail
-    zones, so another form of a walk (a tail period unrolled into the body,
-    say) can give another count.
+    w1 and w2 must be in directed canonical form, as `canonicalize` builds
+    them and a `QuiverContext` interns them: the pumping rule reads the
+    stored tail zones, so another form of a walk (a tail period unrolled
+    into the body, say) could give another count.  Building a walk's first
+    window raises NotCanonical on any other form.
     """
     if w1.is_straight or w2.is_straight:
         return 0  # a top or bottom occurrence needs a change of sign
     n = span(w1, w2)
-    x1, start1, end1 = _unrolled(w1, n)
-    x2, start2, end2 = _unrolled(w2, n)
-    n2 = len(x2)
-    zones1 = _tail_zones(w1, len(x1), start1, end1)
-    zones2 = _tail_zones(w2, n2, start2, end2)
-    deeps = [v for kind, v in corner_profile(bq, w2) if kind == "deep"]
-    count = sum(deeps.count(v) for kind, v in corner_profile(bq, w1) if kind == "peak")
-    for i, j, k in _run_hits(x1, x2, end1, end2):
-        if not _pumped(i, j, k, zones1, zones2):
-            count += 1
-    # read reversed, x2's tail zones swap ends and its left tail runs to the end
-    zones2 = [(n2 - b, n2 - a, p) for a, b, p in zones2]
-    for i, j, k in _run_hits(x1, rev_word(x2), end1, n2 - start2):
-        if not _pumped(i, j, k, zones1, zones2):
-            count += 1
+    win1, win2 = w1.window(n), w2.window(n)
+    x1, firsts, zones1 = win1.word, win1.firsts(), win1.zones
+    deeps = [letter_tgt(bq, x) for kind, x in w2.corners if kind == "deep"]
+    count = sum(deeps.count(letter_tgt(bq, x)) for kind, x in w1.corners if kind == "peak")
+    for x2, starts, zones2 in win2.seconds():
+        for i, j, k in _run_hits(x1, firsts, x2, starts):
+            if not _pumped(i, j, k, zones1, zones2):
+                count += 1
     return count
 
 
@@ -610,19 +695,9 @@ def total_kissing_number(bq: BlossomQuiver, w: Walk) -> int:
 
 
 def corner_profile(bq: BlossomQuiver, w: Walk) -> list[tuple[str, str]]:
-    """Corners of the walk as (kind, vertex), kind 'peak' or 'deep'.
-
-    Corners can only occur where the sign changes, hence in the body or at
-    an empty-body tail junction; tails themselves are straight.
-    """
-    seq = w.ltail[-1:] + w.body + w.rtail[:1]
-    out = []
-    for x, y in zip(seq, seq[1:]):
-        if x[1] == -1 and y[1] == 1:
-            out.append(("peak", letter_tgt(bq, x)))
-        elif x[1] == 1 and y[1] == -1:
-            out.append(("deep", letter_tgt(bq, x)))
-    return out
+    """Corners of the walk as (kind, vertex), kind 'peak' or 'deep': the
+    vertices of `Walk.corners`."""
+    return [(kind, letter_tgt(bq, x)) for kind, x in w.corners]
 
 
 def tail_cycle(unit: tuple[Letter, ...]) -> tuple[tuple[str, ...], int]:

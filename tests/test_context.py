@@ -1,15 +1,18 @@
 """The per-quiver context: interned walks, memo tables and stored facet data."""
 
+import itertools
 import random
 import sys
 
 import pytest
 
 from nonkissing import cli, facets as facets_module, quiver as quiver_module
+from nonkissing import walks as walks_module
 from nonkissing.errors import FacetError, FlipFailed
 from nonkissing.facets import (
     Facet,
     QuiverContext,
+    countercurrent_less,
     distinguished_data,
     enumerate_facets,
     flip,
@@ -33,7 +36,7 @@ from nonkissing.geometry import (
     sign_coherence_report,
 )
 from nonkissing.quiver import blossom, make_quiver
-from nonkissing.walks import kiss_count
+from nonkissing.walks import Walk, kiss_count
 
 from oracles import reference_countercurrent_less, walk_letter
 from pyrun import run_python
@@ -75,14 +78,70 @@ def _count_calls(monkeypatch, *names) -> dict[str, int]:
     return calls
 
 
+def _record_windows(monkeypatch) -> list[Walk]:
+    """The walk of every window built (each calls `walks._unrolled` once)."""
+    built = []
+    unrolled = walks_module._unrolled
+
+    def recorded(w, n):
+        built.append(w)
+        return unrolled(w, n)
+
+    monkeypatch.setattr(walks_module, "_unrolled", recorded)
+    return built
+
+
 def test_kernels_run_once_per_distinct_argument(monkeypatch):
     calls = _count_calls(monkeypatch, "kiss_count", "countercurrent_less", "_data")
+    windows = _record_windows(monkeypatch)
     g = enumerate_facets(a_path(6))
     assert len(g.facets) == 429 and g.closed
     assert calls["kiss_count"] <= 1080
     assert calls["countercurrent_less"] <= 410
     # only the start facet's data is computed afresh; the others' are derived
     assert calls["_data"] == 1
+    # type A walks have no tails: one window per walk serves every length
+    assert len(windows) == len(set(windows)) <= len(g.ctx.walks)
+
+
+def test_repeated_cli_runs_build_the_same_windows(monkeypatch, capsys):
+    # the tables live on the walks of one command, so a second run in the
+    # same process unrolls as much as the first
+    windows = _record_windows(monkeypatch)
+    built = []
+    for _ in range(2):
+        windows.clear()
+        assert cli.main(["facets", "family:apath:4"]) == 0
+        built.append(len(windows))
+    capsys.readouterr()
+    assert built[0] == built[1] > 0
+
+
+def _fresh(w: Walk) -> Walk:
+    """A copy of w with an empty window table."""
+    return Walk(w.ltail, w.body, w.rtail)
+
+
+def test_warm_window_tables_give_the_fresh_kernel_results():
+    graphs = [enumerate_facets(corpus()[name]) for name in FINITE]
+    graphs += [
+        enumerate_facets(double_cycle(2), max_facets=40),
+        enumerate_facets(double_path(3), max_facets=40),
+    ]
+    pairs = marks = 0
+    for g in graphs:
+        bq, walks = g.ctx.bq, g.ctx.walks
+        # the interned walks' tables were filled by the BFS
+        for w1, w2 in itertools.product(walks, repeat=2):
+            assert kiss_count(bq, w1, w2) == kiss_count(bq, _fresh(w1), _fresh(w2))
+            pairs += 1
+        for (m, n), less in g.ctx._less.items():
+            (wm, pm), (wn, pn) = (walks[m[0]], m[1]), (walks[n[0]], n[1])
+            arrow = walk_letter(wm, pm)[0]
+            assert countercurrent_less(bq, (wm, pm), (wn, pn), arrow) == less
+            assert countercurrent_less(bq, (_fresh(wm), pm), (_fresh(wn), pn), arrow) == less
+            marks += 1
+    assert pairs == 8192 and marks > 1000
 
 
 def test_capped_graph_derives_its_data(monkeypatch):

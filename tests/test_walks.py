@@ -11,6 +11,7 @@ from nonkissing import walks as walks_module
 from nonkissing.errors import (
     BoundError,
     IncompleteUniverse,
+    NotCanonical,
     NotMaximal,
     NotReduced,
     ParseError,
@@ -312,6 +313,44 @@ def test_opposite_spirals_of_loop_kiss_once(universes):
     assert raw_window_kiss_count(bq, pw, dw) > 1
     assert kiss_count(bq, pw, dw) == 1 == window_scan_kiss_count(bq, pw, dw)
     assert kiss_count(bq, dw, pw) == 0
+
+
+def test_kiss_count_rejects_a_tail_period_left_in_the_body():
+    # the same walk with one right-tail period unrolled into its body: the
+    # pumping rule reads the stored tail zones, so the kernels refuse it
+    checked = 0
+    for spec in ("family:doublecycle:1", "family:doublepath:3"):
+        bq = blossom(parse_family(spec))
+        bending = [w for w in enumerate_walks(bq, 6)[0] if not w.is_straight]
+        for w in bending:
+            if not w.rtail:
+                continue
+            unrolled = Walk(w.ltail, w.body + w.rtail, w.rtail)
+            assert canonicalize(bq, unrolled.ltail, unrolled.body, unrolled.rtail) == w
+            for other in bending[:4]:
+                with pytest.raises(NotCanonical):
+                    kiss_count(bq, unrolled, other)
+                with pytest.raises(NotCanonical):
+                    kiss_count(bq, other, unrolled)
+            checked += 1
+    assert checked >= 20
+
+
+def test_canonical_form_is_checked_once_per_walk(monkeypatch):
+    bq = blossom(parse_family("family:doublecycle:1"))
+    walks = enumerate_walks(bq, 6)[0]
+    checks = []
+    real = walks_module._directed_canonical
+
+    def counted(*form):
+        checks.append(form)
+        return real(*form)
+
+    monkeypatch.setattr(walks_module, "_directed_canonical", counted)
+    for w1, w2 in itertools.product(walks, repeat=2):
+        kiss_count(bq, w1, w2)
+    # straight walks kiss nothing and are never unrolled
+    assert len(checks) == sum(not w.is_straight for w in walks) > 10
 
 
 def test_non_self_kissing_bodies_avoid_full_cycles(universes):
