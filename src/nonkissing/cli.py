@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands parse a quiver (JSON file or family:NAME:ARG), run one analysis
-and emit a byte-stable JSON (or DOT) document.  Exit codes: 0 success,
-1 parse error, 2 validation error, 3 bound exceeded (partial output written).
+Each subcommand `cmd_*` maps the input quiver (JSON file or family:NAME:ARG)
+and its parsed options to a byte-stable JSON (or DOT) document and an exit
+code; `main` alone reads the input and writes the document.  Exit codes:
+0 success, 1 parse error, 2 validation error, 3 bound exceeded (partial
+output written).
 """
 
 from __future__ import annotations
@@ -54,23 +56,22 @@ from .surface import (
 from .walks import enumerate_walks, walk_universe
 
 
-def _emit(doc, args) -> None:
+def _emit(doc, out: str | None) -> None:
     if isinstance(doc, str):
         text = doc
     else:
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ParseError(f"cannot write {args.out!r}: {exc}") from exc
+            raise ParseError(f"cannot write {out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _load_quiver(args) -> BoundQuiver:
-    spec = args.input
+def _load_quiver(spec: str) -> BoundQuiver:
     if spec.startswith("family:"):
         return families.parse_family(spec)
     try:
@@ -81,63 +82,44 @@ def _load_quiver(args) -> BoundQuiver:
     return quiver_from_json(text)
 
 
-def cmd_validate(args) -> int:
-    q = _load_quiver(args)
-    _emit(
-        {
-            "valid": True,
-            "vertices": len(q.vertices),
-            "arrows": len(q.arrows),
-            "relations": len(q.relations),
-        },
-        args,
-    )
-    return 0
+def cmd_validate(q: BoundQuiver, args) -> tuple[dict, int]:
+    return {
+        "valid": True,
+        "vertices": len(q.vertices),
+        "arrows": len(q.arrows),
+        "relations": len(q.relations),
+    }, 0
 
 
-def cmd_blossom(args) -> int:
-    q = _load_quiver(args)
+def cmd_blossom(q: BoundQuiver, args) -> tuple[dict, int]:
     bq = blossom(q)
     doc = bq.quiver.to_dict()
     doc["blossom_vertices"] = sorted(bq.blossom_vertices)
     doc["blossom_arrows"] = sorted(bq.blossom_arrows)
-    _emit(doc, args)
-    return 0
+    return doc, 0
 
 
-def cmd_dual(args) -> int:
-    q = _load_quiver(args)
-    _emit(koszul_dual(q).to_dict(), args)
-    return 0
+def cmd_dual(q: BoundQuiver, args) -> tuple[dict, int]:
+    return koszul_dual(q).to_dict(), 0
 
 
-def cmd_walks(args) -> int:
-    q = _load_quiver(args)
+def cmd_walks(q: BoundQuiver, args) -> tuple[dict, int]:
     bq = blossom(q)
     walks, complete = enumerate_walks(bq, args.body_bound)
-    _emit(
-        {
-            "complete": complete,
-            "count": len(walks),
-            "walks": [w.serialize() for w in walks],
-        },
-        args,
-    )
-    return 0 if complete else 3
+    return {
+        "complete": complete,
+        "count": len(walks),
+        "walks": [w.serialize() for w in walks],
+    }, 0 if complete else 3
 
 
-def cmd_facets(args) -> int:
-    q = _load_quiver(args)
+def cmd_facets(q: BoundQuiver, args) -> tuple[dict, int]:
     g = enumerate_facets(q, max_facets=args.max_facets)
-    _emit(
-        {
-            "facets": len(g.ids),
-            "closed": g.closed,
-            "facet_walks": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
-        },
-        args,
-    )
-    return 0 if g.closed else 3
+    return {
+        "facets": len(g.ids),
+        "closed": g.closed,
+        "facet_walks": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
+    }, 0 if g.closed else 3
 
 
 def _flipgraph_dot(g: FlipGraph) -> str:
@@ -154,34 +136,28 @@ def _flipgraph_dot(g: FlipGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_flipgraph(args) -> int:
-    q = _load_quiver(args)
+def cmd_flipgraph(q: BoundQuiver, args) -> tuple[dict | str, int]:
     g = enumerate_facets(q, max_facets=args.max_facets)
+    code = 0 if g.closed else 3
     if args.format == "dot":
-        _emit(_flipgraph_dot(g), args)
-    else:
-        _emit(
+        return _flipgraph_dot(g), code
+    return {
+        "closed": g.closed,
+        "facets": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
+        "edges": [
             {
-                "closed": g.closed,
-                "facets": [[g.ctx.keys[w] for w in ids] for ids in g.ids],
-                "edges": [
-                    {
-                        "source": e.source,
-                        "target": e.target,
-                        "walk_out": e.walk_out,
-                        "walk_in": e.walk_in,
-                        "direction": e.direction,
-                    }
-                    for e in g.edges
-                ],
-            },
-            args,
-        )
-    return 0 if g.closed else 3
+                "source": e.source,
+                "target": e.target,
+                "walk_out": e.walk_out,
+                "walk_in": e.walk_in,
+                "direction": e.direction,
+            }
+            for e in g.edges
+        ],
+    }, code
 
 
-def cmd_vectors(args) -> int:
-    q = _load_quiver(args)
+def cmd_vectors(q: BoundQuiver, args) -> tuple[dict, int]:
     g = enumerate_facets(q, max_facets=args.max_facets)
     dvecs = d_vectors(g)
     out = []
@@ -196,58 +172,43 @@ def cmd_vectors(args) -> int:
                 "dual_basis_violations": dual_basis_check(matrices),
             }
         )
-    _emit({"closed": g.closed, "coordinates": list(q.vertices), "facets": out}, args)
-    return 0 if g.closed else 3
+    doc = {"closed": g.closed, "coordinates": list(q.vertices), "facets": out}
+    return doc, 0 if g.closed else 3
 
 
-def cmd_fan(args) -> int:
-    q = _load_quiver(args)
+def cmd_fan(q: BoundQuiver, args) -> tuple[dict, int]:
     g = enumerate_facets(q, max_facets=args.max_facets)
     fan = build_fan(g)
-    _emit(
-        {
-            "cones": [[list(r) for r in cone.rays] for cone in fan.cones],
-            "simplicial_complete": fan.complete_and_simplicial,
-            "report": list(fan.report),
-        },
-        args,
-    )
-    return 0
+    return {
+        "cones": [[list(r) for r in cone.rays] for cone in fan.cones],
+        "simplicial_complete": fan.complete_and_simplicial,
+        "report": list(fan.report),
+    }, 0
 
 
-def cmd_polytope(args) -> int:
-    q = _load_quiver(args)
+def cmd_polytope(q: BoundQuiver, args) -> tuple[dict, int]:
     g = enumerate_facets(q, max_facets=args.max_facets)
     poly = build_associahedron(g)
-    _emit(
-        {
-            "coordinates": list(q.vertices),
-            "vertices": [[f"{x}/1" for x in v] for v in poly.vertices],
-            "halfspaces": [
-                {"normal": list(n), "offset": b} for n, b in poly.halfspaces
-            ],
-            "defining_halfspaces": [
-                {"normal": list(n), "offset": b} for n, b in poly.defining
-            ],
-        },
-        args,
-    )
-    return 0
+    return {
+        "coordinates": list(q.vertices),
+        "vertices": [[f"{x}/1" for x in v] for v in poly.vertices],
+        "halfspaces": [
+            {"normal": list(n), "offset": b} for n, b in poly.halfspaces
+        ],
+        "defining_halfspaces": [
+            {"normal": list(n), "offset": b} for n, b in poly.defining
+        ],
+    }, 0
 
 
-def cmd_surface(args) -> int:
-    q = _load_quiver(args)
+def cmd_surface(q: BoundQuiver, args) -> tuple[dict, int]:
     s = surface_from_quiver(q)
-    inv = surface_invariants(s)
-    doc = dict(inv)
-    if args.format == "json":
-        doc["halfedges"] = surface_dump(s)
-    _emit(doc, args)
-    return 0
+    doc = dict(surface_invariants(s))
+    doc["halfedges"] = surface_dump(s)
+    return doc, 0
 
 
-def cmd_roundtrip(args) -> int:
-    q = _load_quiver(args)
+def cmd_roundtrip(q: BoundQuiver, args) -> tuple[dict, int]:
     s = surface_from_quiver(q)
     key = s.canonical_key()
     key_dual = surface_from_quiver(koszul_dual(q)).canonical_key()
@@ -256,19 +217,16 @@ def cmd_roundtrip(args) -> int:
     ok2 = canonical_key(quiver_from_surface(swapped)) == key_dual
     ok3 = swapped.canonical_key() == key_dual
     ok4 = dual_dissection(strip_dual(s)).canonical_key() == key
-    _emit(
-        {
-            "quiver_roundtrip": "ok" if ok1 else "FAIL",
-            "koszul_dual_reading": "ok" if ok2 else "FAIL",
-            "koszul_swap": "ok" if ok3 else "FAIL",
-            "dual_reconstruction": "ok" if ok4 else "FAIL",
-        },
-        args,
-    )
-    return 0 if (ok1 and ok2 and ok3 and ok4) else 2
+    return {
+        "quiver_roundtrip": "ok" if ok1 else "FAIL",
+        "koszul_dual_reading": "ok" if ok2 else "FAIL",
+        "koszul_swap": "ok" if ok3 else "FAIL",
+        "dual_reconstruction": "ok" if ok4 else "FAIL",
+    }, 0 if (ok1 and ok2 and ok3 and ok4) else 2
 
 
-def _selfcheck() -> dict:
+def cmd_selfcheck(_: None, args) -> tuple[dict, int]:
+    """The invariant suite over the corpus; it reads no input quiver."""
     report: dict[str, list[str]] = {}
 
     def note(name: str, msgs) -> None:
@@ -325,13 +283,7 @@ def _selfcheck() -> dict:
             build_associahedron(g)
         except NonKissingError as exc:
             note(name, [f"polytope: {exc}"])
-    return {"ok": not report, "violations": report}
-
-
-def cmd_selfcheck(args) -> int:
-    doc = _selfcheck()
-    _emit(doc, args)
-    return 0 if doc["ok"] else 2
+    return {"ok": not report, "violations": report}, 2 if report else 0
 
 
 # the options a subcommand may take besides --out, which every one takes
@@ -364,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         "vectors": (cmd_vectors, ("--max-facets",)),
         "fan": (cmd_fan, ("--max-facets",)),
         "polytope": (cmd_polytope, ("--max-facets",)),
-        "surface": (cmd_surface, ("--format",)),
+        "surface": (cmd_surface, ()),
         "roundtrip": (cmd_roundtrip, ()),
         "selfcheck": (cmd_selfcheck, ()),
     }
@@ -386,7 +338,10 @@ def main(argv=None) -> int:
         print("error: bounds must be positive", file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        q = _load_quiver(args.input) if "input" in args else None
+        doc, code = args.fn(q, args)
+        _emit(doc, args.out)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

@@ -529,8 +529,8 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     instead of flipping again.  The start facet is checked pairwise and
     every computed flip against its facet, which covers the pairs of every
     facet reached.  Only the start facet's distinguished data is computed
-    afresh: every other facet's is derived from the data of the facet whose
-    flip first reached it, which differs in one walk (`_derived_data`).
+    afresh: a flip that first reaches a facet derives the facet's data from
+    the flipped facet's, which differs in one walk (`_derived_data`).
     """
     if max_facets < 1:
         raise BoundError("max_facets must be at least 1")
@@ -541,22 +541,14 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     if any(ctx.kn(i, j) for i in facets[0] for j in facets[0]):
         raise FlipCheckFailed("the peak facet has a kissing pair")
     index = {facets[0]: 0}
-    data: list[dict[str, Mark]] = []
+    data = [_data(ctx, facets[0] + straights)]
     edges: list[FlipEdge] = []
     # (facet index, walk id) -> (new walk id, direction), known from the reverse flip
     reverse: dict[tuple[int, int], tuple[int, str]] = {}
-    # facet index -> (index of the facet whose flip first reached it, walk id
-    # flipped out, walk id flipped in)
-    reached: dict[int, tuple[int, int, int]] = {}
     closed = True
     for head, bending in enumerate(facets):  # facets grows as the BFS runs
         ids = bending + straights
-        if head:
-            parent, old, new = reached.pop(head)
-            marks = _derived_data(ctx, ids, data[parent], old, new)
-        else:
-            marks = _data(ctx, ids)
-        data.append(marks)
+        marks = data[head]
         for w in bending:
             recorded = reverse.pop((head, w), None)
             new, direction = recorded or _flip(ctx, ids, marks, w, True)
@@ -568,7 +560,7 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
                     continue
                 j = index[target] = len(facets)
                 facets.append(target)
-                reached[j] = (head, w, new)
+                data.append(_derived_data(ctx, target + straights, marks, w, new))
             if j > head:
                 back = (w, _REVERSED[direction])
                 if reverse.setdefault((j, new), back) != back:

@@ -229,12 +229,23 @@ def test_flipgraph_dot(capsys, a2_file):
     assert len(edges) == 10  # five undirected flips, both directions
 
 
-def test_out_flag_writes_file(tmp_path, a2_file):
-    target = tmp_path / "out.json"
-    code = main(["fan", a2_file, "--out", str(target)])
-    assert code == 0
-    doc = json.loads(target.read_text())
-    assert doc["simplicial_complete"] is True
+OUT_FLAG_RUNS = [
+    *([command, "family:apath:2"] for command in INPUT_COMMANDS),
+    ["selfcheck"],
+    ["facets", "family:doublecycle:2", "--max-facets", "5"],
+    ["flipgraph", "family:apath:2", "--format", "dot"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_FLAG_RUNS, ids=" ".join)
+def test_out_flag_writes_file(capsys, tmp_path, argv):
+    # --out gets exactly the bytes stdout gets without it, and the same exit code
+    code, out = run(capsys, *argv)
+    assert code == (3 if "--max-facets" in argv else 0)
+    target = tmp_path / "out"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_unwritable_out_is_a_parse_error(capsys, tmp_path):
@@ -262,6 +273,7 @@ def test_unknown_flag_is_usage_error():
         ["walks", "family:apath:2", "--max-facets", "5"],
         ["validate", "family:apath:2", "--body-bound", "3"],
         ["polytope", "family:apath:2", "--body-bound", "2"],
+        ["surface", "family:cycle:1", "--format", "dot"],
     ],
 )
 def test_flag_the_command_does_not_read_is_usage_error(capsys, argv):
@@ -328,19 +340,22 @@ def test_benchmark_traced_names_resolve():
 
 
 GOLDENS = BENCH / "goldens.json"
-FLIP_GOLDENS = {
+# every golden whose command reads no quiver file: the family specs and
+# selfcheck; the json: keys are the iso-surface test's below
+SPEC_GOLDENS = {
     key: digest
     for key, digest in json.loads(GOLDENS.read_text()).items()
-    if key.split()[0] in ("facets", "flipgraph", "walks") and "family:" in key
+    if "json:" not in key
 }
 
 
-@pytest.mark.parametrize("key", sorted(FLIP_GOLDENS))
+@pytest.mark.parametrize("key", sorted(SPEC_GOLDENS))
 def test_flip_outputs_match_benchmark_goldens(capsys, key):
-    # the benchmark's stdout digests: facet, edge and walk order may not drift
+    # the benchmark's stdout digests: facet, edge, walk and vector order may
+    # not drift
     main(key.split())
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == FLIP_GOLDENS[key]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SPEC_GOLDENS[key]
 
 
 def test_iso_surface_outputs_match_benchmark_goldens(capsys, tmp_path):
@@ -362,7 +377,7 @@ import contextlib, hashlib, io
 from nonkissing.cli import main
 
 for argv in (
-    ["surface", "family:doublecycle:2", "--format", "json"],
+    ["surface", "family:doublecycle:2"],
     ["roundtrip", "family:doublepath:3"],
     ["flipgraph", "family:cycle:2"],
     ["polytope", "family:apath:3"],
