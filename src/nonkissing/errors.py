@@ -55,8 +55,12 @@ class NotCanonical(WalkError):
     say."""
 
 
+class GrowthNotClosed(WalkError):
+    """Walk growth on a blossoming without a band was cut short: a bug."""
+
+
 class IncompleteUniverse(NonKissingError):
-    """An operation needed the complete walk set but enumeration was truncated."""
+    """An operation needed the complete walk set, but the blossoming has a band."""
 
 
 # countercurrent order

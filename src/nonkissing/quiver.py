@@ -141,12 +141,6 @@ class BlossomQuiver:
         """
         return set()
 
-    def is_blossom_vertex(self, v: str) -> bool:
-        return v in self.blossom_vertices
-
-    def is_blossom_arrow(self, a: str) -> bool:
-        return a in self.blossom_arrows
-
 
 def quiver_from_dict(data: object) -> BoundQuiver:
     """Parse and validate the JSON quiver format (strict: unknown fields rejected)."""

@@ -306,8 +306,6 @@ def _matching_components(bq: BlossomQuiver) -> int:
     walks chain arrows by relation-free continuation, the dual's straight
     walks appear as maximal relation chains of the same blossoming.
     """
-    from .walks import straight_next
-
     def chain_end(a: str, src: str, step, what: str) -> str:
         """The blossom leaf where the chain of arrows after a by step ends."""
         cur = step(a)
@@ -319,11 +317,13 @@ def _matching_components(bq: BlossomQuiver) -> int:
 
     # matching 1: endpoints of maximal relation-free paths; matching 2:
     # endpoints of maximal relation chains
-    rel_next = {x: y for x, y in bq.quiver.relations}
+    q = bq.quiver
+    free_next = {a: b for a, _, t in q.arrows for b in q.arrows_out[t] if (a, b) not in q.relations}
+    rel_next = {x: y for x, y in q.relations}
     edges = [
         (src, chain_end(a, src, step, what))
         for step, what in (
-            (lambda a: straight_next(bq, a), "straight path"),
+            (free_next.get, "straight path"),
             (rel_next.get, "relation chain"),
         )
         for a, src, _ in bq.quiver.arrows
@@ -545,7 +545,7 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
     core = list(w.body)
     if not w.ltail:
         first = core.pop(0)
-        if not bq.is_blossom_arrow(first[0]):
+        if first[0] not in bq.blossom_arrows:
             raise NotMaximal(f"left end of {w.serialize()!r} is not at a blossom leaf")
         left = ("B", letter_src(bq, first))
     else:
@@ -553,7 +553,7 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
         left = ("P", cyc, sign)
     if not w.rtail:
         last = core.pop()
-        if not bq.is_blossom_arrow(last[0]):
+        if last[0] not in bq.blossom_arrows:
             raise NotMaximal(f"right end of {w.serialize()!r} is not at a blossom leaf")
         right = ("B", letter_tgt(bq, last))
     else:

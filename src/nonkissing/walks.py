@@ -23,6 +23,7 @@ from functools import cached_property
 from .errors import (
     BoundError,
     GentleBranchViolation,
+    GrowthNotClosed,
     IncompleteUniverse,
     NotCanonical,
     NotMaximal,
@@ -249,12 +250,12 @@ def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
     if not ltail:
         first = body[0] if body else rtail[0]
         v = letter_src(bq, first)
-        if not bq.is_blossom_vertex(v):
+        if v not in bq.blossom_vertices:
             raise NotMaximal(f"left end at {v!r} could be extended")
     if not rtail:
         last = body[-1] if body else ltail[-1]
         v = letter_tgt(bq, last)
-        if not bq.is_blossom_vertex(v):
+        if v not in bq.blossom_vertices:
             raise NotMaximal(f"right end at {v!r} could be extended")
 
 
@@ -327,14 +328,6 @@ def reverse_walk(w: Walk) -> tuple:
 # straight walks, peaks and deeps
 
 
-def straight_next(bq: BlossomQuiver, a: str) -> str | None:
-    """The unique relation-free forward continuation of arrow a, if any."""
-    for b in bq.quiver.arrows_out[bq.quiver.tgt[a]]:
-        if (a, b) not in bq.quiver.relations:
-            return b
-    return None
-
-
 def _straight_ray(bq: BlossomQuiver, a: str, sign: int):
     """The straight ray from letter (a, sign) on: (letters, unit).
 
@@ -365,6 +358,27 @@ def primitive_cycles(bq: BlossomQuiver) -> list[tuple[str, ...]]:
         if unit:
             cycles.add(tail_cycle(unit)[0])
     return sorted(cycles)
+
+
+def has_band(bq: BlossomQuiver) -> bool:
+    """True if a closed cycle of letters changes sign: a band.
+
+    With a band, its powers are legal bodies of every length, so no body
+    bound completes the walk set.  Without one, a body longer than the
+    successor table repeats a letter; a repeat across a change of sign would
+    close a band, so it lies within a run of one sign, where growth closes a
+    tail.  So no body is longer than the table."""
+    succ = bq.successors
+    for x in succ:
+        seen, stack = set(), [m for m in succ[x] if m[1] != x[1]]
+        while stack:
+            y = stack.pop()
+            if y == x:
+                return True
+            if y not in seen:
+                seen.add(y)
+                stack.extend(succ[y])
+    return False
 
 
 def _corner_walk(bq: BlossomQuiver, v: str, sign: int) -> Walk:
@@ -506,15 +520,15 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
 
 
 def walk_universe(bq: BlossomQuiver, who: str) -> list[Walk]:
-    """The complete walk set, or IncompleteUniverse naming the caller who.
-
-    Growth drops a letter repeated within a run of one sign, so a longer
-    body than the signed letters repeats one across a change of sign: a
-    band, and then no body bound completes the universe.
+    """The complete walk set, or IncompleteUniverse naming the caller who
+    if the blossoming has a band.  Without one no body is longer than the
+    successor table (`has_band`), so growth past that length must close.
     """
+    if has_band(bq):
+        raise IncompleteUniverse(f"{who} needs the complete walk set")
     walks, complete = enumerate_walks(bq, len(bq.successors) + 1)
     if not complete:
-        raise IncompleteUniverse(f"{who} needs the complete walk set")
+        raise GrowthNotClosed(f"{who}: walk growth without a band was cut short")
     return walks
 
 

@@ -7,6 +7,8 @@ still take from production, exactly:
 
 * the word oracle (`brute_force_finite_walks`) uses the letter-pair
   legality rule `pair_ok`;
+* the band oracle (`reference_has_band`) uses `pair_ok` alone: it searches
+  closed legal words, where `has_band` reads the successor table;
 * the walk-growth oracle (`reference_enumerate_walks`: plain growth that
   copies the letter list at every step, scans the whole list for a
   repeated letter and canonicalizes every arrival, so each walk twice)
@@ -124,6 +126,28 @@ def brute_force_finite_walks(bq: BlossomQuiver, max_len: int = 24) -> set:
                 nxt.append((m,) + word)
         frontier = nxt
     return maximal
+
+
+def reference_has_band(bq: BlossomQuiver) -> bool:
+    """True if some closed legal word changes sign, by a search of words.
+
+    From each first letter the search keeps, for each word it has grown, the
+    last letter and whether the signs have changed yet; a band is a word
+    that comes back to its first letter after a change of sign.
+    """
+    for first in _letters(bq):
+        todo = [(first, False)]
+        seen = set(todo)
+        while todo:
+            last, changed = todo.pop()
+            for m in _extensions_right(bq, (last,)):
+                state = (m, changed or m[1] != last[1])
+                if state == (first, True):
+                    return True
+                if state not in seen:
+                    seen.add(state)
+                    todo.append(state)
+    return False
 
 
 def reference_strip_minimal(ltail, body, rtail):

@@ -15,8 +15,8 @@ from nonkissing import quiver as quiver_module
 from nonkissing import surface as surface_module
 from nonkissing import walks as walks_module
 from nonkissing.cli import build_parser, main
-from nonkissing.families import a_path, random_locally_gentle
-from nonkissing.errors import ParseError
+from nonkissing.families import a_path, parse_family, random_locally_gentle
+from nonkissing.errors import GrowthNotClosed, ParseError
 from nonkissing.quiver import blossom, koszul_dual, quiver_from_dict
 from nonkissing.walks import peak_walk
 
@@ -196,8 +196,7 @@ def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
     [
         (("polytope", "family:doublecycle:2", "--max-facets", "20"), "a closed flip graph"),
         (("fan", "family:doublecycle:2", "--max-facets", "5"), "a closed flip graph"),
-        # a closed flip graph whose walk universe has a band: growth stops at
-        # one letter more than the signed letters
+        # a closed flip graph whose walk universe has a band
         (("polytope", "family:doublecycle:1"), "the complete walk set"),
         (("polytope", "family:doublecycle:1", "--max-facets", "20"), "the complete walk set"),
     ],
@@ -211,6 +210,19 @@ def test_geometry_of_a_capped_input_exits_3(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == f"error: {argv[0]} construction needs {message}\n"
+
+
+def test_a_cut_without_a_band_is_a_bug(monkeypatch, capsys):
+    # doublecycle:1 has a band; told otherwise, walk_universe grows it and
+    # is cut, which reads as a bug (exit 2), not as a bound (exit 3)
+    monkeypatch.setattr(walks_module, "has_band", lambda bq: False)
+    bq = blossom(parse_family("family:doublecycle:1"))
+    with pytest.raises(GrowthNotClosed, match="^test: walk growth without a band was cut short$"):
+        walks_module.walk_universe(bq, "test")
+    assert main(["polytope", "family:doublecycle:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: polytope construction: walk growth without a band was cut short\n"
 
 
 def test_max_facets_truncation(capsys):

@@ -1,13 +1,14 @@
 """Surface construction, invariants, round trips and the curve dictionary."""
 
 import ast
+import dataclasses
 import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-import nonkissing.walks
+import nonkissing
 from nonkissing.errors import (
     DifferentSurface,
     InconsistentEuler,
@@ -224,7 +225,7 @@ def test_straight_curve_crosses_the_full_lozenge_chain():
     bq = blossom(a_path(2))
     for w in straight_walks(bq):
         c = curve_of_walk(bq, w)
-        inner = [a for a, _ in w.body if not bq.is_blossom_arrow(a)]
+        inner = [a for a, _ in w.body if a not in bq.blossom_arrows]
         expected = []
         if inner:
             expected = [bq.quiver.src[inner[0]]] + [bq.quiver.tgt[a] for a in inner]
@@ -449,10 +450,12 @@ def test_constructor_rejects_every_illegal_gluing():
             SurfaceModel(["A", "B"], {("A", k): ("B", j), ("B", j): ("A", k)})
 
 
-def test_matching_check_is_a_typed_error(monkeypatch):
-    # a complete blossoming always leads a leaf-started path to a leaf; the
-    # check must still raise, not vanish under python -O
+def test_matching_check_is_a_typed_error():
+    # a complete blossoming always leads a leaf-started path to a leaf; on a
+    # blossoming that forgets a leaf the check must still raise, not vanish
+    # under python -O
     s = surface_from_quiver(a_path(2))
-    monkeypatch.setattr(nonkissing.walks, "straight_next", lambda bq, a: None)
+    leaf = min(v for v in s.bq.blossom_vertices if s.bq.quiver.arrows_in[v])
+    s.bq = dataclasses.replace(s.bq, blossom_vertices=s.bq.blossom_vertices - {leaf})
     with pytest.raises(InconsistentEuler, match="straight path from leaf '.+' stops inside"):
         surface_invariants(s)

@@ -38,6 +38,7 @@ from nonkissing.walks import (
     deep_walk,
     enumerate_walks,
     finite_straight_walks,
+    has_band,
     infinite_straight_walks,
     kiss_count,
     kn_pair,
@@ -57,6 +58,7 @@ from oracles import (
     matched_occurrences,
     raw_window_kiss_count,
     reference_enumerate_walks,
+    reference_has_band,
     reference_kiss_count,
     reference_strip_minimal,
     window_scan_kiss_count,
@@ -400,28 +402,39 @@ def test_incomplete_universe_refused():
 
 
 def test_walk_universe_closes_at_the_blossoming_bound():
-    # growth drops a letter repeated within a run of one sign, so an
-    # enumeration that closes at one letter more than the signed letters
-    # has found every walk: twice that bound finds no more.  A band quiver
-    # grows exponentially many walks up to the bound, so the random quivers
-    # have at most 3 vertices; 18 of these 60 carry a band
-    quivers = [q for name, q in corpus().items() if not name.startswith("double")]
-    quivers += [random_locally_gentle(random.Random(seed), 3) for seed in range(60)]
-    closed = 0
+    # without a band no body is longer than the successor table, so growth
+    # one letter past it finds every walk: twice that bound finds no more.
+    # A band gives bodies of every length, so even bound 2 cuts growth
+    specs = ["apath:6", "reversedpath:4", "cycle:3", "doublepath:3", "doublecycle:2", "cambrian:FRRF"]
+    quivers = list(corpus().values()) + [parse_family(f"family:{spec}") for spec in specs]
+    quivers += [random_locally_gentle(random.Random(seed), 4) for seed in range(80)]
+    bands = 0
     for q in quivers:
         bq = blossom(q)
-        bound = len(bq.successors) + 1
-        walks, complete = enumerate_walks(bq, bound)
-        if complete:
-            closed += 1
-            assert enumerate_walks(bq, 2 * bound) == (walks, True), q
-            assert walk_universe(bq, "test") == walks
-        else:
+        band = has_band(bq)
+        assert band == reference_has_band(bq), q
+        if band:
+            bands += 1
+            assert enumerate_walks(bq, 2)[1] is False, q
             with pytest.raises(IncompleteUniverse, match="^test needs the complete walk set$"):
                 walk_universe(bq, "test")
-    assert closed >= 40
-    with pytest.raises(IncompleteUniverse):
-        walk_universe(blossom(parse_family("family:doublecycle:1")), "test")
+        else:
+            bound = len(bq.successors) + 1
+            walks, complete = enumerate_walks(bq, bound)
+            assert complete, q
+            assert enumerate_walks(bq, 2 * bound) == (walks, True), q
+            assert walk_universe(bq, "test") == walks
+    assert 20 <= bands <= len(quivers) - 40
+
+
+def test_a_band_never_enumerates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a band quiver was enumerated")
+
+    monkeypatch.setattr(walks_module, "enumerate_walks", refuse)
+    for q in (random_locally_gentle(random.Random(11), 4), parse_family("family:doublecycle:1")):
+        with pytest.raises(IncompleteUniverse, match="^test needs the complete walk set$"):
+            walk_universe(blossom(q), "test")
 
 
 def test_winding_quiver_truncates_at_small_bound():
