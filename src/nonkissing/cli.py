@@ -53,7 +53,7 @@ from .surface import (
     swap_dissections,
     walk_of_curve,
 )
-from .walks import enumerate_walks, walk_universe
+from .walks import enumerate_walks
 
 
 def _emit(doc, out: str | None) -> None:
@@ -272,7 +272,7 @@ def cmd_selfcheck(_: None, args) -> tuple[dict, int]:
         keys = sorted(tuple(ctx.keys[w] for w in ids) for ids in g.ids)
         if keys != sorted(f.key for f in oracle):
             note(name, ["flip BFS facets differ from the clique oracle"])
-        for w in walk_universe(ctx.bq, "the curve round trip"):
+        for w in map(ctx.walks.__getitem__, ctx.universe("the curve round trip")):
             if walk_of_curve(ctx.bq, curve_of_walk(ctx.bq, w)) != w:
                 note(name, [f"curve of {w.serialize()} reads back as another walk"])
     for name in geometry_instances:

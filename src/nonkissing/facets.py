@@ -148,7 +148,8 @@ class QuiverContext:
     the pure kernels `kiss_count` and `countercurrent_less`, so a context
     changes no result.  So are a walk's distinguished substring under given
     distinguished positions and the walk a flip builds from it, keyed by
-    every value they read.  The tables belong to the context and die with it.
+    every value they read, and the ids of the complete walk universe
+    (`universe`).  The tables belong to the context and die with it.
     """
 
     def __init__(self, bq: BlossomQuiver):
@@ -164,6 +165,7 @@ class QuiverContext:
         self._substrings: dict[tuple[int, tuple[int, ...]], tuple] = {}
         # (walk id, distinguished positions, mu mark, nu mark) -> flipped walk id
         self._built: dict[tuple, int] = {}
+        self._universe: tuple[int, ...] | None = None
 
     @property
     def q(self) -> BoundQuiver:
@@ -181,6 +183,13 @@ class QuiverContext:
             self.marks.append({a: tuple(gs) for a, gs in marks.items()})
             self.bending.append(not w.is_straight)
         return i
+
+    def universe(self, who: str) -> tuple[int, ...]:
+        """The ids of `walk_universe`, interned once it is complete; on a
+        band every call raises IncompleteUniverse naming its own caller who."""
+        if self._universe is None:
+            self._universe = tuple(map(self.intern, walk_universe(self.bq, who)))
+        return self._universe
 
     def kn(self, i: int, j: int) -> int:
         """kn(walk i, walk j)."""
@@ -610,8 +619,7 @@ def brute_force_facets(q: BoundQuiver, ctx: QuiverContext | None = None) -> list
     """
     if ctx is None:
         ctx = QuiverContext(blossom(q))
-    walks = walk_universe(ctx.bq, "the clique oracle")
-    bend = [i for i in map(ctx.intern, walks) if ctx.bending[i] and ctx.kn(i, i) == 0]
+    bend = [i for i in ctx.universe("the clique oracle") if ctx.bending[i] and ctx.kn(i, i) == 0]
     rows = [0] * len(bend)
     for a in range(len(bend)):
         for b in range(a + 1, len(bend)):

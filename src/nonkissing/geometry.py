@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import NotClosed, VHMismatch
 from .facets import Facet, FlipGraph, Mark, QuiverContext, _data
 from .quiver import BlossomQuiver, BoundQuiver
-from .walks import Walk, corner_profile, deep_walks, kiss_count, walk_universe
+from .walks import Walk, corner_profile, deep_walks, kiss_count
 
 IntVector = tuple[int, ...]
 
@@ -334,10 +334,9 @@ def build_associahedron(g: FlipGraph) -> Polytope:
         raise NotClosed("polytope construction needs a closed flip graph")
     ctx = g.ctx
     bq, q = ctx.bq, ctx.q
-    universe = walk_universe(bq, "polytope construction")
+    uids = ctx.universe("polytope construction")
     d = len(q.vertices)
-    uids = [ctx.intern(w) for w in universe]
-    normals = [g_vector(bq, w) for w in universe]
+    normals = [g_vector(bq, ctx.walks[i]) for i in uids]
     # KN(w) = sum of kn(w, w') + kn(w', w) over the universe, each kn once
     bounds = [sum(ctx.kn(i, j) + ctx.kn(j, i) for j in uids) for i in uids]
     kn_total = dict(zip(uids, bounds))

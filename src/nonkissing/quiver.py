@@ -97,14 +97,14 @@ class BlossomQuiver:
     blossom_arrows: frozenset[str]
 
     @cached_property
-    def leaf_arrow(self) -> dict[str, str]:
-        """The unique arrow at each blossom leaf."""
+    def leaf_letter(self) -> dict[str, tuple[str, int]]:
+        """The letter that leaves each blossom leaf, along its unique arrow."""
         out = {}
         for v in self.blossom_vertices:
             arrows = self.quiver.arrows_in[v] + self.quiver.arrows_out[v]
             if len(arrows) != 1:
                 raise NotComplete(f"blossom leaf {v!r} has {len(arrows)} arrows, not 1")
-            out[v] = arrows[0]
+            out[v] = (arrows[0], 1 if self.quiver.src[arrows[0]] == v else -1)
         return out
 
     @cached_property
@@ -134,12 +134,17 @@ class BlossomQuiver:
         return {x: serialize_letter(x) for x in self.successors}
 
     @cached_property
-    def passed_tail_units(self) -> set[tuple[tuple[str, int], ...]]:
-        """Tail units that walks._check_tail_unit has accepted.
+    def tail_units(self) -> dict[tuple[tuple[str, int], ...], tuple[tuple[str, ...], int]]:
+        """Each tail unit a walk can spiral into, with its `walks.tail_cycle`.
 
-        A unit that fails is never added, so it raises on every check.
+        A straight ray from a letter of a relation-free oriented cycle spirals
+        into the rotation that starts there, so the rays' units are every
+        rotation of every such cycle, read along its arrows and against them.
         """
-        return set()
+        from .walks import _straight_ray, tail_cycle
+
+        units = {u for x in self.successors if (u := _straight_ray(self, *x)[1])}
+        return {u: tail_cycle(u) for u in sorted(units)}
 
 
 def quiver_from_dict(data: object) -> BoundQuiver:
@@ -260,71 +265,44 @@ def _fresh_id(base: str, used: set[str]) -> str:
 def blossom(q: BoundQuiver) -> BlossomQuiver:
     """Complete q by adding blossom vertices and arrows, extending the ideal.
 
-    At each original vertex the two incoming and two outgoing arrow slots are
-    paired into a relation matching whose complement is relation-free.
-    Existing arrows keep their given pairs; free slots pair in arrow-id order.
-    Ids are generated deterministically so the result is reproducible.
+    Vertex by vertex, each free slot, incoming first, gets a leaf and an
+    arrow named `v+in{k}` or `v+out{k}`, primed while taken.  The slots then
+    pair into the relation matching, parallel or crossed in arrow-id order,
+    that keeps the given relations at v; its complement is relation-free.
     q must be locally gentle; it is not checked here.
     """
     used_v = set(q.vertices)
     used_a = set(q.arrow_ids)
-    vertices = list(q.vertices)
-    arrows = list(q.arrows)
     relations = set(q.relations)
     new_vertices: list[str] = []
-    new_arrows: list[str] = []
-    ins: dict[str, list[str]] = {v: sorted(q.arrows_in[v]) for v in q.vertices}
-    outs: dict[str, list[str]] = {v: sorted(q.arrows_out[v]) for v in q.vertices}
+    new_arrows: list[tuple[str, str, str]] = []
     for v in q.vertices:
-        k = 1
-        while len(ins[v]) < 2:
-            bv = _fresh_id(f"{v}+in{k}", used_v)
-            ba = _fresh_id(f"{v}+in{k}", used_a)
-            vertices.append(bv)
-            arrows.append((ba, bv, v))
-            new_vertices.append(bv)
-            new_arrows.append(ba)
-            ins[v].append(ba)
-            k += 1
-        k = 1
-        while len(outs[v]) < 2:
-            bv = _fresh_id(f"{v}+out{k}", used_v)
-            ba = _fresh_id(f"{v}+out{k}", used_a)
-            vertices.append(bv)
-            arrows.append((ba, v, bv))
-            new_vertices.append(bv)
-            new_arrows.append(ba)
-            outs[v].append(ba)
-            k += 1
-    for v in q.vertices:
-        i0, i1 = ins[v]
-        o0, o1 = outs[v]
-        parallel = {(i0, o0), (i1, o1)}
-        crossed = {(i0, o1), (i1, o0)}
-        choice = None
-        for m in (parallel, crossed):
-            ok = True
-            for (a, b) in ((i0, o0), (i0, o1), (i1, o0), (i1, o1)):
-                if a in q.src and b in q.src and q.tgt.get(a) == v and q.src.get(b) == v:
-                    if ((a, b) in q.relations) != ((a, b) in m):
-                        ok = False
-                        break
-            if ok:
-                choice = m
+        ins, outs = sorted(q.arrows_in[v]), sorted(q.arrows_out[v])
+        for side, slots in (("in", ins), ("out", outs)):
+            for k in range(1, 3 - len(slots)):
+                bv = _fresh_id(f"{v}+{side}{k}", used_v)
+                ba = _fresh_id(f"{v}+{side}{k}", used_a)
+                new_vertices.append(bv)
+                new_arrows.append((ba, bv, v) if side == "in" else (ba, v, bv))
+                slots.append(ba)
+        (i0, i1), (o0, o1) = ins, outs
+        given = {(a, b) for a in q.arrows_in[v] for b in q.arrows_out[v]}
+        for m in ({(i0, o0), (i1, o1)}, {(i0, o1), (i1, o0)}):  # parallel, crossed
+            if m & given == q.relations & given:
                 break
-        if choice is None:
+        else:
             raise NotComplete(f"no consistent relation completion at vertex {v!r}")
-        relations |= choice
+        relations |= m
     bq = BoundQuiver(
-        vertices=tuple(sorted(vertices)),
-        arrows=tuple(sorted(arrows)),
+        vertices=tuple(sorted([*q.vertices, *new_vertices])),
+        arrows=tuple(sorted([*q.arrows, *new_arrows])),
         relations=frozenset(relations),
     )
     return BlossomQuiver(
         quiver=bq,
         base=q,
         blossom_vertices=frozenset(new_vertices),
-        blossom_arrows=frozenset(new_arrows),
+        blossom_arrows=frozenset(a for a, _, _ in new_arrows),
     )
 
 

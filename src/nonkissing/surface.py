@@ -32,12 +32,12 @@ from .walks import (
     Letter,
     Walk,
     canonicalize,
+    inv,
     kn_pair,
     letter_src,
     letter_tgt,
     pair_ok,
     pair_reason,
-    rev_word,
     tail_cycle,
 )
 
@@ -549,16 +549,14 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
             raise NotMaximal(f"left end of {w.serialize()!r} is not at a blossom leaf")
         left = ("B", letter_src(bq, first))
     else:
-        cyc, sign = tail_cycle(w.ltail)
-        left = ("P", cyc, sign)
+        left = ("P", *tail_cycle(w.ltail))
     if not w.rtail:
         last = core.pop()
         if last[0] not in bq.blossom_arrows:
             raise NotMaximal(f"right end of {w.serialize()!r} is not at a blossom leaf")
         right = ("B", letter_tgt(bq, last))
     else:
-        cyc, sign = tail_cycle(w.rtail)
-        right = ("P", cyc, sign)
+        right = ("P", *tail_cycle(w.rtail))
     if core:
         crossings = [letter_src(bq, core[0])]
         crossings += [letter_tgt(bq, x) for x in core]
@@ -575,13 +573,6 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
     )
 
 
-def _spiral_phases(sign: int, cyc) -> list:
-    base = tuple((a, 1) for a in cyc)
-    unit0 = base if sign > 0 else rev_word(base)
-    k = len(unit0)
-    return [unit0[j:] + unit0[:j] for j in range(k)]
-
-
 def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
     """Invert curve_of_walk.  The tail phase at a spiral end is the unique
     rotation of the cycle whose junction with the rest of the word is a
@@ -595,20 +586,15 @@ def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
             )
     letters = list(c.angles)
     if c.left[0] == "B":
-        leaf = c.left[1]
-        arrow = bq.leaf_arrow[leaf]
-        letter = (arrow, 1) if bq.quiver.src[arrow] == leaf else (arrow, -1)
-        letters.insert(0, letter)
+        letters.insert(0, bq.leaf_letter[c.left[1]])
     if c.right[0] == "B":
-        leaf = c.right[1]
-        arrow = bq.leaf_arrow[leaf]
-        letter = (arrow, 1) if bq.quiver.tgt[arrow] == leaf else (arrow, -1)
-        letters.append(letter)
-    left_opts = (
-        _spiral_phases(c.left[2], c.left[1]) if c.left[0] == "P" else [()]
-    )
-    right_opts = (
-        _spiral_phases(c.right[2], c.right[1]) if c.right[0] == "P" else [()]
+        letters.append(inv(bq.leaf_letter[c.right[1]]))
+    # a spiral end's phases: the tail units of its cycle and sign
+    left_opts, right_opts = (
+        [u for u, cyc in bq.tail_units.items() if ("P", *cyc) == end]
+        if end[0] == "P"
+        else [()]
+        for end in (c.left, c.right)
     )
     if letters:
         left_opts = [

@@ -196,8 +196,10 @@ def _parse_tail(toks: list[str]) -> tuple[Letter, ...]:
 
 
 def _check_tail_unit(bq: BlossomQuiver, unit: tuple[Letter, ...]) -> None:
-    passed = bq.passed_tail_units
-    if unit in passed:
+    """Return if unit is a tail unit of bq (`tail_units`), else raise the
+    typed error that says why not: a primitive, closed, uniformly signed unit
+    with legal pairs is the unit its first letter's straight ray spirals into."""
+    if unit in bq.tail_units:
         return
     signs = {s for _, s in unit}
     if len(signs) != 1:
@@ -218,7 +220,6 @@ def _check_tail_unit(bq: BlossomQuiver, unit: tuple[Letter, ...]) -> None:
             f"tail cycle hits the ideal at {serialize_letter(unit[i])} "
             f"{serialize_letter(unit[(i + 1) % k])}"
         )
-    passed.add(unit)
 
 
 def _validate_word(bq: BlossomQuiver, ltail, body, rtail) -> None:
@@ -351,13 +352,8 @@ def _straight_ray(bq: BlossomQuiver, a: str, sign: int):
 
 def primitive_cycles(bq: BlossomQuiver) -> list[tuple[str, ...]]:
     """Relation-free oriented cycles, one canonical rotation each: the
-    units the straight rays spiral into (each cycle arrow starts one)."""
-    cycles = set()
-    for a in bq.quiver.arrow_ids:
-        unit = _straight_ray(bq, a, 1)[1]
-        if unit:
-            cycles.add(tail_cycle(unit)[0])
-    return sorted(cycles)
+    cycles of the blossoming's tail units (`tail_units`)."""
+    return sorted({c for c, _ in bq.tail_units.values()})
 
 
 def has_band(bq: BlossomQuiver) -> bool:
@@ -420,11 +416,9 @@ def finite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
 
 
 def infinite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
-    out = []
-    for c in primitive_cycles(bq):
-        unit = tuple((a, 1) for a in c)
-        out.append(canonicalize(bq, unit, (), unit))
-    return sorted(set(out), key=Walk.serialize)
+    """The fully periodic walk of each primitive cycle: every tail unit of
+    the cycle, spun both ways, gives the same walk."""
+    return sorted({canonicalize(bq, u, (), u) for u in bq.tail_units}, key=Walk.serialize)
 
 
 def straight_walks(bq: BlossomQuiver) -> list[Walk]:
@@ -445,11 +439,13 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     excluded from the universe by design); only branches cut by body_bound
     clear the completeness flag.
 
-    Each walk is grown from both of its ends.  Growth is a tree, so each
-    directed form is reached at most once, and it is directed canonical
-    read either way: a left-tail start leaves the tail at once and a right
-    tail closes at the only repeat inside a run of one sign, so no tail can
-    absorb a body letter.  The first arrival validates the word once and
+    Each walk is grown from both of its ends: a finite end starts at the
+    letter that leaves its leaf (`leaf_letter`), a spiral end at its tail
+    unit (`tail_units`).  Growth is a tree, so each directed form is
+    reached at most once, and it is directed canonical read either way: a
+    left-tail start leaves the tail at once and a right tail closes at the
+    only repeat inside a run of one sign, so no tail can absorb a body
+    letter.  The first arrival validates the word once and
     builds the one Walk that `canonicalize` would return; the reverse form
     waits for the arrival from the other end.  Only the reverse of each
     fully periodic walk, which growth never reaches, is normalized.
@@ -504,17 +500,14 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
             letters.pop()
 
     for v in sorted(bq.blossom_vertices):
-        a = (bq.quiver.arrows_out[v] + bq.quiver.arrows_in[v])[0]
-        grow((), [(a, 1) if bq.quiver.src[a] == v else (a, -1)], 0)
+        grow((), [bq.leaf_letter[v]], 0)
+    for unit in bq.tail_units:
+        for m in succ[unit[-1]]:
+            if m != unit[0]:  # unit[0] stays in the tail
+                grow(unit, [m], 0)
     for c in primitive_cycles(bq):
         forward = tuple((a, 1) for a in c)  # the lex-min rotation
         back = rev(forward)
-        for base in (forward, back):
-            for phase in range(len(base)):
-                unit = base[phase:] + base[:phase]
-                for m in succ[unit[-1]]:
-                    if m != unit[0]:  # unit[0] stays in the tail
-                        grow(unit, [m], 0)
         emit(forward, (), forward, _directed_canonical(back, (), back))
     return [walks[k] for k in sorted(walks)], complete
 
@@ -716,8 +709,8 @@ def corner_profile(bq: BlossomQuiver, w: Walk) -> list[tuple[str, str]]:
 
 def tail_cycle(unit: tuple[Letter, ...]) -> tuple[tuple[str, ...], int]:
     """(cycle, sign) of a tail unit: its arrows read along the arrows, in
-    their lex-min rotation, and its sign.  `primitive_cycles` names each
-    cycle by this rotation of a straight ray's unit."""
+    their lex-min rotation, and its sign.  The blossoming keeps it for
+    each of its units (`tail_units`)."""
     sign = unit[0][1]
     arrows = tuple(a for a, _ in unit)
     if sign < 0:

@@ -9,6 +9,10 @@ still take from production, exactly:
   legality rule `pair_ok`;
 * the band oracle (`reference_has_band`) uses `pair_ok` alone: it searches
   closed legal words, where `has_band` reads the successor table;
+* the tail-unit oracle (`reference_tail_units`) uses `pair_ok` alone: it
+  searches closed words of one sign and keeps the primitive ones, where
+  `BlossomQuiver.tail_units` follows straight rays through the successor
+  table;
 * the walk-growth oracle (`reference_enumerate_walks`: plain growth that
   copies the letter list at every step, scans the whole list for a
   repeated letter and canonicalizes every arrival, so each walk twice)
@@ -148,6 +152,30 @@ def reference_has_band(bq: BlossomQuiver) -> bool:
                     seen.add(state)
                     todo.append(state)
     return False
+
+
+def reference_tail_units(bq: BlossomQuiver) -> set:
+    """Every closed, uniformly signed, primitive legal word of letters.
+
+    From each first letter the search grows words of the first letter's
+    sign, as long as there are letters; a word whose last letter may be
+    followed by its first is closed, and it is primitive when no proper
+    rotation of it is the word itself.
+    """
+    letters = _letters(bq)
+    nexts = {x: [m for m in letters if m[1] == x[1] and pair_ok(bq, x, m)] for x in letters}
+    units = set()
+    for first in letters:
+        todo = [(first,)]
+        while todo:
+            word = todo.pop()
+            if first in nexts[word[-1]] and all(
+                word[p:] + word[:p] != word for p in range(1, len(word))
+            ):
+                units.add(word)
+            if len(word) < len(letters):
+                todo.extend(word + (m,) for m in nexts[word[-1]])
+    return units
 
 
 def reference_strip_minimal(ltail, body, rtail):

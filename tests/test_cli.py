@@ -463,11 +463,14 @@ def test_selfcheck_checks_the_curve_dictionary_per_walk(monkeypatch, capsys):
     crossings = _record_calls(monkeypatch, surface_module, "crossing_count")
     kisses = _record_calls(monkeypatch, walks_module, "kiss_count")
     readings = _record_calls(monkeypatch, surface_module, "walk_of_curve")
+    growths = _record_calls(monkeypatch, walks_module, "enumerate_walks")
     code, out = run(capsys, "selfcheck")
     assert code == 0 and json.loads(out) == {"ok": True, "violations": {}}
     assert crossings == []
     assert len(kisses) <= 1060
     assert len(readings) <= 80
+    # each blossoming's context enumerates its walk universe once
+    assert len(growths) <= 7
 
 
 def test_selfcheck_reports_a_wrong_curve_reading(monkeypatch, capsys):

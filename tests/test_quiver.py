@@ -32,6 +32,7 @@ from nonkissing.quiver import (
     quiver_from_json,
     validate_locally_gentle,
 )
+from nonkissing.walks import letter_src
 
 from oracles import vf2_isomorphic
 from pyrun import run_python
@@ -97,6 +98,60 @@ def test_blossom_is_complete_and_prunes_back():
         for v in bq.quiver.vertices:
             assert bq.quiver.degree(v) in (1, 4)
         assert prune(bq.quiver) == q
+
+
+# (base quiver, leaves, full arrow list, relations): a new id that is taken
+# by an original vertex or arrow is primed, the other id of the pair is not
+BLOSSOM_COLLISIONS = (
+    (
+        make_quiver(["v", "v+in1"], [("a", "v", "v+in1")]),
+        ["v+in1'", "v+in1+in1", "v+in1+out1", "v+in1+out2", "v+in2", "v+out1"],
+        [
+            ("a", "v", "v+in1"),
+            ("v+in1", "v+in1'", "v"),
+            ("v+in1+in1", "v+in1+in1", "v+in1"),
+            ("v+in1+out1", "v+in1", "v+in1+out1"),
+            ("v+in1+out2", "v+in1", "v+in1+out2"),
+            ("v+in2", "v+in2", "v"),
+            ("v+out1", "v", "v+out1"),
+        ],
+        [("a", "v+in1+out1"), ("v+in1", "a"), ("v+in1+in1", "v+in1+out2"), ("v+in2", "v+out1")],
+    ),
+    (
+        make_quiver(["1", "2"], [("1+in1", "2", "1")]),
+        ["1+in1", "1+out1", "1+out2", "2+in1", "2+in2", "2+out1"],
+        [
+            ("1+in1", "2", "1"),
+            ("1+in1'", "1+in1", "1"),
+            ("1+out1", "1", "1+out1"),
+            ("1+out2", "1", "1+out2"),
+            ("2+in1", "2+in1", "2"),
+            ("2+in2", "2+in2", "2"),
+            ("2+out1", "2", "2+out1"),
+        ],
+        [("1+in1", "1+out1"), ("1+in1'", "1+out2"), ("2+in1", "1+in1"), ("2+in2", "2+out1")],
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "q, leaves, arrows, relations", BLOSSOM_COLLISIONS, ids=["vertex v+in1", "arrow 1+in1"]
+)
+def test_blossom_ids_step_around_taken_ones(q, leaves, arrows, relations):
+    bq = blossom(q)
+    assert sorted(bq.blossom_vertices) == leaves
+    assert list(bq.quiver.arrows) == arrows
+    assert bq.blossom_arrows == {a for a, _, _ in arrows} - set(q.arrow_ids)
+    assert sorted(bq.quiver.relations) == relations
+
+
+def test_leaf_letter_leaves_its_leaf():
+    for q in corpus().values():
+        bq = blossom(q)
+        assert set(bq.leaf_letter) == bq.blossom_vertices
+        for v, x in bq.leaf_letter.items():
+            assert letter_src(bq, x) == v
+            assert x[0] in bq.blossom_arrows
 
 
 def test_prune_rejects_incomplete():
@@ -267,7 +322,7 @@ def test_blossom_leaf_with_two_arrows_raises_not_complete_under_optimize():
         "q = BoundQuiver(('1', '2'), (('a', '1', '2'), ('b', '1', '2')), frozenset())\n"
         "bq = BlossomQuiver(q, q, frozenset({'2'}), frozenset({'a', 'b'}))\n"
         "try:\n"
-        "    bq.leaf_arrow\n"
+        "    bq.leaf_letter\n"
         "except NotComplete:\n"
         "    print('NotComplete')\n"
     )

@@ -49,6 +49,7 @@ from nonkissing.walks import (
     reverse_walk,
     rev_word,
     straight_walks,
+    tail_cycle,
     total_kissing_number,
     walk_universe,
 )
@@ -61,6 +62,7 @@ from oracles import (
     reference_has_band,
     reference_kiss_count,
     reference_strip_minimal,
+    reference_tail_units,
     window_scan_kiss_count,
 )
 from pyrun import run_python
@@ -608,13 +610,31 @@ def test_bad_tail_units_raise_typed_errors_every_time_under_optimize():
     assert run_python(TAIL_UNITS, "-O") == TAIL_UNIT_RESULTS
 
 
-def test_passed_tail_units_are_remembered_per_blossoming():
+def test_tail_units_are_the_closed_primitive_words_of_one_sign():
+    specs = ["apath:6", "reversedpath:4", "cycle:3", "doublepath:3", "doublecycle:2", "cambrian:FRRF"]
+    quivers = list(corpus().values()) + [parse_family(f"family:{spec}") for spec in specs]
+    quivers += [random_locally_gentle(random.Random(seed), 6) for seed in range(80)]
+    with_units = 0
+    for q in quivers:
+        bq = blossom(q)
+        assert set(bq.tail_units) == reference_tail_units(bq), q
+        assert all(cyc == tail_cycle(u) for u, cyc in bq.tail_units.items()), q
+        with_units += bool(bq.tail_units)
+    assert 20 <= with_units <= len(quivers) - 20
+
+
+def test_tail_units_of_the_one_vertex_cycles():
     loop, double = (blossom(parse_family(f"family:{spec}")) for spec in ("cycle:1", "doublecycle:1"))
+    assert loop.tail_units == {(("a1", -1),): (("a1",), -1), (("a1", 1),): (("a1",), 1)}
+    assert double.tail_units == {
+        (("a1", -1), ("b1", -1)): (("a1", "b1"), -1),
+        (("a1", 1), ("b1", 1)): (("a1", "b1"), 1),
+        (("b1", -1), ("a1", -1)): (("a1", "b1"), -1),
+        (("b1", 1), ("a1", 1)): (("a1", "b1"), 1),
+    }
     parse_walk(loop, "( a1+ ) | | ( a1+ )")
     with pytest.raises(RelationHit):
         parse_walk(double, "( a1+ ) | | ( a1+ )")
-    assert loop.passed_tail_units == {(("a1", 1),)}
-    assert double.passed_tail_units == set()
 
 
 # (family, walk, error, message): each junction of the window
