@@ -445,70 +445,109 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     reached at most once, and it is directed canonical read either way: a
     left-tail start leaves the tail at once and a right tail closes at the
     only repeat inside a run of one sign, so no tail can absorb a body
-    letter.  The first arrival validates the word once and
-    builds the one Walk that `canonicalize` would return; the reverse form
-    waits for the arrival from the other end.  Only the reverse of each
-    fully periodic walk, which growth never reaches, is normalized.
+    letter.  Growth carries the text of each prefix of the letters, read
+    forwards and backwards, and each start fixes the pieces of its left
+    tail, so a walk reached gets the serializations of both its directed
+    forms from a few concatenations.  The first arrival validates the word
+    once and builds the one Walk that `canonicalize` would return, in the
+    direction with the smaller text: only that direction's form is built,
+    and the Walk keeps its text.  The reverse text waits in a pending set
+    for the arrival from the other end.
+
+    A set of texts loses nothing.  Serializations are injective on forms,
+    as the walks are keyed by them.  And no walk that is not fully periodic
+    equals its own reverse form: at its middle that would need a letter
+    equal to its own inverse, or a pair x x⁻¹, which is unreduced.  So each
+    such walk is reached twice, by two different forms.  Only the fully
+    periodic walks, which growth never reaches, are normalized, and they
+    get their two texts from `_serialize_form`.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
     succ = bq.successors
     walks: dict[str, Walk] = {}
-    pending: set[tuple] = set()  # reverse directed forms not yet reached
+    pending: set[str] = set()  # reverse texts not yet reached
     complete = True
     shared = {x: x for x in succ}  # one object per letter: stored forms copy none
     inverse = {x: shared[x[0], -x[1]] for x in succ}
+    text = bq.letter_text.__getitem__
+    ahead = {x: text(x) + " " for x in succ}  # a letter's text in a forward prefix
+    back = {x: " " + text(inverse[x]) for x in succ}  # and in a reversed one
 
     def rev(word):
         return tuple(map(inverse.__getitem__, reversed(word)))
 
-    def emit(ltail, body, rtail, bwd=None):
-        fwd = (ltail, body, rtail)
-        if fwd in pending:
-            pending.remove(fwd)
+    def emit(fwd_text, bwd_text, ltail, letters, j):
+        # the walk ltail | letters[:j] | letters[j:], no right tail at j == n
+        if fwd_text in pending:
+            pending.remove(fwd_text)
             return
+        pending.add(bwd_text)
+        body, rtail = tuple(letters[:j]), tuple(letters[j:])
         _validate_word(bq, ltail, body, rtail)
-        bwd = bwd or (rev(rtail), rev(body), rev(ltail))
-        pending.add(bwd)
-        w = _choose(bq, fwd, bwd)
-        walks[w.serialize()] = w
+        if fwd_text <= bwd_text:
+            w = Walk(ltail, body, rtail)
+        else:
+            w, fwd_text = Walk(rev(rtail), rev(body), rev(ltail)), bwd_text
+        w.__dict__["_serialized"] = fwd_text  # primes the cached property
+        walks[fwd_text] = w
 
-    def grow(ltail, letters, run):
+    def grow(root, letters, ft, bt, run):
         # letters[run:] is the trailing run of letters of one sign: repeating
         # a letter of it closes a tail unit, and repeating an earlier letter
-        # closes a unit of mixed signs, which is no tail
+        # closes a unit of mixed signs, which is no tail.  ft[k] is the text
+        # of letters[:k], each letter followed by a space, and bt[k] the text
+        # of their reverse, each letter preceded by one; root holds the left
+        # tail and the pieces of its text that go before ft and after bt
         nonlocal complete
+        ltail, lpre, bsuf = root
         last = letters[-1]
         conts = succ[last]
-        if not conts:
-            emit(ltail, tuple(letters), ())
-            return
         n = len(letters)
+        if not conts:
+            emit(lpre + ft[n][:-1], bt[n][1:] + bsuf, ltail, letters, n)
+            return
         for m in conts:
             if m[1] == last[1]:
                 j = n - 1
                 while j >= run and letters[j] != m:
                     j -= 1
                 if j >= run:
-                    emit(ltail, tuple(letters[:j]), tuple(letters[j:]))
+                    f, b = ft[j], bt[j]
+                    emit(
+                        f"{lpre}{f}| ( {ft[n][len(f):]})",
+                        f"({bt[n][: len(bt[n]) - len(b)]} ) |{b}{bsuf}",
+                        ltail, letters, j,
+                    )
                     continue  # prune winding past a tail state
             if n >= body_bound:
                 complete = False
                 continue
             letters.append(m)
-            grow(ltail, letters, run if m[1] == last[1] else n)
+            ft.append(ft[n] + ahead[m])
+            bt.append(back[m] + bt[n])
+            grow(root, letters, ft, bt, run if m[1] == last[1] else n)
             letters.pop()
+            ft.pop()
+            bt.pop()
+
+    def start(root, first):
+        grow(root, [first], ["", ahead[first]], ["", back[first]], 0)
 
     for v in sorted(bq.blossom_vertices):
-        grow((), [bq.leaf_letter[v]], 0)
+        start(((), "", ""), bq.leaf_letter[v])
     for unit in bq.tail_units:
+        lpre = _serialize_form(unit, (), (), text) + " "
+        bsuf = " " + _serialize_form((), (), rev(unit), text)
         for m in succ[unit[-1]]:
             if m != unit[0]:  # unit[0] stays in the tail
-                grow(unit, [m], 0)
+                start((unit, lpre, bsuf), m)
     for c in primitive_cycles(bq):
         forward = tuple((a, 1) for a in c)  # the lex-min rotation
-        back = rev(forward)
-        emit(forward, (), forward, _directed_canonical(back, (), back))
+        _validate_word(bq, forward, (), forward)
+        spun = rev(forward)
+        w = _choose(bq, (forward, (), forward), _directed_canonical(spun, (), spun))
+        walks[w.serialize()] = w
     return [walks[k] for k in sorted(walks)], complete
 
 
