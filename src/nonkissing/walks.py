@@ -478,7 +478,7 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         return tuple(map(inverse.__getitem__, reversed(word)))
 
     def emit(fwd_text, bwd_text, ltail, letters, j):
-        # the walk ltail | letters[:j] | letters[j:], no right tail at j == n
+        # the walk ltail | letters[:j] | letters[j:], no right tail at j == len(letters)
         if fwd_text in pending:
             pending.remove(fwd_text)
             return

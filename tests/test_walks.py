@@ -32,6 +32,7 @@ from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import (
     Walk,
     _directed_canonical,
+    _serialize_form,
     _strip_minimal,
     canonicalize,
     corner_profile,
@@ -48,6 +49,7 @@ from nonkissing.walks import (
     primitive_cycles,
     reverse_walk,
     rev_word,
+    serialize_letter,
     straight_walks,
     tail_cycle,
     total_kissing_number,
@@ -543,9 +545,23 @@ def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
     assert not complete
     assert calls["_validate_word"] == calls["Walk"] == len(walks) == 3193
     assert calls["_directed_canonical"] <= len(primitive_cycles(bq)) == 1
-    # the text a walk is given is the text it would build
+    # the text a walk is given is the text it would build: growth assembles
+    # it from prefix texts, not from the walk's form
     monkeypatch.undo()
-    assert all(w.serialize() == Walk(w.ltail, w.body, w.rtail).serialize() for w in walks)
+    for name, q, bound in _enumeration_cases():
+        for w in enumerate_walks(blossom(q), bound)[0]:
+            assert w.serialize() == _serialize_form(
+                w.ltail, w.body, w.rtail, serialize_letter
+            ), name
+
+
+def test_no_enumerated_walk_is_its_own_reverse_form():
+    # so the pending set of reverse texts loses nothing: each walk that is not
+    # fully periodic is reached from its two ends, by two different forms
+    for name, q, bound in _enumeration_cases():
+        for w in enumerate_walks(blossom(q), bound)[0]:
+            if not w.is_infinite_straight:
+                assert reverse_walk(w) != (w.ltail, w.body, w.rtail), name
 
 
 # the body bounds of the benchmark's walk commands
