@@ -7,6 +7,7 @@ relations.  All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,13 +19,15 @@ from .errors import (
     ParseError,
 )
 
-_FORBIDDEN_ID_CHARS = set('()|"')
+# whitespace (on str patterns \s matches exactly the str.isspace characters)
+# and the characters the walk syntax reserves
+_FORBIDDEN_ID_CHAR = re.compile(r'[\s()|"]')
 
 
 def _check_id(kind: str, ident: object) -> str:
     if not isinstance(ident, str) or not ident:
         raise ParseError(f"{kind} id must be a nonempty string, got {ident!r}")
-    if any(ch.isspace() or ch in _FORBIDDEN_ID_CHARS for ch in ident):
+    if _FORBIDDEN_ID_CHAR.search(ident):
         raise ParseError(f"{kind} id {ident!r} contains whitespace or a reserved character")
     return ident
 
@@ -358,4 +361,9 @@ def canonical_key(q: BoundQuiver) -> tuple:
 
 
 def is_isomorphic(q1: BoundQuiver, q2: BoundQuiver) -> bool:
-    return canonical_key(q1) == canonical_key(q2)
+    """Whether q1 and q2 differ only by a relabeling of vertices and arrows.
+
+    Equal quivers are isomorphic, so labels are compared first; the
+    canonical keys are computed only when the labels differ.
+    """
+    return q1 == q2 or canonical_key(q1) == canonical_key(q2)

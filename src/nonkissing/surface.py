@@ -258,6 +258,14 @@ def _encode_below(h0, nxt, twin, letter, best):
 
 
 def surfaces_isomorphic(s1: SurfaceModel, s2: SurfaceModel) -> bool:
+    """Whether s1 and s2 differ only by a renaming of their quads.
+
+    Two surfaces with the same quads and the same twin map are one typed
+    half-edge map, so labels are compared first; the canonical keys are
+    computed only when the labels differ.
+    """
+    if set(s1.quads) == set(s2.quads) and s1.twin == s2.twin:
+        return True
     return s1.canonical_key() == s2.canonical_key()
 
 
@@ -483,7 +491,13 @@ def strip_dual(s: SurfaceModel) -> GreenView:
 
 
 def dual_dissection(view: GreenView) -> SurfaceModel:
-    """Rebuild the red dissection by joining each face's red point to its sides."""
+    """Rebuild the red dissection by joining each face's red point to its sides.
+
+    Each corner unit becomes one quad, named after the quad its green slots
+    came from: `strip_dual` writes the slots of quad q as `q:gs` and `q:gt`,
+    so the rebuilt surface of `strip_dual(s)` keeps the quad names of s.
+    Two units that give the same name raise NotCellular.
+    """
     for i, m in enumerate(view.marks):
         if m == 0:
             raise MissingDualPoint(f"face {i} contains no dual marked point")
@@ -494,8 +508,8 @@ def dual_dissection(view: GreenView) -> SurfaceModel:
     slot_he: dict[str, tuple] = {}
     for fi, units in enumerate(view.faces):
         face_quads = []
-        for ui, (slot_gs, slot_gt) in enumerate(units):
-            quad = f"f{fi}u{ui}"
+        for slot_gs, slot_gt in units:
+            quad = slot_gs.rpartition(":")[0]
             quads.append(quad)
             face_quads.append(quad)
             slot_he[slot_gs] = (quad, "gs")
@@ -508,6 +522,8 @@ def dual_dissection(view: GreenView) -> SurfaceModel:
             b = face_quads[(i + 1) % n]
             twin[(a, "rt")] = (b, "rs")
             twin[(b, "rs")] = (a, "rt")
+    if len(set(quads)) < len(quads):
+        raise NotCellular("two corner units give one quad name")
     for pair in view.pairs:
         x, y = sorted(pair)
         hx, hy = slot_he[x], slot_he[y]

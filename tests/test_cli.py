@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from nonkissing import cli as cli_module
 from nonkissing import quiver as quiver_module
 from nonkissing import surface as surface_module
 from nonkissing import walks as walks_module
 from nonkissing.cli import build_parser, main
 from nonkissing.families import a_path, parse_family, random_locally_gentle
 from nonkissing.errors import GrowthNotClosed, ParseError
-from nonkissing.quiver import blossom, koszul_dual, quiver_from_dict
+from nonkissing.quiver import blossom, canonical_key, koszul_dual, make_quiver, quiver_from_dict
 from nonkissing.walks import peak_walk
 
 from pyrun import run_python
@@ -447,6 +448,71 @@ def test_commands_validate_where_the_quiver_enters(monkeypatch, capsys, tmp_path
         assert main([command, str(path)]) == 0
         assert 1 <= len(validations) <= most
     capsys.readouterr()
+
+
+def _count_surface_keys(monkeypatch):
+    """A one-item list counting later calls of SurfaceModel.canonical_key."""
+    count = [0]
+    original = surface_module.SurfaceModel.canonical_key
+
+    def counting(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(surface_module.SurfaceModel, "canonical_key", counting)
+    return count
+
+
+ROUNDTRIP_OK = {
+    "quiver_roundtrip": "ok",
+    "koszul_dual_reading": "ok",
+    "koszul_swap": "ok",
+    "dual_reconstruction": "ok",
+}
+
+
+def test_roundtrip_computes_at_most_two_surface_keys(monkeypatch, capsys, tmp_path):
+    # three of the four checks compare identical labels; only the swap
+    # compares keys
+    rng = random.Random(12)
+    path = tmp_path / "q.json"
+    keys = _count_surface_keys(monkeypatch)
+    for _ in range(10):
+        path.write_text(random_locally_gentle(rng).to_json())
+        keys[0] = 0
+        code, out = run(capsys, "roundtrip", str(path))
+        assert code == 0 and json.loads(out) == ROUNDTRIP_OK
+        assert keys[0] <= 2
+
+
+def _primed(q):
+    """q with a prime added to every vertex and arrow id."""
+    return make_quiver(
+        [v + "'" for v in q.vertices],
+        [(a + "'", s + "'", t + "'") for a, s, t in q.arrows],
+        [(a + "'", b + "'") for a, b in q.relations],
+    )
+
+
+def test_roundtrip_decides_differing_labels_by_keys(monkeypatch, capsys):
+    # a reading that comes back relabeled still passes, on its keys
+    spec = "family:doublepath:4"
+    reading = cli_module.quiver_from_surface
+    monkeypatch.setattr(cli_module, "quiver_from_surface", lambda s: _primed(reading(s)))
+    keys = _count_surface_keys(monkeypatch)
+    code, out = run(capsys, "roundtrip", spec)
+    assert code == 0 and json.loads(out) == ROUNDTRIP_OK
+    assert keys[0] > 2
+
+
+def test_roundtrip_fails_a_reading_of_another_quiver(monkeypatch, capsys):
+    spec = "family:apath:3"
+    dual = koszul_dual(parse_family(spec))
+    assert canonical_key(dual) != canonical_key(parse_family(spec))
+    monkeypatch.setattr(cli_module, "quiver_from_surface", lambda s: dual)
+    code, out = run(capsys, "roundtrip", spec)
+    assert code == 2
+    assert json.loads(out) == dict(ROUNDTRIP_OK, quiver_roundtrip="FAIL")
 
 
 def test_blossom_and_koszul_dual_trust_their_input(monkeypatch):

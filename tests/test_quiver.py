@@ -1,5 +1,6 @@
 """Validation, blossoming, pruning and Koszul duality."""
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from nonkissing.quiver import (
     quiver_from_json,
     validate_locally_gentle,
 )
+from nonkissing.surface import SurfaceModel, surface_from_quiver, surfaces_isomorphic
 from nonkissing.walks import letter_src
 
 from oracles import vf2_isomorphic
@@ -207,8 +209,20 @@ def test_json_unknown_field_rejected():
 
 
 def test_json_bad_ids_rejected():
-    with pytest.raises(ParseError):
-        quiver_from_json('{"vertices": ["a b"], "arrows": []}')
+    # whitespace, Unicode spaces included, and the walk syntax's reserved characters
+    for bad in ("a b", "a\tb", "a\u00a0b", "a\u2003b", "(a", "a)", "a|b", 'a"b'):
+        with pytest.raises(ParseError):
+            quiver_from_json(json.dumps({"vertices": [bad], "arrows": []}))
+        arrow = {"id": bad, "src": "v", "tgt": "v"}
+        with pytest.raises(ParseError):
+            quiver_from_json(json.dumps({"vertices": ["v"], "arrows": [arrow]}))
+
+
+def test_json_ids_may_hold_colons_and_primes():
+    arrows = [{"id": "a:b", "src": "v'", "tgt": "w:1"}, {"id": "a'", "src": "w:1", "tgt": "v'"}]
+    q = quiver_from_json(json.dumps({"vertices": ["v'", "w:1"], "arrows": arrows}))
+    assert q.arrow_ids == ("a'", "a:b")
+    assert q.vertices == ("v'", "w:1")
 
 
 def test_isomorphism_invariant_under_relabeling():
@@ -251,6 +265,34 @@ def test_isomorphism_agrees_with_vf2_oracle():
     for i, qa in enumerate(quivers):
         for j in range(i, len(quivers)):
             assert (keys[i] == keys[j]) == vf2_isomorphic(qa, quivers[j])
+
+
+def _renamed_quads(s, rng):
+    """The surface s with its quads renamed by a random permutation of fresh names."""
+    names = [f"q{i}" for i in range(len(s.quads))]
+    rng.shuffle(names)
+    name = dict(zip(s.quads, names))
+    twin = {
+        (name[q], k): None if t is None else (name[t[0]], t[1])
+        for (q, k), t in s.twin.items()
+    }
+    return SurfaceModel([name[q] for q in s.quads], twin)
+
+
+def test_isomorphism_tests_decide_differing_labels_by_keys():
+    # labels differ in every pair, so only the canonical keys can decide
+    rng = random.Random(11)
+    quivers = [random_locally_gentle(rng, 5) for _ in range(4)]
+    quivers += [q for n in (4, 8) for q in (double_cycle(n), double_path(n))]
+    relabeled = [_relabeled(q, rng) for q in quivers]
+    surfaces = [surface_from_quiver(q) for q in quivers]
+    for qb in relabeled:
+        renamed = _renamed_quads(surface_from_quiver(qb), rng)
+        for qa, sa in zip(quivers, surfaces):
+            same = vf2_isomorphic(qa, qb)
+            assert is_isomorphic(qa, qb) == same
+            assert surfaces_isomorphic(sa, surface_from_quiver(qb)) == same
+            assert surfaces_isomorphic(sa, renamed) == same
 
 
 def test_random_generator_produces_valid_quivers():
