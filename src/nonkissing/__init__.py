@@ -8,7 +8,6 @@ from .quiver import (
     is_isomorphic,
     koszul_dual,
     make_quiver,
-    prune,
     quiver_from_dict,
     quiver_from_json,
     validate_locally_gentle,

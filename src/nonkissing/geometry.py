@@ -8,70 +8,77 @@ Coordinates are indexed by the sorted original vertices of the base quiver.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NotClosed, VHMismatch
 from .facets import Facet, FlipGraph, Mark, QuiverContext, _data
 from .quiver import BlossomQuiver, BoundQuiver
-from .walks import Walk, corner_profile, deep_walks, kiss_count
+from .walks import Walk, corner_profile, deep_walks
 
 IntVector = tuple[int, ...]
 
 
-def zero_vector(q: BoundQuiver) -> IntVector:
-    return (0,) * len(q.vertices)
-
-
-def basis_vector(q: BoundQuiver, v: str, sign: int = 1) -> IntVector:
-    i = q.vertices.index(v)
-    return tuple(sign if j == i else 0 for j in range(len(q.vertices)))
-
-
-def vec_add(x: IntVector, y: IntVector) -> IntVector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(k, x):
-    return tuple(k * a for a in x)
+def vertex_vector(q: BoundQuiver, counts) -> IntVector:
+    """The vector over q's vertices that adds count at vertex's coordinate
+    for each (vertex, count) pair of counts."""
+    out = [0] * len(q.vertices)
+    for v, k in counts:
+        out[q.vertices.index(v)] += k
+    return tuple(out)
 
 
 def vec_dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def multiplicity_vector(q: BoundQuiver, vertices) -> IntVector:
-    out = [0] * len(q.vertices)
-    index = {v: i for i, v in enumerate(q.vertices)}
-    for v in vertices:
-        out[index[v]] += 1
-    return tuple(out)
-
-
 def g_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
     """Peak multiplicities minus deep multiplicities (zero for straight walks)."""
-    q = bq.base
-    out = [0] * len(q.vertices)
-    index = {v: i for i, v in enumerate(q.vertices)}
-    for kind, v in corner_profile(bq, w):
-        out[index[v]] += 1 if kind == "peak" else -1
-    return tuple(out)
+    return vertex_vector(
+        bq.base, ((v, 1 if kind == "peak" else -1) for kind, v in corner_profile(bq, w))
+    )
+
+
+def _g_vectors(ctx: QuiverContext, ids) -> dict[int, IntVector]:
+    """The g-vector of every walk id of ids, by id, each computed once."""
+    return {w: g_vector(ctx.bq, ctx.walks[w]) for w in dict.fromkeys(ids)}
 
 
 def _c_vector(ctx: QuiverContext, wi: int, data: dict[str, Mark]) -> IntVector:
     """The c-vector of bending walk id wi in a facet whose distinguished data
     is data: the signed multiplicity vector of its distinguished substring."""
     ds = ctx.substring(wi, data)[0]
-    vec = multiplicity_vector(ctx.q, ds.vertices)
-    return vec if ds.on_top else vec_scale(-1, vec)
+    sign = 1 if ds.on_top else -1
+    return vertex_vector(ctx.q, ((v, sign) for v in ds.vertices))
+
+
+def _d_vector(ctx: QuiverContext, wi: int, deep_ids: list[int]) -> IntVector:
+    """The d-vector of walk id wi, where deep_ids are the ids of the deep
+    walks in coordinate order: minus the basis vector of v on the deep walk
+    of v, else the kiss numbers of wi on the deep walks."""
+    if wi in deep_ids:
+        return vertex_vector(ctx.q, [(ctx.q.vertices[deep_ids.index(wi)], -1)])
+    return tuple(ctx.kn(wi, d) for d in deep_ids)
+
+
+def _deep_ids(ctx: QuiverContext) -> list[int]:
+    """The ids of the deep walks, interned into ctx, in coordinate order."""
+    return [ctx.intern(dw) for dw in deep_walks(ctx.bq).values()]
 
 
 def d_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
-    """Minus a basis vector on deep walks, else kiss counts against deep walks."""
-    q = bq.base
-    deeps = deep_walks(bq)
-    for v, dw in deeps.items():
-        if w == dw:
-            return basis_vector(q, v, -1)
-    return tuple(kiss_count(bq, w, deeps[v]) for v in q.vertices)
+    """The d-vector of w (`_d_vector`), computed in a new context."""
+    ctx = QuiverContext(bq)
+    return _d_vector(ctx, ctx.intern(w), _deep_ids(ctx))
+
+
+def _matrices(ctx: QuiverContext, ids, gvecs, data: dict[str, Mark]):
+    """(walks, G, C) of the facet with bending walk ids ids, in that column
+    order, from its g-vectors by id and its distinguished data."""
+    return (
+        [ctx.walks[w] for w in ids],
+        [gvecs[w] for w in ids],
+        [_c_vector(ctx, w, data) for w in ids],
+    )
 
 
 def facet_matrices(bq: BlossomQuiver, facet: Facet):
@@ -81,11 +88,8 @@ def facet_matrices(bq: BlossomQuiver, facet: Facet):
     """
     ctx = QuiverContext(bq)
     ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
-    data = _data(ctx, ids)
-    walks = list(facet.bending)
-    gs = [g_vector(bq, w) for w in walks]
-    cs = [_c_vector(ctx, i, data) for i in ids[: len(walks)]]
-    return walks, gs, cs
+    bending = ids[: len(facet.bending)]
+    return _matrices(ctx, bending, _g_vectors(ctx, bending), _data(ctx, ids))
 
 
 def dual_basis_check(matrices) -> list[str]:
@@ -108,37 +112,15 @@ def dual_basis_check(matrices) -> list[str]:
 
 def graph_matrices(g: FlipGraph) -> list:
     """The `facet_matrices` of every facet of g, from its stored distinguished data."""
-    bq, walks = g.ctx.bq, g.ctx.walks
-    gvecs = {w: g_vector(bq, walks[w]) for b in g.ids for w in b}
-    return [
-        (
-            [walks[w] for w in b],
-            [gvecs[w] for w in b],
-            [_c_vector(g.ctx, w, g.data[i]) for w in b],
-        )
-        for i, b in enumerate(g.ids)
-    ]
+    gvecs = _g_vectors(g.ctx, chain(*g.ids))
+    return [_matrices(g.ctx, b, gvecs, g.data[i]) for i, b in enumerate(g.ids)]
 
 
 def d_vectors(g: FlipGraph) -> dict[int, IntVector]:
-    """The d-vector of every bending walk of g, by walk id, each computed once.
-
-    The deep walks are interned into g's context, whose memoized kiss
-    numbers give the coordinates.
-    """
-    ctx = g.ctx
-    q = ctx.q
-    deeps = [ctx.intern(dw) for dw in deep_walks(ctx.bq).values()]  # by vertex
-    out = {}
-    for b in g.ids:
-        for w in b:
-            if w not in out:
-                out[w] = (
-                    basis_vector(q, q.vertices[deeps.index(w)], -1)
-                    if w in deeps
-                    else tuple(ctx.kn(w, d) for d in deeps)
-                )
-    return out
+    """The `_d_vector` of every bending walk of g, by walk id, each computed
+    once in g's context, whose memoized kiss numbers give the coordinates."""
+    deep_ids = _deep_ids(g.ctx)
+    return {w: _d_vector(g.ctx, w, deep_ids) for w in dict.fromkeys(chain(*g.ids))}
 
 
 def sign_coherence_report(g: FlipGraph, matrices) -> list[str]:
@@ -233,7 +215,7 @@ def _wall_normal(shared, witness) -> IntVector | None:
     val = vec_dot(lam, witness)
     if val == 0:
         return None
-    return tuple(lam) if val > 0 else vec_scale(-1, lam)
+    return tuple(lam) if val > 0 else tuple(-x for x in lam)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +246,7 @@ def build_fan(g: FlipGraph) -> Fan:
     """
     if not g.closed:
         raise NotClosed("fan construction needs a closed flip graph")
-    bq, walks = g.ctx.bq, g.ctx.walks
-    gvecs = {w: g_vector(bq, walks[w]) for b in g.ids for w in b}
+    gvecs = _g_vectors(g.ctx, chain(*g.ids))
     d = len(g.quiver.vertices)
     report: list[str] = []
     cones = []
@@ -343,12 +324,13 @@ def build_associahedron(g: FlipGraph) -> Polytope:
     report: list[str] = []
     vertices = []
     for i, bending in enumerate(g.ids):
-        p = zero_vector(q)
+        p = (0,) * d
         for wi in bending:
             if wi not in kn_total:
                 report.append(f"facet walk {ctx.keys[wi]} missing from the universe")
                 continue
-            p = vec_add(p, vec_scale(kn_total[wi], _c_vector(ctx, wi, g.data[i])))
+            kn = kn_total[wi]
+            p = tuple(x + kn * c for x, c in zip(p, _c_vector(ctx, wi, g.data[i])))
         vertices.append(p)
     halfspaces = tuple(zip(normals, bounds))
     # V against H, recording the halfspaces each vertex meets with equality

@@ -1,4 +1,4 @@
-"""Locally gentle bound quivers: validation, blossoming, pruning, Koszul duality.
+"""Locally gentle bound quivers: validation, blossoming, Koszul duality.
 
 A bound quiver is a finite quiver together with a set of length-two
 relations.  All values are immutable; every operation is a pure function.
@@ -306,22 +306,6 @@ def blossom(q: BoundQuiver) -> BlossomQuiver:
         base=q,
         blossom_vertices=frozenset(new_vertices),
         blossom_arrows=frozenset(a for a, _, _ in new_arrows),
-    )
-
-
-def prune(bq: BoundQuiver) -> BoundQuiver:
-    """Delete all leaves of a complete quiver (inverse of blossoming)."""
-    for v in bq.vertices:
-        if bq.degree(v) not in (1, 4):
-            raise NotComplete(f"vertex {v!r} has total degree {bq.degree(v)}")
-    leaves = {v for v in bq.vertices if bq.degree(v) == 1}
-    dead_arrows = {a for a, s, t in bq.arrows if s in leaves or t in leaves}
-    return BoundQuiver(
-        vertices=tuple(v for v in bq.vertices if v not in leaves),
-        arrows=tuple(x for x in bq.arrows if x[0] not in dead_arrows),
-        relations=frozenset(
-            (a, b) for a, b in bq.relations if a not in dead_arrows and b not in dead_arrows
-        ),
     )
 
 

@@ -321,10 +321,6 @@ def _choose(bq: BlossomQuiver, fwd: tuple, bwd: tuple) -> Walk:
     return w
 
 
-def reverse_walk(w: Walk) -> tuple:
-    return (rev_word(w.rtail), rev_word(w.body), rev_word(w.ltail))
-
-
 # ---------------------------------------------------------------------------
 # straight walks, peaks and deeps
 
@@ -416,9 +412,16 @@ def finite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
 
 
 def infinite_straight_walks(bq: BlossomQuiver) -> list[Walk]:
-    """The fully periodic walk of each primitive cycle: every tail unit of
-    the cycle, spun both ways, gives the same walk."""
-    return sorted({canonicalize(bq, u, (), u) for u in bq.tail_units}, key=Walk.serialize)
+    """The fully periodic walk of each primitive cycle, validated and built
+    once: the cycle's lex-min rotation read along the arrows is directed
+    canonical as it stands, and only its reverse is normalized."""
+    out = []
+    for c in primitive_cycles(bq):
+        forward = tuple((a, 1) for a in c)  # the lex-min rotation
+        _validate_word(bq, forward, (), forward)
+        spun = rev_word(forward)
+        out.append(_choose(bq, (forward, (), forward), _directed_canonical(spun, (), spun)))
+    return sorted(out, key=lambda w: w.serialize())
 
 
 def straight_walks(bq: BlossomQuiver) -> list[Walk]:
@@ -458,9 +461,9 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     as the walks are keyed by them.  And no walk that is not fully periodic
     equals its own reverse form: at its middle that would need a letter
     equal to its own inverse, or a pair x x⁻¹, which is unreduced.  So each
-    such walk is reached twice, by two different forms.  Only the fully
-    periodic walks, which growth never reaches, are normalized, and they
-    get their two texts from `_serialize_form`.
+    such walk is reached twice, by two different forms.  Growth never
+    reaches the fully periodic walks: `infinite_straight_walks` builds
+    them, one per primitive cycle.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
@@ -542,11 +545,7 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
         for m in succ[unit[-1]]:
             if m != unit[0]:  # unit[0] stays in the tail
                 start((unit, lpre, bsuf), m)
-    for c in primitive_cycles(bq):
-        forward = tuple((a, 1) for a in c)  # the lex-min rotation
-        _validate_word(bq, forward, (), forward)
-        spun = rev(forward)
-        w = _choose(bq, (forward, (), forward), _directed_canonical(spun, (), spun))
+    for w in infinite_straight_walks(bq):
         walks[w.serialize()] = w
     return [walks[k] for k in sorted(walks)], complete
 

@@ -55,6 +55,10 @@ order of the sides (`next_face`, `start_corner`):
 `union_find_corner_classes` joins corners by union-find over every gluing
 instead of walking rotation orbits, and `all_roots_surface_key` encodes each
 component from every `rs` root in full, with no pruning, on those classes.
+
+Two plain helpers no production path needs live here for the tests:
+`reverse_walk` reads a walk's form backwards, and `prune` deletes the
+leaves of a complete quiver, undoing `blossom`.
 """
 
 from __future__ import annotations
@@ -66,7 +70,14 @@ import networkx as nx
 
 from dataclasses import dataclass
 
-from nonkissing.errors import BoundError, KissingPair, NotMarked, OrderError, SameMarkedWalk
+from nonkissing.errors import (
+    BoundError,
+    KissingPair,
+    NotComplete,
+    NotMarked,
+    OrderError,
+    SameMarkedWalk,
+)
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
@@ -83,6 +94,27 @@ from nonkissing.walks import (
 
 def rev_word(word):
     return tuple((a, -s) for a, s in reversed(word))
+
+
+def reverse_walk(w: Walk) -> tuple:
+    """The (ltail, body, rtail) of w read backwards."""
+    return (rev_word(w.rtail), rev_word(w.body), rev_word(w.ltail))
+
+
+def prune(bq: BoundQuiver) -> BoundQuiver:
+    """Delete all leaves of a complete quiver (inverse of blossoming)."""
+    for v in bq.vertices:
+        if bq.degree(v) not in (1, 4):
+            raise NotComplete(f"vertex {v!r} has total degree {bq.degree(v)}")
+    leaves = {v for v in bq.vertices if bq.degree(v) == 1}
+    dead_arrows = {a for a, s, t in bq.arrows if s in leaves or t in leaves}
+    return BoundQuiver(
+        vertices=tuple(v for v in bq.vertices if v not in leaves),
+        arrows=tuple(x for x in bq.arrows if x[0] not in dead_arrows),
+        relations=frozenset(
+            (a, b) for a, b in bq.relations if a not in dead_arrows and b not in dead_arrows
+        ),
+    )
 
 
 def _letters(bq: BlossomQuiver):

@@ -21,6 +21,7 @@ from nonkissing.geometry import (
     build_associahedron,
     build_fan,
     d_vector,
+    d_vectors,
     dual_basis_check,
     facet_matrices,
     g_vector,
@@ -346,8 +347,13 @@ def test_fan_reports_on_corpus(polytopes):
 
 
 def test_precomputed_matrices_change_nothing():
-    # the matrices read from the stored data equal the facet-by-facet ones
+    # the matrices read from the stored data equal the facet-by-facet ones,
+    # and the d-vectors of the graph's context equal the walk-by-walk ones
     for q in (a_path(3), cycle_quiver(2), loop_quiver()):
         bq = blossom(q)
         g = enumerate_facets(q)
         assert graph_matrices(g) == [facet_matrices(bq, f) for f in g.facets]
+        dvecs = d_vectors(g)
+        for ids in g.ids:
+            for i in ids:
+                assert dvecs[i] == d_vector(bq, g.ctx.walks[i])

@@ -1,4 +1,4 @@
-"""Validation, blossoming, pruning and Koszul duality."""
+"""Validation, blossoming, pruning (an oracle) and Koszul duality."""
 
 import json
 import random
@@ -29,14 +29,13 @@ from nonkissing.quiver import (
     is_isomorphic,
     koszul_dual,
     make_quiver,
-    prune,
     quiver_from_json,
     validate_locally_gentle,
 )
 from nonkissing.surface import SurfaceModel, surface_from_quiver, surfaces_isomorphic
 from nonkissing.walks import letter_src
 
-from oracles import vf2_isomorphic
+from oracles import prune, vf2_isomorphic
 from pyrun import run_python
 
 

@@ -47,7 +47,6 @@ from nonkissing.walks import (
     parse_walk,
     peak_walk,
     primitive_cycles,
-    reverse_walk,
     rev_word,
     serialize_letter,
     straight_walks,
@@ -65,6 +64,7 @@ from oracles import (
     reference_kiss_count,
     reference_strip_minimal,
     reference_tail_units,
+    reverse_walk,
     window_scan_kiss_count,
 )
 from pyrun import run_python
