@@ -18,6 +18,7 @@ from . import families
 from .errors import IncompleteUniverse, NonKissingError, NotClosed, ParseError, QuiverError
 from .facets import (
     FlipGraph,
+    QuiverContext,
     brute_force_facets,
     enumerate_facets,
     verify_distinguished_census,
@@ -53,7 +54,7 @@ from .surface import (
     swap_dissections,
     walk_of_curve,
 )
-from .walks import enumerate_walks
+from .walks import enumerate_walks, has_band
 
 
 def _emit(doc, out: str | None) -> None:
@@ -187,7 +188,12 @@ def cmd_fan(q: BoundQuiver, args) -> tuple[dict, int]:
 
 
 def cmd_polytope(q: BoundQuiver, args) -> tuple[dict, int]:
-    g = enumerate_facets(q, max_facets=args.max_facets)
+    # with a band the walk universe is infinite and no polytope can be built,
+    # so refuse before the flip BFS, which need not close
+    ctx = QuiverContext(blossom(q))
+    if has_band(ctx.bq):
+        raise IncompleteUniverse("polytope construction needs the complete walk set")
+    g = enumerate_facets(q, max_facets=args.max_facets, ctx=ctx)
     poly = build_associahedron(g)
     return {
         "coordinates": list(q.vertices),

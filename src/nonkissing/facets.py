@@ -529,7 +529,9 @@ def deep_facet(bq: BlossomQuiver) -> Facet:
 _REVERSED = {"increasing": "decreasing", "decreasing": "increasing"}
 
 
-def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
+def enumerate_facets(
+    q: BoundQuiver, max_facets: int = 10000, ctx: QuiverContext | None = None
+) -> FlipGraph:
     """BFS closure of flips starting from the peak facet of q, a locally gentle quiver.
 
     The complex is thin, so flipping is an involution: when w in F flips to
@@ -540,10 +542,13 @@ def enumerate_facets(q: BoundQuiver, max_facets: int = 10000) -> FlipGraph:
     facet reached.  Only the start facet's distinguished data is computed
     afresh: a flip that first reaches a facet derives the facet's data from
     the flipped facet's, which differs in one walk (`_derived_data`).
+
+    ctx is the quiver's context; a new one is built when not given.
     """
     if max_facets < 1:
         raise BoundError("max_facets must be at least 1")
-    ctx = QuiverContext(blossom(q))
+    if ctx is None:
+        ctx = QuiverContext(blossom(q))
     start = peak_facet(ctx.bq)
     straights = tuple(map(ctx.intern, start.straights))
     facets = [tuple(map(ctx.intern, start.bending))]

@@ -85,8 +85,10 @@ def parse_letter(text: str) -> Letter:
 class Walk:
     """Canonical undirected walk.
 
-    Built by canonicalize(), or by enumerate_walks() from the same choice
-    of directed form; a Walk built directly is not checked.
+    Built by canonicalize(), which validates its word, or by
+    enumerate_walks(), whose growth builds valid words by construction
+    (the test `test_every_grown_walk_passes_validation` holds the check);
+    a Walk built directly is not checked.
     """
 
     ltail: tuple[Letter, ...]
@@ -451,11 +453,41 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     letter.  Growth carries the text of each prefix of the letters, read
     forwards and backwards, and each start fixes the pieces of its left
     tail, so a walk reached gets the serializations of both its directed
-    forms from a few concatenations.  The first arrival validates the word
-    once and builds the one Walk that `canonicalize` would return, in the
-    direction with the smaller text: only that direction's form is built,
-    and the Walk keeps its text.  The reverse text waits in a pending set
-    for the arrival from the other end.
+    forms from a few concatenations.  The first arrival builds the one Walk
+    that `canonicalize` would return, in the direction with the smaller
+    text: only that direction's form is built, and the Walk keeps its text.
+    The reverse text waits in a pending set for the arrival from the other
+    end.
+
+    Growth builds valid words, so no word is validated again; the test
+    `test_every_grown_walk_passes_validation` keeps the check.  A grown word
+    passes each check of `_validate_word`, and so does its reverse, the
+    form kept when its text is smaller: the pair table is closed under
+    reversal and `tail_units` holds each unit read both ways.
+    - Pairs.  Every appended letter is taken from `succ[last]`, the first
+      letter after a left tail from `succ[unit[-1]]`, and a right tail closes
+      at a letter m of `succ[last]`.  So every adjacent pair of
+      `ltail[-1:] + body + rtail[:1]`, and of each tail read round its wrap,
+      is a legal pair of the table the check reads.
+    - Left tail.  A walk with one is grown from a key of `tail_units`.
+    - Right tail.  letters[j:] closes at a repeat inside the trailing run of
+      one sign, and the run holds no other repeat, since growth would have
+      closed there.  It is a closed cycle of distinct letters of one sign
+      with legal pairs.  A letter has at most one continuation of its own
+      sign (the relation-free next or previous arrow), so the straight ray
+      from letters[j] follows this cycle, and its unit is letters[j:].
+      `tail_units` holds the unit of every letter's ray, so it holds letters[j:].
+    - Tail-free left end.  Growth starts it at `leaf_letter[v]`, whose source
+      is the blossom vertex v.
+    - Tail-free right end.  Growth emits it when `succ[last]` is empty.  The
+      blossoming is complete: every vertex that is not a leaf has two arrows
+      in and two out, and `blossom` pairs its ins with its outs into a
+      relation matching.  So a letter entering such a vertex has two
+      continuations: the other arrow on the side it came in by, with the
+      opposite sign, and the relation-free arrow on the far side, with its
+      own sign.  Only a leaf leaves none, so the target of last is a blossom
+      vertex.
+    - A word holds at least one letter, so it is not empty.
 
     A set of texts loses nothing.  Serializations are injective on forms,
     as the walks are keyed by them.  And no walk that is not fully periodic
@@ -487,7 +519,6 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
             return
         pending.add(bwd_text)
         body, rtail = tuple(letters[:j]), tuple(letters[j:])
-        _validate_word(bq, ltail, body, rtail)
         if fwd_text <= bwd_text:
             w = Walk(ltail, body, rtail)
         else:

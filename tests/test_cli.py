@@ -195,7 +195,7 @@ def test_bound_exceeded_exit_3_with_partial_output(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("polytope", "family:doublecycle:2", "--max-facets", "20"), "a closed flip graph"),
+        (("polytope", "family:apath:4", "--max-facets", "5"), "a closed flip graph"),
         (("fan", "family:doublecycle:2", "--max-facets", "5"), "a closed flip graph"),
         # a closed flip graph whose walk universe has a band
         (("polytope", "family:doublecycle:1"), "the complete walk set"),
@@ -213,10 +213,27 @@ def test_geometry_of_a_capped_input_exits_3(capsys, argv, message):
     assert captured.err == f"error: {argv[0]} construction needs {message}\n"
 
 
+def test_polytope_refuses_a_band_at_default_bounds(monkeypatch, capsys):
+    # without the band check the flip BFS runs to its default cap of 10,000
+    # facets, which takes far longer than this; the stand-in fails at once
+    # instead
+    def bfs(*args, **kwargs):
+        pytest.fail("polytope ran the flip BFS on a band")
+
+    monkeypatch.setattr(cli_module, "enumerate_facets", bfs)
+    start = time.perf_counter()
+    code = main(["polytope", "family:doublecycle:2"])
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: polytope construction needs the complete walk set\n"
+
+
 def test_a_cut_without_a_band_is_a_bug(monkeypatch, capsys):
     # doublecycle:1 has a band; told otherwise, walk_universe grows it and
     # is cut, which reads as a bug (exit 2), not as a bound (exit 3)
     monkeypatch.setattr(walks_module, "has_band", lambda bq: False)
+    monkeypatch.setattr(cli_module, "has_band", lambda bq: False)  # polytope asks first
     bq = blossom(parse_family("family:doublecycle:1"))
     with pytest.raises(GrowthNotClosed, match="^test: walk growth without a band was cut short$"):
         walks_module.walk_universe(bq, "test")

@@ -543,7 +543,10 @@ def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
     bq = blossom(parse_family("family:doublecycle:1"))
     walks, complete = enumerate_walks(bq, 16)
     assert not complete
-    assert calls["_validate_word"] == calls["Walk"] == len(walks) == 3193
+    # growth builds valid words (`test_every_grown_walk_passes_validation`):
+    # only each fully periodic walk is validated
+    assert calls["Walk"] == len(walks) == 3193
+    assert calls["_validate_word"] == len(primitive_cycles(bq))
     assert calls["_directed_canonical"] <= len(primitive_cycles(bq)) == 1
     # the text a walk is given is the text it would build: growth assembles
     # it from prefix texts, not from the walk's form
@@ -553,6 +556,34 @@ def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
             assert w.serialize() == _serialize_form(
                 w.ltail, w.body, w.rtail, serialize_letter
             ), name
+
+
+def _validation_cases():
+    # 381 cases: the corpus, the families at four bounds, 150 random quivers
+    for name, q in corpus().items():
+        for bound in (4, 8, 12):
+            yield f"{name}-{bound}", q, bound
+    for spec in (
+        "doublecycle:1", "doublecycle:2", "doublecycle:3", "doublepath:2",
+        "doublepath:3", "doublepath:4", "apath:4", "cycle:3", "reversedpath:3",
+    ):
+        for bound in (4, 8, 12, 16):
+            yield f"{spec}-{bound}", parse_family(f"family:{spec}"), bound
+    for seed in range(150):
+        for bound in (4, 8):
+            yield f"random{seed}-{bound}", random_locally_gentle(random.Random(seed), 5), bound
+
+
+def test_every_grown_walk_passes_validation():
+    # enumerate_walks validates no word it grows (its docstring argues why);
+    # this test holds the check it would have made
+    cases = 0
+    for name, q, bound in _validation_cases():
+        bq = blossom(q)
+        for w in enumerate_walks(bq, bound)[0]:
+            walks_module._validate_word(bq, w.ltail, w.body, w.rtail)
+        cases += 1
+    assert cases == 381
 
 
 def test_no_enumerated_walk_is_its_own_reverse_form():
