@@ -20,7 +20,6 @@ from .walks import (
     enumerate_walks,
     kiss_count,
     kissing,
-    parse_walk,
     peak_walk,
     primitive_cycles,
     straight_walks,
@@ -33,9 +32,7 @@ from .facets import (
     QuiverContext,
     brute_force_facets,
     countercurrent_less,
-    distinguished_data,
     enumerate_facets,
-    flip,
     maximal_cliques,
     peak_facet,
     deep_facet,
@@ -46,7 +43,6 @@ from .facets import (
 from .geometry import (
     build_associahedron,
     build_fan,
-    d_vector,
     dual_basis_check,
     g_vector,
 )

@@ -25,11 +25,9 @@ from .errors import (
     FlipCheckFailed,
     FlipFailed,
     KissingPair,
-    NotBending,
     NotClosed,
     NotMarked,
     NotMaximalFacet,
-    NotMember,
     OrderError,
     SameMarkedWalk,
 )
@@ -243,7 +241,7 @@ def _countercurrent_max(ctx: QuiverContext, marks: list[Mark], arrow: str) -> Ma
     return best
 
 
-def _data(ctx: QuiverContext, ids) -> dict[str, Mark]:
+def distinguished_data(ctx: QuiverContext, ids) -> dict[str, Mark]:
     """The distinguished mark at every arrow marked by one of the walks ids."""
     marks: dict[str, list[Mark]] = {}
     for i in ids:
@@ -259,8 +257,8 @@ def _data(ctx: QuiverContext, ids) -> dict[str, Mark]:
 def _derived_data(
     ctx: QuiverContext, ids, parent: dict[str, Mark], old: int, new: int
 ) -> dict[str, Mark]:
-    """`_data` of the facet whose walks are ids, reached by exchanging walk
-    old for new in a facet whose distinguished data is parent.
+    """`distinguished_data` of the facet whose walks are ids, reached by
+    exchanging walk old for new in a facet whose distinguished data is parent.
 
     Only the arrows that old or new marks can change: elsewhere the
     parent's mark is not on old and new adds none.  The countercurrent
@@ -309,13 +307,6 @@ def make_facet(bending, straights) -> Facet:
         bending=tuple(sorted(set(bending), key=Walk.serialize)),
         straights=tuple(sorted(set(straights), key=Walk.serialize)),
     )
-
-
-def distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict[str, Marked]:
-    """The distinguished (walk, position) at every arrow of the blossoming quiver."""
-    ctx = QuiverContext(bq)
-    data = _data(ctx, [ctx.intern(w) for w in facet.walks])
-    return {a: (ctx.walks[i], g) for a, (i, g) in data.items()}
 
 
 @dataclass(frozen=True)
@@ -374,28 +365,14 @@ def _companion(bq: BlossomQuiver, letter: Letter) -> str:
     return cands[0]
 
 
-def flip(bq: BlossomQuiver, facet: Facet, w: Walk):
-    """Exchange the bending walk w, returning (new facet, new walk, direction).
+def flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
+    """Exchange the bending walk wi of the facet whose walks are ids,
+    returning (new walk id, direction).
 
-    direction is 'increasing' when the distinguished substring of w lies on
-    top of w, 'decreasing' otherwise.  The result is checked against the
-    facet, as the BFS checks it.
-    """
-    if w not in facet.walks:
-        raise NotMember(f"walk {w.serialize()!r} not in facet")
-    if w.is_straight:
-        raise NotBending("only bending walks can be flipped")
-    ctx = QuiverContext(bq)
-    ids = [ctx.intern(x) for x in facet.walks]
-    new, direction = _flip(ctx, ids, _data(ctx, ids), ctx.intern(w), True)
-    w2 = ctx.walks[new]
-    return make_facet(set(facet.bending) - {w} | {w2}, facet.straights), w2, direction
-
-
-def _flip(ctx: QuiverContext, ids, data: dict[str, Mark], wi: int, check: bool):
-    """`flip` on ids: exchange walk wi of the facet whose walks are ids.
-
-    data is the facet's distinguished data; returns (new walk id, direction).
+    data is the facet's distinguished data.  direction is 'increasing' when
+    the distinguished substring of wi lies on top of wi, 'decreasing'
+    otherwise.  With check the new walk must kiss wi and no other walk of
+    the facet, as the BFS checks every flip it computes.
     The distinguished marks mu and nu at the partner arrows are the
     countercurrent maxima over the facet's other walks: data's marks there
     when they are not on wi, else a scan of the other walks.  The walk built
@@ -555,7 +532,7 @@ def enumerate_facets(
     if any(ctx.kn(i, j) for i in facets[0] for j in facets[0]):
         raise FlipCheckFailed("the peak facet has a kissing pair")
     index = {facets[0]: 0}
-    data = [_data(ctx, facets[0] + straights)]
+    data = [distinguished_data(ctx, facets[0] + straights)]
     edges: list[FlipEdge] = []
     # (facet index, walk id) -> (new walk id, direction), known from the reverse flip
     reverse: dict[tuple[int, int], tuple[int, str]] = {}
@@ -565,7 +542,7 @@ def enumerate_facets(
         marks = data[head]
         for w in bending:
             recorded = reverse.pop((head, w), None)
-            new, direction = recorded or _flip(ctx, ids, marks, w, True)
+            new, direction = recorded or flip(ctx, ids, marks, w, True)
             target = _exchange(ctx, bending, w, new)
             j = index.get(target)
             if j is None:
@@ -676,13 +653,13 @@ def verify_thinness(g: FlipGraph) -> list[str]:
     report = []
     for i, bending in enumerate(g.ids):
         for w in bending:
-            w2, d = _flip(ctx, bending + g.straights, g.data[i], w, False)
+            w2, d = flip(ctx, bending + g.straights, g.data[i], w, False)
             b2 = _exchange(ctx, bending, w, w2)
             j = index.get(b2)
             if j is None:
                 report.append(f"facet {i}: flip at {ctx.keys[w]} leaves the graph")
                 continue
-            w3, d3 = _flip(ctx, b2 + g.straights, g.data[j], w2, False)
+            w3, d3 = flip(ctx, b2 + g.straights, g.data[j], w2, False)
             if _exchange(ctx, b2, w2, w3) != bending or w3 != w:
                 report.append(f"facet {i}: flip at {ctx.keys[w]} is not an involution")
             if {d, d3} != {"increasing", "decreasing"}:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import NotClosed, VHMismatch
-from .facets import Facet, FlipGraph, Mark, QuiverContext, _data
+from .facets import FlipGraph, Mark, QuiverContext
 from .quiver import BlossomQuiver, BoundQuiver
-from .walks import Walk, corner_profile, deep_walks
+from .walks import Walk, corner_profile, deep_walks, total_kissing_number
 
 IntVector = tuple[int, ...]
 
@@ -51,7 +51,7 @@ def _c_vector(ctx: QuiverContext, wi: int, data: dict[str, Mark]) -> IntVector:
     return vertex_vector(ctx.q, ((v, sign) for v in ds.vertices))
 
 
-def _d_vector(ctx: QuiverContext, wi: int, deep_ids: list[int]) -> IntVector:
+def d_vector(ctx: QuiverContext, wi: int, deep_ids: list[int]) -> IntVector:
     """The d-vector of walk id wi, where deep_ids are the ids of the deep
     walks in coordinate order: minus the basis vector of v on the deep walk
     of v, else the kiss numbers of wi on the deep walks."""
@@ -65,13 +65,7 @@ def _deep_ids(ctx: QuiverContext) -> list[int]:
     return [ctx.intern(dw) for dw in deep_walks(ctx.bq).values()]
 
 
-def d_vector(bq: BlossomQuiver, w: Walk) -> IntVector:
-    """The d-vector of w (`_d_vector`), computed in a new context."""
-    ctx = QuiverContext(bq)
-    return _d_vector(ctx, ctx.intern(w), _deep_ids(ctx))
-
-
-def _matrices(ctx: QuiverContext, ids, gvecs, data: dict[str, Mark]):
+def facet_matrices(ctx: QuiverContext, ids, gvecs, data: dict[str, Mark]):
     """(walks, G, C) of the facet with bending walk ids ids, in that column
     order, from its g-vectors by id and its distinguished data."""
     return (
@@ -81,21 +75,10 @@ def _matrices(ctx: QuiverContext, ids, gvecs, data: dict[str, Mark]):
     )
 
 
-def facet_matrices(bq: BlossomQuiver, facet: Facet):
-    """(walks, G, C) with matching column order over the bending walks.
-
-    The facet's walks are interned into one new context.
-    """
-    ctx = QuiverContext(bq)
-    ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
-    bending = ids[: len(facet.bending)]
-    return _matrices(ctx, bending, _g_vectors(ctx, bending), _data(ctx, ids))
-
-
 def dual_basis_check(matrices) -> list[str]:
     """Pairings of g- and c-vectors over a facet must form the identity.
 
-    matrices is the facet's `facet_matrices`, or its entry of `graph_matrices`.
+    matrices is the facet's `facet_matrices`, as `graph_matrices` lists them.
     """
     walks, gs, cs = matrices
     report = []
@@ -113,14 +96,14 @@ def dual_basis_check(matrices) -> list[str]:
 def graph_matrices(g: FlipGraph) -> list:
     """The `facet_matrices` of every facet of g, from its stored distinguished data."""
     gvecs = _g_vectors(g.ctx, chain(*g.ids))
-    return [_matrices(g.ctx, b, gvecs, g.data[i]) for i, b in enumerate(g.ids)]
+    return [facet_matrices(g.ctx, b, gvecs, g.data[i]) for i, b in enumerate(g.ids)]
 
 
 def d_vectors(g: FlipGraph) -> dict[int, IntVector]:
-    """The `_d_vector` of every bending walk of g, by walk id, each computed
+    """The `d_vector` of every bending walk of g, by walk id, each computed
     once in g's context, whose memoized kiss numbers give the coordinates."""
     deep_ids = _deep_ids(g.ctx)
-    return {w: _d_vector(g.ctx, w, deep_ids) for w in dict.fromkeys(chain(*g.ids))}
+    return {w: d_vector(g.ctx, w, deep_ids) for w in dict.fromkeys(chain(*g.ids))}
 
 
 def sign_coherence_report(g: FlipGraph, matrices) -> list[str]:
@@ -318,8 +301,7 @@ def build_associahedron(g: FlipGraph) -> Polytope:
     uids = ctx.universe("polytope construction")
     d = len(q.vertices)
     normals = [g_vector(bq, ctx.walks[i]) for i in uids]
-    # KN(w) = sum of kn(w, w') + kn(w', w) over the universe, each kn once
-    bounds = [sum(ctx.kn(i, j) + ctx.kn(j, i) for j in uids) for i in uids]
+    bounds = [total_kissing_number(ctx.kn, i, uids) for i in uids]
     kn_total = dict(zip(uids, bounds))
     report: list[str] = []
     vertices = []

@@ -543,18 +543,15 @@ class CrossingSequence:
     """Combinatorial curve: dissection-edge crossings with the angles between.
 
     Ends are ('B', blossom leaf) markers on the boundary or
-    ('P', cycle, sign) spiral markers at punctures.
+    ('P', cycle, sign) spiral markers at punctures.  quiver is the base
+    quiver of the blossoming the curve was read on.
     """
 
-    quiver_key: tuple
+    quiver: BoundQuiver
     left: tuple
     crossings: tuple[str, ...]
     angles: tuple[Letter, ...]
     right: tuple
-
-
-def _quiver_key(q: BoundQuiver) -> tuple:
-    return (q.vertices, q.arrows, tuple(sorted(q.relations)))
 
 
 def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
@@ -581,7 +578,7 @@ def curve_of_walk(bq: BlossomQuiver, w: Walk) -> CrossingSequence:
     else:
         crossings = [letter_tgt(bq, w.body[0])]
     return CrossingSequence(
-        quiver_key=_quiver_key(bq.base),
+        quiver=bq.base,
         left=left,
         crossings=tuple(crossings),
         angles=tuple(core),
@@ -593,7 +590,7 @@ def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
     """Invert curve_of_walk.  The tail phase at a spiral end is the unique
     rotation of the cycle whose junction with the rest of the word is a
     legal string factor."""
-    if c.quiver_key != _quiver_key(bq.base):
+    if c.quiver != bq.base:
         raise DifferentSurface("crossing sequence belongs to a different surface")
     for x, y in zip(c.angles, c.angles[1:]):
         if pair_reason(bq, x, y) == "unreduced":

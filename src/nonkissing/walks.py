@@ -75,12 +75,6 @@ def serialize_letter(letter: Letter) -> str:
     return f"{letter[0]}{'+' if letter[1] > 0 else '-'}"
 
 
-def parse_letter(text: str) -> Letter:
-    if len(text) < 2 or text[-1] not in "+-":
-        raise ParseError(f"bad letter {text!r}")
-    return (text[:-1], 1 if text[-1] == "+" else -1)
-
-
 @dataclass(frozen=True)
 class Walk:
     """Canonical undirected walk.
@@ -166,31 +160,6 @@ def _serialize_form(ltail, body, rtail, text) -> str:
         parts.append("|")
         parts.append("( " + " ".join(map(text, rtail)) + " )")
     return " ".join(parts)
-
-
-def parse_walk(bq: BlossomQuiver, text: str) -> Walk:
-    """Read `[TAIL "|"] LETTER* ["|" TAIL]`: a bar stands only beside a tail."""
-    parts: list[list[str]] = [[]]
-    for tok in text.split():
-        if tok == "|":
-            parts.append([])
-        else:
-            parts[-1].append(tok)
-    if len(parts) > 3:
-        raise ParseError(f"more than two | in walk {text!r}")
-    ltail = rtail = ()
-    if len(parts) == 3 or (len(parts) == 2 and parts[0][:1] == ["("]):
-        ltail = _parse_tail(parts.pop(0))
-    if len(parts) == 2:
-        rtail = _parse_tail(parts.pop())
-    (body,) = parts
-    return canonicalize(bq, ltail, tuple(map(parse_letter, body)), rtail)
-
-
-def _parse_tail(toks: list[str]) -> tuple[Letter, ...]:
-    if len(toks) < 3 or toks[0] != "(" or toks[-1] != ")":
-        raise ParseError(f"expected a tail ( LETTER+ ) beside |, got {' '.join(toks)!r}")
-    return tuple(map(parse_letter, toks[1:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -642,12 +611,11 @@ class Window:
     blossoming.
     """
 
-    __slots__ = ("word", "start", "end", "periods", "zones", "_firsts", "_seconds")
+    __slots__ = ("word", "start", "end", "zones", "_firsts", "_seconds")
 
     def __init__(self, w: Walk, n: int):
         self.word, self.start, self.end = _unrolled(w, n)
-        self.periods = len(w.ltail), len(w.rtail)
-        zones = [(0, self.start, self.periods[0]), (self.end, len(self.word), self.periods[1])]
+        zones = [(0, self.start, len(w.ltail)), (self.end, len(self.word), len(w.rtail))]
         self.zones = [z for z in zones if z[2]]
         self._firsts = self._seconds = None
 
@@ -663,22 +631,20 @@ class Window:
     def seconds(self) -> tuple[tuple, tuple]:
         """(word, run-start dict, zones) of the word read forwards and of the
         word reversed, as the second word.  Reversed, the tail zones swap
-        ends and the left tail runs on to the end."""
+        ends and the left tail runs on to the end.  The reversed word holds
+        one inverse object per distinct letter, as the forward word does:
+        the window keeps both for the life of its walk."""
         if self._seconds is None:
             x, start, end = self.word, self.start, self.end
-            (lp, rp), size = self.periods, len(x)
-            rx = _rev_periods(x[end:], rp) + rev_word(x[start:end]) + _rev_periods(x[:start], lp)
+            size = len(x)
+            inverse = {letter: inv(letter) for letter in set(x)}
+            rx = tuple(map(inverse.__getitem__, reversed(x)))
             rzones = [(size - b, size - a, p) for a, b, p in self.zones]
             self._seconds = (
                 (x, _run_starts(x, end), self.zones),
                 (rx, _run_starts(rx, size - start), rzones),
             )
         return self._seconds
-
-
-def _rev_periods(x: tuple[Letter, ...], p: int) -> tuple[Letter, ...]:
-    """rev_word of x, whole periods of length p: its first period reversed, repeated."""
-    return rev_word(x[:p]) * (len(x) // p) if p else ()
 
 
 def _pumped(i: int, j: int, k: int, zones1, zones2) -> bool:
@@ -761,9 +727,11 @@ def kn_pair(bq: BlossomQuiver, w1: Walk, w2: Walk) -> int:
     return kiss_count(bq, w1, w2) + kiss_count(bq, w2, w1)
 
 
-def total_kissing_number(bq: BlossomQuiver, w: Walk) -> int:
-    """KN(w): sum of KN(w, w') over the complete walk universe, w' = w included."""
-    return sum(kn_pair(bq, w, other) for other in walk_universe(bq, "total kissing number"))
+def total_kissing_number(kn, w, universe) -> int:
+    """KN(w): the sum of kn(w, x) + kn(x, w) over the walks x of universe,
+    x = w included.  kn is a kiss number such as `QuiverContext.kn`, and w
+    and universe are what it reads: walk ids of a context, say."""
+    return sum(kn(w, x) + kn(x, w) for x in universe)
 
 
 # ---------------------------------------------------------------------------

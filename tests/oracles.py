@@ -56,9 +56,14 @@ order of the sides (`next_face`, `start_corner`):
 instead of walking rotation orbits, and `all_roots_surface_key` encodes each
 component from every `rs` root in full, with no pruning, on those classes.
 
-Two plain helpers no production path needs live here for the tests:
-`reverse_walk` reads a walk's form backwards, and `prune` deletes the
-leaves of a complete quiver, undoing `blossom`.
+Plain helpers no production path needs live here for the tests:
+`reverse_walk` reads a walk's form backwards, `parse_walk` reads a walk's
+serialization back, and `prune` deletes the leaves of a complete quiver,
+undoing `blossom`.  The flip engine works on walk ids inside a
+`QuiverContext`; `flip_facet`, `facet_distinguished_data`,
+`walk_facet_matrices`, `walk_d_vector` and `walk_total_kissing_number` take
+walks and facets instead, build a new context and call the one routine
+there.
 """
 
 from __future__ import annotations
@@ -73,22 +78,29 @@ from dataclasses import dataclass
 from nonkissing.errors import (
     BoundError,
     KissingPair,
+    NotBending,
     NotComplete,
     NotMarked,
+    NotMember,
     OrderError,
+    ParseError,
     SameMarkedWalk,
 )
+from nonkissing.facets import Facet, QuiverContext, distinguished_data, flip, make_facet
+from nonkissing.geometry import d_vector, facet_matrices, g_vector
 from nonkissing.quiver import BlossomQuiver, BoundQuiver
 from nonkissing.surface import next_face, start_corner
 from nonkissing.walks import (
     Letter,
     Walk,
     canonicalize,
+    deep_walks,
     inv,
     letter_tgt,
     pair_ok,
     primitive_cycles,
     span,
+    total_kissing_number,
 )
 
 
@@ -99,6 +111,81 @@ def rev_word(word):
 def reverse_walk(w: Walk) -> tuple:
     """The (ltail, body, rtail) of w read backwards."""
     return (rev_word(w.rtail), rev_word(w.body), rev_word(w.ltail))
+
+
+def parse_letter(text: str) -> Letter:
+    if len(text) < 2 or text[-1] not in "+-":
+        raise ParseError(f"bad letter {text!r}")
+    return (text[:-1], 1 if text[-1] == "+" else -1)
+
+
+def parse_walk(bq: BlossomQuiver, text: str) -> Walk:
+    """Read `[TAIL "|"] LETTER* ["|" TAIL]`: a bar stands only beside a tail."""
+    parts: list[list[str]] = [[]]
+    for tok in text.split():
+        if tok == "|":
+            parts.append([])
+        else:
+            parts[-1].append(tok)
+    if len(parts) > 3:
+        raise ParseError(f"more than two | in walk {text!r}")
+    ltail = rtail = ()
+    if len(parts) == 3 or (len(parts) == 2 and parts[0][:1] == ["("]):
+        ltail = _parse_tail(parts.pop(0))
+    if len(parts) == 2:
+        rtail = _parse_tail(parts.pop())
+    (body,) = parts
+    return canonicalize(bq, ltail, tuple(map(parse_letter, body)), rtail)
+
+
+def _parse_tail(toks: list[str]) -> tuple[Letter, ...]:
+    if len(toks) < 3 or toks[0] != "(" or toks[-1] != ")":
+        raise ParseError(f"expected a tail ( LETTER+ ) beside |, got {' '.join(toks)!r}")
+    return tuple(map(parse_letter, toks[1:-1]))
+
+
+def flip_facet(bq: BlossomQuiver, facet: Facet, w: Walk):
+    """`flip` of the bending walk w of facet, with the new walk checked
+    against the facet: (new facet, new walk, direction)."""
+    if w not in facet.walks:
+        raise NotMember(f"walk {w.serialize()!r} not in facet")
+    if w.is_straight:
+        raise NotBending("only bending walks can be flipped")
+    ctx = QuiverContext(bq)
+    ids = [ctx.intern(x) for x in facet.walks]
+    new, direction = flip(ctx, ids, distinguished_data(ctx, ids), ctx.intern(w), True)
+    w2 = ctx.walks[new]
+    return make_facet(set(facet.bending) - {w} | {w2}, facet.straights), w2, direction
+
+
+def facet_distinguished_data(bq: BlossomQuiver, facet: Facet) -> dict:
+    """`distinguished_data` of facet, arrow -> (walk, position)."""
+    ctx = QuiverContext(bq)
+    data = distinguished_data(ctx, [ctx.intern(w) for w in facet.walks])
+    return {a: (ctx.walks[i], g) for a, (i, g) in data.items()}
+
+
+def walk_facet_matrices(bq: BlossomQuiver, facet: Facet):
+    """`facet_matrices` of facet: (walks, G, C) over its bending walks."""
+    ctx = QuiverContext(bq)
+    ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
+    bending = ids[: len(facet.bending)]
+    gvecs = {i: g_vector(bq, ctx.walks[i]) for i in bending}
+    return facet_matrices(ctx, bending, gvecs, distinguished_data(ctx, ids))
+
+
+def walk_d_vector(bq: BlossomQuiver, w: Walk) -> tuple[int, ...]:
+    """`d_vector` of w."""
+    ctx = QuiverContext(bq)
+    wi = ctx.intern(w)
+    return d_vector(ctx, wi, [ctx.intern(dw) for dw in deep_walks(bq).values()])
+
+
+def walk_total_kissing_number(bq: BlossomQuiver, w: Walk) -> int:
+    """`total_kissing_number` of w over the complete walk universe."""
+    ctx = QuiverContext(bq)
+    wi = ctx.intern(w)
+    return total_kissing_number(ctx.kn, wi, ctx.universe("total kissing number"))
 
 
 def prune(bq: BoundQuiver) -> BoundQuiver:

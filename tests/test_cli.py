@@ -16,7 +16,7 @@ from nonkissing import quiver as quiver_module
 from nonkissing import surface as surface_module
 from nonkissing import walks as walks_module
 from nonkissing.cli import build_parser, main
-from nonkissing.families import a_path, parse_family, random_locally_gentle
+from nonkissing.families import a_path, cycle_quiver, parse_family, random_locally_gentle
 from nonkissing.errors import GrowthNotClosed, ParseError
 from nonkissing.quiver import blossom, canonical_key, koszul_dual, make_quiver, quiver_from_dict
 from nonkissing.walks import peak_walk
@@ -367,6 +367,36 @@ def test_benchmark_traced_names_resolve():
     for layer, cls, name in tracing["METHODS"]:
         module = importlib.import_module(f"nonkissing.{layer}")
         assert name in vars(getattr(module, cls)), f"{layer}.{cls}.{name}"
+
+
+def test_benchmark_traced_names_are_reached_by_the_cli(capsys, tmp_path):
+    # every function the tracer wraps by name is one these commands call,
+    # bar the four below
+    tracing = runpy.run_path(str(BENCH / "tracing.py"))  # no bytecode cache
+    path = tmp_path / "cycle2.json"
+    path.write_text(cycle_quiver(2).to_json())
+    commands = (
+        (["selfcheck"], 0),
+        (["vectors", "family:apath:3"], 0),
+        (["polytope", "family:apath:3"], 0),
+        (["walks", "family:doublecycle:1", "--body-bound", "6"], 3),
+        (["roundtrip", "family:doublecycle:2"], 0),
+        (["surface", str(path)], 0),
+        (["dual", str(path)], 0),
+    )
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        codes = [main(argv) for argv, _ in commands]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [code for _, code in commands]
+    called = {span[3] for span in tracer.take()}
+    traced = {f"{layer}.{name}" for layer, names in tracing["TRACED"].items() for name in names}
+    assert traced - called == {
+        "quiver.canonical_key", "walks.kissing", "walks.kn_pair", "surface.crossing_count",
+    }
 
 
 GOLDENS = BENCH / "goldens.json"

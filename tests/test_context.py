@@ -13,7 +13,6 @@ from nonkissing.facets import (
     Facet,
     QuiverContext,
     countercurrent_less,
-    distinguished_data,
     enumerate_facets,
     flip,
     peak_facet,
@@ -38,7 +37,12 @@ from nonkissing.geometry import (
 from nonkissing.quiver import blossom, make_quiver
 from nonkissing.walks import Walk, kiss_count
 
-from oracles import reference_countercurrent_less, walk_letter
+from oracles import (
+    facet_distinguished_data,
+    flip_facet,
+    reference_countercurrent_less,
+    walk_letter,
+)
 from pyrun import run_python
 
 FINITE = (
@@ -92,14 +96,14 @@ def _record_windows(monkeypatch) -> list[Walk]:
 
 
 def test_kernels_run_once_per_distinct_argument(monkeypatch):
-    calls = _count_calls(monkeypatch, "kiss_count", "countercurrent_less", "_data")
+    calls = _count_calls(monkeypatch, "kiss_count", "countercurrent_less", "distinguished_data")
     windows = _record_windows(monkeypatch)
     g = enumerate_facets(a_path(6))
     assert len(g.facets) == 429 and g.closed
     assert calls["kiss_count"] <= 1080
     assert calls["countercurrent_less"] <= 410
     # only the start facet's data is computed afresh; the others' are derived
-    assert calls["_data"] == 1
+    assert calls["distinguished_data"] == 1
     # type A walks have no tails: one window per walk serves every length
     assert len(windows) == len(set(windows)) <= len(g.ctx.walks)
 
@@ -145,15 +149,15 @@ def test_warm_window_tables_give_the_fresh_kernel_results():
 
 
 def test_capped_graph_derives_its_data(monkeypatch):
-    calls = _count_calls(monkeypatch, "countercurrent_less", "_data")
+    calls = _count_calls(monkeypatch, "countercurrent_less", "distinguished_data")
     g = enumerate_facets(double_cycle(2), max_facets=40)
     assert len(g.facets) == 40 and not g.closed
     assert calls["countercurrent_less"] <= 1042
-    assert calls["_data"] == 1
+    assert calls["distinguished_data"] == 1
 
 
 def test_each_edge_is_flipped_once(monkeypatch):
-    calls = {"_flip": 0, "_construct": 0}
+    calls = {"flip": 0, "_construct": 0}
     for name in calls:
         step = getattr(facets_module, name)
 
@@ -164,7 +168,7 @@ def test_each_edge_is_flipped_once(monkeypatch):
         monkeypatch.setattr(facets_module, name, counted)
     g = enumerate_facets(a_path(6))
     assert len(g.facets) == 429 and g.closed
-    assert calls["_flip"] == len(g.edges) // 2 <= 1287
+    assert calls["flip"] == len(g.edges) // 2 <= 1287
     assert calls["_construct"] <= 252
 
 
@@ -174,14 +178,13 @@ def test_thinness_report_sees_a_broken_involution(monkeypatch):
     ctx, edge = g.ctx, g.edges[0]
     walk_in = ctx.keys.index(edge.walk_in)
     target = g.ids[edge.target] + g.straights
-    flip_ids = facets_module._flip
 
     def broken(ctx, ids, data, wi, check):
         if ids == target and wi == walk_in:
             return wi, "decreasing"  # the flipped walk stays
-        return flip_ids(ctx, ids, data, wi, check)
+        return flip(ctx, ids, data, wi, check)
 
-    monkeypatch.setattr(facets_module, "_flip", broken)
+    monkeypatch.setattr(facets_module, "flip", broken)
     report = verify_thinness(g)
     assert f"facet {edge.source}: flip at {edge.walk_out} is not an involution" in report
 
@@ -209,8 +212,8 @@ def fake_flip(ctx, ids, data, wi, check):
         })
     return table[bending, wi], "increasing"
 
-facets._flip = fake_flip
-facets._data = lambda ctx, ids: {}
+facets.flip = fake_flip
+facets.distinguished_data = lambda ctx, ids: {}
 try:
     facets.enumerate_facets(a_path(2))
 except FlipFailed as exc:
@@ -249,13 +252,13 @@ def test_stored_data_matches_fresh_distinguished_data(derived_data_graphs):
         assert len(g.data) == len(g.facets)
         for i, f in enumerate(g.facets):
             stored = {a: (g.ctx.walks[w], p) for a, (w, p) in g.data[i].items()}
-            assert stored == distinguished_data(g.ctx.bq, f)
+            assert stored == facet_distinguished_data(g.ctx.bq, f)
 
 
 def test_flip_partners_are_the_maxima_over_the_other_walks(
     monkeypatch, derived_data_graphs
 ):
-    # `_flip` reads mu and nu off the facet's data where that data's mark is
+    # `flip` reads mu and nu off the facet's data where that data's mark is
     # not on the flipped walk; the oracle order must put each of them above
     # every other mark at its partner arrow on the facet's other walks
     flips, seen = 0, []
@@ -266,7 +269,7 @@ def test_flip_partners_are_the_maxima_over_the_other_walks(
             ids = bending + g.straights
             for wi in bending:
                 _, alpha_p, beta_p = ctx.substring(wi, g.data[i])
-                facets_module._flip(ctx, ids, g.data[i], wi, False)
+                flip(ctx, ids, g.data[i], wi, False)
                 for (x, p), arrow in zip(seen.pop(), (alpha_p, beta_p)):
                     best = (ctx.walks[x], p)
                     assert x in ids and x != wi and p in ctx.marks[x][arrow]
@@ -370,15 +373,17 @@ def test_reports_read_the_context(monkeypatch):
 # partner arrow of the flipped walk's distinguished substring
 CORRUPT = """
 from nonkissing.errors import FacetError
-from nonkissing.facets import Facet, flip, peak_facet
+from nonkissing.facets import Facet, peak_facet
 from nonkissing.families import a_path
 from nonkissing.quiver import blossom
+
+from oracles import flip_facet
 
 bq = blossom(a_path(3))
 facet = peak_facet(bq)
 bad = Facet(facet.bending, ())
 try:
-    flip(bq, bad, bad.bending[0])
+    flip_facet(bq, bad, bad.bending[0])
 except FacetError as exc:
     print(type(exc).__name__)
 """
@@ -389,7 +394,7 @@ def test_corrupted_facet_raises_facet_error():
     facet = peak_facet(bq)
     bad = Facet(facet.bending, ())
     with pytest.raises(FlipFailed):
-        flip(bq, bad, bad.bending[0])
+        flip_facet(bq, bad, bad.bending[0])
     assert issubclass(FlipFailed, FacetError)
 
 

@@ -18,9 +18,7 @@ from nonkissing.errors import (
 from nonkissing.facets import (
     Facet,
     QuiverContext,
-    _data,
     _exchange,
-    _flip,
     brute_force_facets,
     countercurrent_less,
     deep_facet,
@@ -53,7 +51,11 @@ from nonkissing.walks import (
     walk_uses_cycle,
 )
 
-from oracles import reference_countercurrent_less
+from oracles import (
+    facet_distinguished_data,
+    flip_facet,
+    reference_countercurrent_less,
+)
 from pyrun import run_python
 
 # frozen facet counts: A2 and A3 as stated by the acceptance criteria, the
@@ -192,7 +194,7 @@ def test_unmarked_positions_rejected():
 def test_distinguished_walk_singleton_and_empty():
     bq = blossom(a_path(2))
     # a blossom arrow crossed by a single walk
-    only = distinguished_data(bq, Facet((peak_walk(bq, "v1"),), ()))
+    only = facet_distinguished_data(bq, Facet((peak_walk(bq, "v1"),), ()))
     assert only["v1+out1"][0] == peak_walk(bq, "v1")
     assert "v2+out1" not in only
 
@@ -244,8 +246,8 @@ def test_flip_is_an_involution_with_reversed_direction(graphs):
     for name, (bq, g) in graphs.items():
         for facet in g.facets:
             for w in facet.bending:
-                f2, w2, d = flip(bq, facet, w)
-                f3, w3, d3 = flip(bq, f2, w2)
+                f2, w2, d = flip_facet(bq, facet, w)
+                f3, w3, d3 = flip_facet(bq, f2, w2)
                 assert f3.key == facet.key
                 assert w3 == w
                 assert {d, d3} == {"increasing", "decreasing"}
@@ -273,7 +275,7 @@ def test_flip_is_an_involution_on_capped_and_random_graphs():
         for e in g.edges:
             old, new = by_key[e.walk_out], by_key[e.walk_in]
             target = g.ids[e.target]
-            back, d = _flip(ctx, target + g.straights, g.data[e.target], new, True)
+            back, d = flip(ctx, target + g.straights, g.data[e.target], new, True)
             assert back == old
             assert {d, e.direction} == {"increasing", "decreasing"}
             assert _exchange(ctx, target, new, back) == g.ids[e.source]
@@ -284,7 +286,7 @@ def test_flip_rejects_straight_walks():
     bq = blossom(a_path(2))
     facet = peak_facet(bq)
     with pytest.raises(NotBending):
-        flip(bq, facet, facet.straights[0])
+        flip_facet(bq, facet, facet.straights[0])
 
 
 @pytest.mark.parametrize("wrong", [False, True])
@@ -296,10 +298,10 @@ def test_flip_check_raises_when_kissing_disagrees(monkeypatch, wrong):
     facet = peak_facet(bq)
     monkeypatch.setattr(facets_module, "kiss_count", lambda bq, w1, w2: int(wrong))
     with pytest.raises(FlipCheckFailed):
-        flip(bq, facet, facet.bending[0])
+        flip_facet(bq, facet, facet.bending[0])
     ctx = QuiverContext(bq)
     ids = [ctx.intern(w) for w in facet.walks]  # the bending walks come first
-    _flip(ctx, ids, _data(ctx, ids), ids[0], False)
+    flip(ctx, ids, distinguished_data(ctx, ids), ids[0], False)
 
 
 def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
@@ -318,14 +320,15 @@ def test_bfs_checks_the_peak_facet_pairwise(monkeypatch):
 
 
 def test_flip_with_precomputed_data_matches(graphs):
-    # the BFS flips from each facet's stored data; `flip` computes it afresh
+    # the BFS flips from each facet's stored data; `flip_facet` computes it
+    # afresh
     for name, (bq, g) in graphs.items():
         ctx = g.ctx
         for i, facet in enumerate(g.facets):
             ids = g.ids[i] + g.straights
             for w, wi in zip(facet.bending, g.ids[i]):
-                new, direction = _flip(ctx, ids, g.data[i], wi, True)
-                assert flip(bq, facet, w)[1:] == (ctx.walks[new], direction), name
+                new, direction = flip(ctx, ids, g.data[i], wi, True)
+                assert flip_facet(bq, facet, w)[1:] == (ctx.walks[new], direction), name
 
 
 def test_pentagon_structure(graphs):
@@ -424,30 +427,32 @@ def test_walks_through_cycles_vacuous_on_acyclic(graphs):
 def test_flip_on_members_only():
     bq = blossom(a_path(2))
     with pytest.raises(NotMember):
-        flip(bq, peak_facet(bq), deep_walk(bq, "v1"))
+        flip_facet(bq, peak_facet(bq), deep_walk(bq, "v1"))
 
 
 # an unreduced walk, facet data missing one of a bending walk's two
 # distinguished arrows, and a flip of a walk outside the facet
 TYPED_ERRORS = """
 from nonkissing.errors import NonKissingError
-from nonkissing.facets import QuiverContext, _data, _flip, flip, peak_facet
+from nonkissing.facets import QuiverContext, distinguished_data, flip, peak_facet
 from nonkissing.families import a_path
 from nonkissing.quiver import blossom
-from nonkissing.walks import deep_walk, parse_walk
+from nonkissing.walks import deep_walk
+
+from oracles import flip_facet, parse_walk
 
 bq = blossom(a_path(2))
 facet = peak_facet(bq)
 ctx = QuiverContext(bq)
 ids = [ctx.intern(x) for x in facet.walks]
 w = ids[0]
-data = _data(ctx, ids)
+data = distinguished_data(ctx, ids)
 assert sum(i == w for i, _ in data.values()) == 2
 del data[min(a for a, (i, _) in data.items() if i == w)]
 calls = (
     lambda: parse_walk(bq, "v1+out1- a1+ a1- v1+out1+"),
-    lambda: _flip(ctx, ids, data, w, True),
-    lambda: flip(bq, facet, deep_walk(bq, "v1")),
+    lambda: flip(ctx, ids, data, w, True),
+    lambda: flip_facet(bq, facet, deep_walk(bq, "v1")),
 )
 for call in calls:
     try:

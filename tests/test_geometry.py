@@ -20,10 +20,8 @@ from nonkissing.geometry import (
     _wall_normal,
     build_associahedron,
     build_fan,
-    d_vector,
     d_vectors,
     dual_basis_check,
-    facet_matrices,
     g_vector,
     graph_matrices,
     sign_coherence_report,
@@ -40,6 +38,9 @@ from oracles import (
     fraction_rank,
     fraction_wall_normal,
     pairwise_edge_report,
+    walk_d_vector,
+    walk_facet_matrices,
+    walk_total_kissing_number,
 )
 
 # closed flip graphs with a complete walk universe, small enough for the
@@ -102,7 +103,7 @@ def test_peak_facet_c_vectors_are_positive_basis():
     for q in (a_path(2), a_path(3)):
         bq = blossom(q)
         facet = peak_facet(bq)
-        walks, _, cs = facet_matrices(bq, facet)
+        walks, _, cs = walk_facet_matrices(bq, facet)
         for i, v in enumerate(q.vertices):
             c = cs[walks.index(peak_walk(bq, v))]
             assert c == tuple(1 if j == i else 0 for j in range(len(q.vertices)))
@@ -113,14 +114,14 @@ def test_dual_basis_identity_everywhere():
         bq = blossom(q)
         g = enumerate_facets(q)
         for facet in g.facets:
-            assert dual_basis_check(facet_matrices(bq, facet)) == []
+            assert dual_basis_check(walk_facet_matrices(bq, facet)) == []
 
 
 def test_deep_walk_d_vector_is_negative_basis():
     for q in (a_path(2), a_path(3), loop_quiver()):
         bq = blossom(q)
         for i, v in enumerate(q.vertices):
-            d = d_vector(bq, deep_walk(bq, v))
+            d = walk_d_vector(bq, deep_walk(bq, v))
             assert d == tuple(-1 if j == i else 0 for j in range(len(q.vertices)))
 
 
@@ -131,13 +132,13 @@ def test_a2_d_vectors_are_cluster_denominators():
     bq = blossom(q)
     g = enumerate_facets(q)
     walks = {w for f in g.facets for w in f.bending}
-    ds = sorted(d_vector(bq, w) for w in walks)
+    ds = sorted(walk_d_vector(bq, w) for w in walks)
     assert ds == [(-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)]
 
 
 def test_loop_peak_d_vector_is_positive_basis():
     bq = blossom(loop_quiver())
-    assert d_vector(bq, peak_walk(bq, "v1")) == (1,)
+    assert walk_d_vector(bq, peak_walk(bq, "v1")) == (1,)
 
 
 def test_sign_coherence_on_corpus():
@@ -175,7 +176,7 @@ def test_g_vectors_sign_coherent_per_facet():
     bq = blossom(q)
     g = enumerate_facets(q)
     for facet in g.facets:
-        _, gs, _ = facet_matrices(bq, facet)
+        _, gs, _ = walk_facet_matrices(bq, facet)
         for k in range(3):
             signs = {x[k] > 0 for x in gs if x[k] != 0}
             assert len(signs) <= 1
@@ -207,11 +208,9 @@ def test_loop_associahedron_is_a_segment():
 def test_polytope_vertices_lie_on_their_facet_bounds():
     for q in (a_path(2), loop_quiver(), reversed_path(2)):
         bq, g, poly = _polytope(q)
-        from nonkissing.walks import total_kissing_number
-
         for i, facet in enumerate(g.facets):
             for w in facet.walks:
-                bound = total_kissing_number(bq, w)
+                bound = walk_total_kissing_number(bq, w)
                 assert vec_dot(g_vector(bq, w), poly.vertices[i]) == bound
 
 
@@ -352,8 +351,8 @@ def test_precomputed_matrices_change_nothing():
     for q in (a_path(3), cycle_quiver(2), loop_quiver()):
         bq = blossom(q)
         g = enumerate_facets(q)
-        assert graph_matrices(g) == [facet_matrices(bq, f) for f in g.facets]
+        assert graph_matrices(g) == [walk_facet_matrices(bq, f) for f in g.facets]
         dvecs = d_vectors(g)
         for ids in g.ids:
             for i in ids:
-                assert dvecs[i] == d_vector(bq, g.ctx.walks[i])
+                assert dvecs[i] == walk_d_vector(bq, g.ctx.walks[i])

@@ -326,7 +326,7 @@ def test_unreduced_crossing_rejected():
     pw = peak_walk(bq, "v2")
     c = curve_of_walk(bq, pw)
     bad = CrossingSequence(
-        quiver_key=c.quiver_key,
+        quiver=c.quiver,
         left=c.left,
         crossings=c.crossings,
         angles=(("a1", 1), ("a1", -1)),

