@@ -406,12 +406,18 @@ def straight_walks(bq: BlossomQuiver) -> list[Walk]:
 
 
 def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
-    """All canonical walks with body length <= body_bound.
+    """The canonical walks that growth reaches within body_bound letters.
 
-    Returns (walks, complete).  Branches that would re-enter a letter state
-    already spun into a tail are pruned silently (cycle-rewinding walks are
-    excluded from the universe by design); only branches cut by body_bound
-    clear the completeness flag.
+    Returns (walks, complete).  Growth from one end reads the body and then
+    the other end's tail, whole, so it reaches ltail | body | rtail from the
+    left when len(body) + len(rtail) <= body_bound, and from the right when
+    len(body) + len(ltail) <= body_bound.  A walk is listed exactly when
+    len(body) + min(len(ltail), len(rtail)) <= body_bound, a missing tail
+    counting 0, and every fully periodic walk is listed: the bound caps the
+    letters read from the nearer end, not the body alone.  Branches that
+    would re-enter a letter state already spun into a tail are pruned
+    silently (cycle-rewinding walks are excluded from the universe by
+    design); only branches cut by body_bound clear the completeness flag.
 
     Each walk is grown from both of its ends: a finite end starts at the
     letter that leaves its leaf (`leaf_letter`), a spiral end at its tail
@@ -422,11 +428,13 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
     letter.  Growth carries the text of each prefix of the letters, read
     forwards and backwards, and each start fixes the pieces of its left
     tail, so a walk reached gets the serializations of both its directed
-    forms from a few concatenations.  The first arrival builds the one Walk
-    that `canonicalize` would return, in the direction with the smaller
-    text: only that direction's form is built, and the Walk keeps its text.
-    The reverse text waits in a pending set for the arrival from the other
-    end.
+    forms from a few concatenations.  One arrival builds the one Walk that
+    `canonicalize` would return, in the direction with the smaller text,
+    and the Walk keeps its text: the arrival whose own text is the smaller,
+    or, when growth from the other end stops short of the walk (by the rule
+    above, when len(ltail) + len(body) > body_bound for this arrival's
+    ltail), the only arrival, which builds the reverse form when that text
+    is the smaller.  Every other arrival returns at once.
 
     Growth builds valid words, so no word is validated again; the test
     `test_every_grown_walk_passes_validation` keeps the check.  A grown word
@@ -458,19 +466,19 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
       vertex.
     - A word holds at least one letter, so it is not empty.
 
-    A set of texts loses nothing.  Serializations are injective on forms,
-    as the walks are keyed by them.  And no walk that is not fully periodic
-    equals its own reverse form: at its middle that would need a letter
-    equal to its own inverse, or a pair x x⁻¹, which is unreduced.  So each
-    such walk is reached twice, by two different forms.  Growth never
-    reaches the fully periodic walks: `infinite_straight_walks` builds
-    them, one per primitive cycle.
+    Each walk is built once.  Serializations are injective on forms, as the
+    walks are keyed by them.  And no walk that is not fully periodic equals
+    its own reverse form: at its middle that would need a letter equal to
+    its own inverse, or a pair x x⁻¹, which is unreduced.  So the two texts
+    of such a walk differ, and when both ends reach it exactly one of the
+    two arrivals has the smaller text.  Growth never reaches the fully
+    periodic walks: `infinite_straight_walks` builds them, one per
+    primitive cycle.
     """
     if body_bound < 1:
         raise BoundError("body_bound must be at least 1")
     succ = bq.successors
     walks: dict[str, Walk] = {}
-    pending: set[str] = set()  # reverse texts not yet reached
     complete = True
     shared = {x: x for x in succ}  # one object per letter: stored forms copy none
     inverse = {x: shared[x[0], -x[1]] for x in succ}
@@ -483,15 +491,12 @@ def enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
 
     def emit(fwd_text, bwd_text, ltail, letters, j):
         # the walk ltail | letters[:j] | letters[j:], no right tail at j == len(letters)
-        if fwd_text in pending:
-            pending.remove(fwd_text)
-            return
-        pending.add(bwd_text)
-        body, rtail = tuple(letters[:j]), tuple(letters[j:])
-        if fwd_text <= bwd_text:
-            w = Walk(ltail, body, rtail)
+        if fwd_text < bwd_text:
+            w = Walk(ltail, tuple(letters[:j]), tuple(letters[j:]))
+        elif len(ltail) + j > body_bound:  # the other end's growth stops short
+            w, fwd_text = Walk(rev(letters[j:]), rev(letters[:j]), rev(ltail)), bwd_text
         else:
-            w, fwd_text = Walk(rev(rtail), rev(body), rev(ltail)), bwd_text
+            return
         w.__dict__["_serialized"] = fwd_text  # primes the cached property
         walks[fwd_text] = w
 

@@ -312,7 +312,12 @@ def reference_strip_minimal(ltail, body, rtail):
 
 
 def reference_enumerate_walks(bq: BlossomQuiver, body_bound: int = 64):
-    """All canonical walks with body length <= body_bound.
+    """The canonical walks that growth reaches within body_bound letters.
+
+    A walk ltail | body | rtail is listed exactly when
+    len(body) + min(len(ltail), len(rtail)) <= body_bound, a missing tail
+    counting 0, and every fully periodic walk is listed: growth from one
+    end reads the body and then the other end's tail, whole.
 
     Returns (walks, complete).  Branches that would re-enter a letter state
     already spun into a tail are pruned silently (cycle-rewinding walks are

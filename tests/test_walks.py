@@ -548,6 +548,12 @@ def test_enumeration_canonicalizes_each_walk_once(monkeypatch):
     assert calls["Walk"] == len(walks) == 3193
     assert calls["_validate_word"] == len(primitive_cycles(bq))
     assert calls["_directed_canonical"] <= len(primitive_cycles(bq)) == 1
+    # a walk reached from one end only, its left tail too long for growth
+    # from the right at this bound, is built once too
+    calls.clear()
+    walks, _ = enumerate_walks(blossom(random_locally_gentle(random.Random(0))), 4)
+    assert "( a4+ ) | | ( a11- a12- a10- a1- a3- a5- a8- )" in [w.serialize() for w in walks]
+    assert calls["Walk"] == len(walks)
     # the text a walk is given is the text it would build: growth assembles
     # it from prefix texts, not from the walk's form
     monkeypatch.undo()
@@ -587,8 +593,8 @@ def test_every_grown_walk_passes_validation():
 
 
 def test_no_enumerated_walk_is_its_own_reverse_form():
-    # so the pending set of reverse texts loses nothing: each walk that is not
-    # fully periodic is reached from its two ends, by two different forms
+    # so the two texts of each walk that is not fully periodic differ, and
+    # exactly one of its two arrivals has the smaller text and builds it
     for name, q, bound in _enumeration_cases():
         for w in enumerate_walks(blossom(q), bound)[0]:
             if not w.is_infinite_straight:
@@ -613,6 +619,36 @@ def _assert_grown_forms_are_canonical(walks):
 def test_growth_emits_directed_canonical_forms(spec, bound):
     bq = blossom(parse_family(f"family:{spec}"))
     _assert_grown_forms_are_canonical(enumerate_walks(bq, bound)[0])
+
+
+def _within(w, bound):
+    # the walks that body_bound lists: growth from one end reads the body and
+    # then the other end's tail, so the nearer end counts; a missing tail is 0
+    return w.is_infinite_straight or len(w.body) + min(len(w.ltail), len(w.rtail)) <= bound
+
+
+def test_body_bound_caps_body_plus_the_shorter_tail():
+    # 207 cases: each family against bound 12, which reaches every walk the
+    # smaller bounds list, and the band-free random quivers against their
+    # whole universe
+    cases = 0
+    for spec, _ in GROWN:
+        bq = blossom(parse_family(f"family:{spec}"))
+        everything = enumerate_walks(bq, 12)[0]
+        for bound in range(1, 9):
+            want = [w for w in everything if _within(w, bound)]
+            assert enumerate_walks(bq, bound)[0] == want, (spec, bound)
+            cases += 1
+    for seed in range(60):
+        bq = blossom(random_locally_gentle(random.Random(seed)))
+        if has_band(bq):
+            continue
+        everything = walk_universe(bq, "test")
+        for bound in (1, 2, 3, 4, 6):
+            want = [w for w in everything if _within(w, bound)]
+            assert enumerate_walks(bq, bound)[0] == want, (seed, bound)
+            cases += 1
+    assert cases == 207
 
 
 # (family, walk, what parse_walk gives), each parsed twice on one blossoming
