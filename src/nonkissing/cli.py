@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import families
@@ -38,6 +37,7 @@ from .quiver import (
     BoundQuiver,
     blossom,
     is_isomorphic,
+    json_text,
     koszul_dual,
     quiver_from_json,
     validate_locally_gentle,
@@ -58,10 +58,7 @@ from .walks import enumerate_walks, has_band
 
 
 def _emit(doc, out: str | None) -> None:
-    if isinstance(doc, str):
-        text = doc
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = doc if isinstance(doc, str) else json_text(doc)
     if out:
         try:
             with open(out, "w") as fh:

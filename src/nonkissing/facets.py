@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     OrderError,
     SameMarkedWalk,
 )
-from .quiver import BlossomQuiver, BoundQuiver, blossom
+from .quiver import BlossomQuiver, BoundQuiver, blossom, cached_property
 from .walks import (
     Letter,
     Walk,

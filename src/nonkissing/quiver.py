@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     DegreeViolation,
@@ -22,6 +22,91 @@ from .errors import (
 # whitespace (on str patterns \s matches exactly the str.isspace characters)
 # and the characters the walk syntax reserves
 _FORBIDDEN_ID_CHAR = re.compile(r'[\s()|"]')
+
+
+class cached_property:
+    """A method read once per instance, then kept as a plain attribute.
+
+    Like `functools.cached_property` without its lock, which Python 3.10 and
+    3.11 take on every first read: the value goes into the instance's
+    `__dict__`, where later reads find it before this non-data descriptor.
+    Two threads reading one attribute first at once may both compute it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, byte for byte.
+
+    The one JSON writer of the package.  doc may hold only str, int, bool,
+    None, lists, tuples and dicts with str keys; anything else, a float
+    included, raises TypeError.  Strings go through the C escaper that json
+    itself calls, and the pieces are joined once.
+    """
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append the pieces of o, whose own line starts with nl, to out."""
+    if isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be str, got {k!r}")
+            v = o[k]
+            if type(v) is str:
+                out += (sep, _quote(k), ": ", _quote(v))
+            else:
+                out += (sep, _quote(k), ": ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            if type(v) is str:
+                out += (sep, _quote(v))
+            else:
+                out.append(sep)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif o is None:
+        out.append("null")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    else:
+        raise TypeError(f"cannot write {type(o).__name__} {o!r} as JSON")
 
 
 def _check_id(kind: str, ident: object) -> str:
@@ -83,7 +168,7 @@ class BoundQuiver:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -218,29 +303,34 @@ def validate_locally_gentle(q: BoundQuiver) -> BoundQuiver:
     naming the offending vertex or arrow.  Quivers are checked only where they
     enter (`quiver_from_dict`, `make_quiver`, `quiver_from_surface`).
     """
+    arrows_in, arrows_out = q.arrows_in, q.arrows_out
     for v in q.vertices:
-        if len(q.arrows_in[v]) > 2:
-            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_in[v])} incoming arrows")
-        if len(q.arrows_out[v]) > 2:
-            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_out[v])} outgoing arrows")
-    for a, b in q.relations:
-        if q.tgt[a] != q.src[b]:
+        if len(arrows_in[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(arrows_in[v])} incoming arrows")
+        if len(arrows_out[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(arrows_out[v])} outgoing arrows")
+    rels, src, tgt = q.relations, q.src, q.tgt
+    for a, b in rels:
+        if tgt[a] != src[b]:
             raise NonComposableRelation(f"relation ({a!r},{b!r}) is not a composable pair")
+    # after the degree check each arrow has at most two predecessors and two
+    # successors, so a branch violation is a pair of them, both in relation
+    # with the arrow or both free
     for b in q.arrow_ids:
-        preds = [a for a in q.arrows_in[q.src[b]]]
-        rel = [a for a in preds if (a, b) in q.relations]
-        free = [a for a in preds if (a, b) not in q.relations]
-        if len(rel) > 1:
-            raise GentleBranchViolation(f"arrow {b!r} has two relation predecessors {rel}")
-        if len(free) > 1:
-            raise GentleBranchViolation(f"arrow {b!r} has two relation-free predecessors {free}")
-        succs = [c for c in q.arrows_out[q.tgt[b]]]
-        rel = [c for c in succs if (b, c) in q.relations]
-        free = [c for c in succs if (b, c) not in q.relations]
-        if len(rel) > 1:
-            raise GentleBranchViolation(f"arrow {b!r} has two relation successors {rel}")
-        if len(free) > 1:
-            raise GentleBranchViolation(f"arrow {b!r} has two relation-free successors {free}")
+        preds = arrows_in[src[b]]
+        if len(preds) == 2:
+            a0, a1 = preds
+            rel = (a0, b) in rels
+            if rel == ((a1, b) in rels):
+                kind = "relation" if rel else "relation-free"
+                raise GentleBranchViolation(f"arrow {b!r} has two {kind} predecessors {[a0, a1]}")
+        succs = arrows_out[tgt[b]]
+        if len(succs) == 2:
+            c0, c1 = succs
+            rel = (b, c0) in rels
+            if rel == ((b, c1) in rels):
+                kind = "relation" if rel else "relation-free"
+                raise GentleBranchViolation(f"arrow {b!r} has two {kind} successors {[c0, c1]}")
     return q
 
 

@@ -69,8 +69,7 @@ class SurfaceModel:
         self.bq = bq  # the blossoming the surface was built from, if any
         self.halfedges = tuple((q, k) for q in self.quads for k in KINDS)
         for h in self.halfedges:
-            self.twin.setdefault(h, None)
-            t = self.twin[h]
+            t = self.twin.setdefault(h, None)
             if t is not None and self.twin.get(t) != h:
                 raise NotCellular(f"twin of {h} is not involutive")
         self._classify()
@@ -98,24 +97,28 @@ class SurfaceModel:
         self.class_orbit: dict = {}
         self.class_kind: dict = {}
         self.black_name: dict = {}
+        # rotate, next_face and start_corner, read from the tables inline
+        twin, corner_class = self.twin, self.corner_class
         for h in self.halfedges:
-            root = start_corner(h)
-            if root in self.corner_class:
+            q, k = h
+            root = (q, _START_CORNER[k])
+            if root in corner_class:
                 continue
             # walk back to the chain head, or once round a cycle
             orbit = [h]
-            back = self.rotate(h)
+            back = twin[q, _PREV[k]]
             while back is not None and back != h:
                 orbit.append(back)
-                back = self.rotate(back)
+                back = twin[back[0], _PREV[back[1]]]
             orbit.reverse()
             if back is None:  # a chain: walk on from h to its last side
-                t = self.twin[h]
+                t = twin[h]
                 while t is not None:
-                    orbit.append(next_face(t))
-                    t = self.twin[orbit[-1]]
-            for c in map(start_corner, orbit):
-                self.corner_class[c] = root
+                    t = (t[0], _NEXT[t[1]])
+                    orbit.append(t)
+                    t = twin[t]
+            for q, k in orbit:
+                corner_class[q, _START_CORNER[k]] = root
             self.class_orbit[root] = orbit
             kinds = {_START_CORNER[k] for _, k in orbit}
             if kinds == {"v"}:
@@ -632,10 +635,8 @@ def walk_of_curve(bq: BlossomQuiver, c: CrossingSequence) -> Walk:
 
 def surface_dump(s: SurfaceModel) -> dict:
     """Half-edge tables with stable ordering: involution, rotations, classes."""
-
-    def he_name(h):
-        return f"{h[0]}:{h[1]}" if h is not None else None
-
+    name = {h: f"{h[0]}:{h[1]}" for h in s.halfedges}
+    name[None] = None
     class_label = {}
     counters = {"green": 0, "red": 0, "blossom": 0}
     prefixes = {"green": "V", "red": "V*", "blossom": "B"}
@@ -646,15 +647,16 @@ def surface_dump(s: SurfaceModel) -> dict:
             continue
         class_label[root] = f"{prefixes[kind]}{counters[kind]}"
         counters[kind] += 1
+    # next_face, rotate and start_corner, read from the tables inline
+    twin, corner_class = s.twin, s.corner_class
     halfedges = sorted(s.halfedges)
     return {
-        "halfedges": [he_name(h) for h in halfedges],
-        "twin": {he_name(h): he_name(s.twin[h]) for h in halfedges},
-        "face_next": {he_name(h): he_name(next_face(h)) for h in halfedges},
-        "vertex_rotation": {he_name(h): he_name(s.rotate(h)) for h in halfedges},
+        "halfedges": [name[h] for h in halfedges],
+        "twin": {name[h]: name[twin[h]] for h in halfedges},
+        "face_next": {name[h]: name[h[0], _NEXT[h[1]]] for h in halfedges},
+        "vertex_rotation": {name[h]: name[twin[h[0], _PREV[h[1]]]] for h in halfedges},
         "start_class": {
-            he_name(h): class_label[s.corner_class[start_corner(h)]]
-            for h in halfedges
+            name[h]: class_label[corner_class[h[0], _START_CORNER[h[1]]]] for h in halfedges
         },
         "punctures": sorted(
             class_label[r]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BoundError,
@@ -31,7 +30,7 @@ from .errors import (
     ParseError,
     RelationHit,
 )
-from .quiver import BlossomQuiver
+from .quiver import BlossomQuiver, cached_property
 
 Letter = tuple[str, int]  # (arrow id, +1 or -1)
 

@@ -56,6 +56,12 @@ order of the sides (`next_face`, `start_corner`):
 instead of walking rotation orbits, and `all_roots_surface_key` encodes each
 component from every `rs` root in full, with no pruning, on those classes.
 
+The JSON oracle (`reference_json_text`) is the standard library's own
+`json.dumps` with the CLI's layout, beside the writer `quiver.json_text`.
+The validation oracle (`reference_validate_locally_gentle`) is the
+list-building check that `quiver.validate_locally_gentle` replaced, with the
+same checks in the same order; it reads the quiver's own tables.
+
 Plain helpers no production path needs live here for the tests:
 `reverse_walk` reads a walk's form backwards, `parse_walk` reads a walk's
 serialization back, and `prune` deletes the leaves of a complete quiver,
@@ -68,6 +74,7 @@ there.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -77,7 +84,10 @@ from dataclasses import dataclass
 
 from nonkissing.errors import (
     BoundError,
+    DegreeViolation,
+    GentleBranchViolation,
     KissingPair,
+    NonComposableRelation,
     NotBending,
     NotComplete,
     NotMarked,
@@ -102,6 +112,37 @@ from nonkissing.walks import (
     span,
     total_kissing_number,
 )
+
+
+def reference_json_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def reference_validate_locally_gentle(q: BoundQuiver) -> BoundQuiver:
+    for v in q.vertices:
+        if len(q.arrows_in[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_in[v])} incoming arrows")
+        if len(q.arrows_out[v]) > 2:
+            raise DegreeViolation(f"vertex {v!r} has {len(q.arrows_out[v])} outgoing arrows")
+    for a, b in q.relations:
+        if q.tgt[a] != q.src[b]:
+            raise NonComposableRelation(f"relation ({a!r},{b!r}) is not a composable pair")
+    for b in q.arrow_ids:
+        preds = [a for a in q.arrows_in[q.src[b]]]
+        rel = [a for a in preds if (a, b) in q.relations]
+        free = [a for a in preds if (a, b) not in q.relations]
+        if len(rel) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation predecessors {rel}")
+        if len(free) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation-free predecessors {free}")
+        succs = [c for c in q.arrows_out[q.tgt[b]]]
+        rel = [c for c in succs if (b, c) in q.relations]
+        free = [c for c in succs if (b, c) not in q.relations]
+        if len(rel) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation successors {rel}")
+        if len(free) > 1:
+            raise GentleBranchViolation(f"arrow {b!r} has two relation-free successors {free}")
+    return q
 
 
 def rev_word(word):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from nonkissing.quiver import (
     blossom,
     canonical_key,
     is_isomorphic,
+    json_text,
     koszul_dual,
     make_quiver,
     quiver_from_json,
@@ -35,7 +37,12 @@ from nonkissing.quiver import (
 from nonkissing.surface import SurfaceModel, surface_from_quiver, surfaces_isomorphic
 from nonkissing.walks import letter_src
 
-from oracles import prune, vf2_isomorphic
+from oracles import (
+    prune,
+    reference_json_text,
+    reference_validate_locally_gentle,
+    vf2_isomorphic,
+)
 from pyrun import run_python
 
 
@@ -202,6 +209,40 @@ def test_json_roundtrip_byte_stable():
     assert quiver_from_json(text).to_json() == text
 
 
+# strings mix any code point with the ones JSON escapes or spells out:
+# quotes, backslashes, control characters, DEL and the line separators
+JSON_STRINGS = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x08\n\x1f\x7f\u2028\u2029é€😀')
+)
+JSON_DOCS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(max_value=-(2**64))
+    | JSON_STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(JSON_DOCS)
+def test_json_text_is_json_dumps_byte_for_byte(doc):
+    assert json_text(doc) == reference_json_text(doc) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, Fraction(1, 2), {"a": [0.0]}, [{"b": Fraction(3)}], {1: "x"}, {None: 1}, {"a": {2: []}}],
+)
+def test_json_text_refuses_floats_fractions_and_keys_not_str(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
+
+
 def test_json_unknown_field_rejected():
     with pytest.raises(ParseError):
         quiver_from_json('{"vertices": [], "arrows": [], "bogus": 1}')
@@ -298,6 +339,52 @@ def test_random_generator_produces_valid_quivers():
     rng = random.Random(99)
     for _ in range(30):
         validate_locally_gentle(random_locally_gentle(rng))
+
+
+def _malformed_quiver(rng: random.Random) -> BoundQuiver:
+    """1-5 vertices, random arrows (loops and parallel arrows among them),
+    random composable relation pairs and at times one arbitrary pair."""
+    vertices = [str(i) for i in range(rng.randint(1, 5))]
+    arrows = [
+        (f"a{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(0, 2 * len(vertices)))
+    ]
+    ids = [a for a, _, _ in arrows]
+    composable = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s]
+    relations = set(rng.sample(composable, min(len(composable), rng.randint(0, len(ids)))))
+    if ids and rng.random() < 0.25:
+        relations.add((rng.choice(ids), rng.choice(ids)))
+    return BoundQuiver(tuple(vertices), tuple(arrows), frozenset(relations))
+
+
+def _outcome(validate, q):
+    try:
+        return validate(q)
+    except (DegreeViolation, NonComposableRelation, GentleBranchViolation) as exc:
+        return type(exc), str(exc)
+
+
+# the end of each message validation can raise
+VIOLATIONS = (
+    "incoming arrows",
+    "outgoing arrows",
+    "is not a composable pair",
+    "two relation predecessors",
+    "two relation-free predecessors",
+    "two relation successors",
+    "two relation-free successors",
+)
+
+
+def test_validation_agrees_with_the_list_building_oracle():
+    seen = set()
+    for seed in range(400):
+        q = _malformed_quiver(random.Random(seed))
+        got = _outcome(validate_locally_gentle, q)
+        assert got == _outcome(reference_validate_locally_gentle, q), seed
+        seen.add("valid" if got is q else next(v for v in VIOLATIONS if v in got[1]))
+    # the sample reaches every check
+    assert seen == {"valid", *VIOLATIONS}, seen
 
 
 # random_locally_gentle seeds; the same examples on every run
